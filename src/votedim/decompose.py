@@ -172,10 +172,9 @@ def gap_summary(
     if first.n != second.n:
         raise ValueError(f"player counts differ: {first.n} vs {second.n}")
     n = first.n
-    table = (sweep.full_table(n) ^ sweep.win_table(first, workers)) & sweep.win_table(
-        second, workers
-    )
-    count = sweep.table_count(table)
+    table = sweep.complement(sweep.win_table(first, workers), n)
+    table &= sweep.win_table(second, workers)
+    count = table.bit_count()
     core = Coalition(sweep.players_in_all(table, n), n)
     if count == 0:
         return GapSummary(0, core, None, None, ())
@@ -183,7 +182,7 @@ def gap_summary(
     assert min_weight is not None
     members: Optional[tuple[Coalition, ...]] = None
     if count <= member_cap:
-        members = tuple(Coalition(m, n) for m in sweep.table_members(table, n))
+        members = tuple(Coalition(m, n) for m in sweep.table_members(table))
     return GapSummary(count, core, min_weight, first.quota - min_weight, members)
 
 

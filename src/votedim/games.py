@@ -2,9 +2,9 @@
 
 Players are indexed 0..n-1 internally; report and I/O layers translate to the
 1-based ranks used in published population tables.  A coalition is a bit-set
-packed into a single int (bit j set = player j present), which caps the player
-count at 32 so that every coalition fits one machine word and a full sweep
-over all 2^n coalitions stays addressable.
+packed into a single int (bit j set = player j present), capped at 32 players
+so that it fits one machine word; the mask is also its bit index in the sweep
+engine's ``uint64`` word-array win tables (bit m % 64 of word m // 64).
 """
 
 from __future__ import annotations

@@ -252,7 +252,7 @@ def search_certificate_set(
         raise ValueError("budgets must be positive")
     expr = as_expr(game)
     n = expr.n
-    losing_table = sweep.full_table(n) ^ sweep.expr_table(expr, workers)
+    losing_table = sweep.complement(sweep.expr_table(expr, workers), n)
     maximal = sweep.maximal_elements(losing_table, n)
     # Big coalitions first; ascending mask breaks ties deterministically.
     pool = sorted(maximal, key=lambda m: (-m.bit_count(), m))[:pool_budget]

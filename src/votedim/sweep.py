@@ -1,11 +1,13 @@
 """Exhaustive coalition sweeps over all 2^n coalitions.
 
-The engine's working representation is a *win table*: a (2^n)-bit integer in
-which bit m is set iff the coalition with bit-mask m wins.  Tables for
-weighted games are built blockwise with numpy from two half-universe
-partial-sum tables (2 * 2^(n/2) memory instead of 2^n), then combined with
-single bitwise operations, so a full 2^28 sweep of a 25-leaf expression takes
-seconds, not hours.
+The engine's working representation is a *win table*: a little-endian
+``uint64`` array of max(1, 2^n / 64) words whose bit m is set iff the
+coalition with bit-mask m wins (for n < 6 one word, unused high bits zero).
+Weighted games are packed straight into it from two half-universe partial-sum
+tables (2 * 2^(n/2) memory instead of 2^n); every later operation works in
+place.  Closures and the maximality test are the bitset subset-sum (zeta)
+transform: halves of a ``reshape(-1, 2, 2^(j-6))`` view for player j >= 6,
+in-word shifts under a constant mask for j < 6.
 
 Block construction is deterministic: the coalition space is split into
 contiguous blocks of low-index masks, each block's bytes depend only on its
@@ -15,10 +17,9 @@ therefore identical under any worker count.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -37,43 +38,50 @@ from .games import (
 _LO_BITS = 14
 # Target elements per numpy chunk while filling a table.
 _CHUNK_ELEMS = 1 << 21
+# Table words unpacked at a time when listing members.
+_MEMBER_WORDS = 1 << 15
 # An AND node folds this many quota-1 indicator leaves via one shared
 # down-closure instead of per-leaf tables.
 _INDICATOR_GROUP_MIN = 8
 
-_BYTE_PRESENT = {0: 0xAA, 1: 0xCC, 2: 0xF0}
+class Table(np.ndarray):
+    """A win table: ``uint64`` words, bit m of the array = coalition m."""
+
+    def bit_count(self) -> int:
+        """Number of member coalitions (the table's population count)."""
+        return int(np.bitwise_count(self.view(np.ndarray)).sum(dtype=np.int64))
 
 
-def full_table(n: int) -> int:
-    """Table with every coalition winning: 2^(2^n) - 1."""
-    return (1 << (1 << n)) - 1
+def _empty(n: int) -> Table:
+    return np.zeros(max(1, (1 << n) >> 6), dtype="<u8").view(Table)
 
 
-def _pattern(n: int, j: int, present: bool) -> int:
-    """Table of all masks in which player j is present (or absent)."""
-    if not 0 <= j < n:
-        raise ValueError(f"player index {j} outside 0..{n - 1}")
-    nbytes = max(1, (1 << n) >> 3)
-    if j < 3:
-        byte = _BYTE_PRESENT[j]
-        if not present:
-            byte ^= 0xFF
-        arr = np.full(nbytes, byte, dtype=np.uint8)
-    else:
-        half = 1 << (j - 3)
-        zeros = np.zeros(half, dtype=np.uint8)
-        ones = np.full(half, 0xFF, dtype=np.uint8)
-        period = np.concatenate([zeros, ones] if present else [ones, zeros])
-        arr = np.tile(period, nbytes // (2 * half))
-    return int.from_bytes(arr.tobytes(), "little") & full_table(n)
+def full_table(n: int) -> Table:
+    """Table with every coalition winning."""
+    table = _empty(n)
+    table[:] = (1 << min(1 << n, 64)) - 1
+    return table
 
 
-def presence_table(n: int, j: int) -> int:
-    return _pattern(n, j, present=True)
+def complement(table: Table, n: int) -> Table:
+    """Flip every coalition in place; a one-word table keeps its high bits zero."""
+    np.invert(table, out=table)
+    if n < 6:
+        table &= full_table(n)
+    return table
 
 
-def absence_table(n: int, j: int) -> int:
-    return _pattern(n, j, present=False)
+def _pattern(j: int, present: bool) -> np.uint64:
+    """In-word mask of the bit positions where player j < 6 is present (or absent)."""
+    half = 1 << j
+    period = ((1 << half) - 1) << half
+    word = period * (((1 << 64) - 1) // ((1 << (2 * half)) - 1))
+    return np.uint64(word if present else word ^ ((1 << 64) - 1))
+
+
+def _pairs(table: Table, j: int) -> np.ndarray:
+    """For player j >= 6: view [:, 0] holds the masks without j, [:, 1] with j."""
+    return table.reshape(-1, 2, 1 << (j - 6))
 
 
 def _subset_sums(weights: Iterable[int]) -> np.ndarray:
@@ -98,53 +106,79 @@ def _is_indicator_veto(game: WeightedGame) -> bool:
     return game.quota == 1 and all(w in (0, 1) for w in game.weights)
 
 
-def win_table(game: WeightedGame, workers: int = 1) -> int:
-    """The full (2^n)-bit win table of a weighted game."""
+def _blocked_mask(game: WeightedGame) -> int:
+    return sum(1 << j for j, w in enumerate(game.weights) if w == 0)
+
+
+def _vetoed(blocked: Iterable[int], n: int) -> Table:
+    """Coalitions that are not a subset of any of the ``blocked`` masks."""
+    table = _empty(n)
+    for m in blocked:
+        table[m >> 6] |= np.uint64(1 << (m & 63))
+    return complement(down_closure(table, n), n)
+
+
+def win_table(game: WeightedGame, workers: int = 1) -> Table:
+    """The full win table of a weighted game."""
     n = game.n
     if _is_indicator_veto(game):
         # Wins iff it meets the support; losing masks are exactly the subsets
         # of the zero-weight player set.
-        blocked = sum(1 << j for j, w in enumerate(game.weights) if w == 0)
-        return full_table(n) ^ down_closure(1 << blocked, n)
+        return _vetoed([_blocked_mask(game)], n)
 
     lo = min(n, _LO_BITS)
     low_sums = _subset_sums(game.weights[:lo])
     high_sums = _subset_sums(game.weights[lo:])
     quota = np.int64(game.quota)
 
-    nbytes = max(1, (1 << n) >> 3)
-    out = bytearray(nbytes)
+    table = _empty(n)
+    out = table.view(np.uint8)
     chunk_highs = max(1, _CHUNK_ELEMS >> lo)
 
     def fill(h_start: int, h_stop: int) -> None:
-        sums = high_sums[h_start:h_stop, None] + low_sums[None, :]
-        bits = np.packbits(sums.reshape(-1) >= quota, bitorder="little")
+        # low + high >= quota, compared without materialising the sums.
+        wins = low_sums[None, :] >= (quota - high_sums[h_start:h_stop])[:, None]
+        bits = np.packbits(wins, bitorder="little")
         offset = (h_start << lo) >> 3
-        out[offset : offset + bits.nbytes] = bits.tobytes()
+        out[offset : offset + bits.size] = bits
 
     tasks = [
         (lambda a=h, b=min(h + chunk_highs, len(high_sums)): fill(a, b))
         for h in range(0, len(high_sums), chunk_highs)
     ]
     _run_tasks(tasks, workers)
-    return int.from_bytes(bytes(out), "little")
-
-
-def down_closure(table: int, n: int) -> int:
-    """Add every subset of every member: bit m set iff m is below some member."""
-    for j in range(n):
-        table |= (table & presence_table(n, j)) >> (1 << j)
     return table
 
 
-def up_closure(table: int, n: int) -> int:
-    """Add every superset of every member."""
+def down_closure(table: Table, n: int) -> Table:
+    """Add every subset of every member, in place."""
+    scratch = np.empty_like(table)
     for j in range(n):
-        table |= (table & absence_table(n, j)) << (1 << j)
+        if j < 6:
+            np.bitwise_and(table, _pattern(j, True), out=scratch)
+            scratch >>= 1 << j
+            table |= scratch
+        else:
+            pairs = _pairs(table, j)
+            pairs[:, 0] |= pairs[:, 1]
     return table
 
 
-def expr_table(expr: ExprLike, workers: int = 1) -> int:
+def up_closure(table: Table, n: int) -> Table:
+    """Add every superset of every member, in place."""
+    scratch = np.empty_like(table)
+    for j in range(n):
+        if j < 6:
+            np.bitwise_and(table, _pattern(j, False), out=scratch)
+            scratch <<= 1 << j
+            table |= scratch
+        else:
+            pairs = _pairs(table, j)
+            pairs[:, 1] |= pairs[:, 0]
+    return table
+
+
+def expr_table(expr: ExprLike, workers: int = 1) -> Table:
     """Win table of a boolean game expression (fold of the leaf tables)."""
     expr = as_expr(expr)
     if isinstance(expr, Leaf):
@@ -153,7 +187,7 @@ def expr_table(expr: ExprLike, workers: int = 1) -> int:
     n = expr.n
 
     children = list(expr.children)
-    acc: Optional[int] = None
+    acc: Optional[Table] = None
     if expr.op == AND:
         # Quota-1 indicator leaves under one AND share a single down-closure:
         # their joint losing set is the union of the blocked coalitions' cones.
@@ -162,12 +196,7 @@ def expr_table(expr: ExprLike, workers: int = 1) -> int:
         ]
         if len(vetoes) >= _INDICATOR_GROUP_MIN:
             children = [c for c in children if c not in vetoes]
-            blocked_bits = 0
-            for c in vetoes:
-                blocked_bits |= 1 << sum(
-                    1 << j for j, w in enumerate(c.game.weights) if w == 0
-                )
-            acc = full_table(n) ^ down_closure(blocked_bits, n)
+            acc = _vetoed((_blocked_mask(c.game) for c in vetoes), n)
 
     for child in children:
         t = expr_table(child, workers)
@@ -181,59 +210,66 @@ def expr_table(expr: ExprLike, workers: int = 1) -> int:
     return acc
 
 
-def table_members(
-    table: int, n: int, limit: Optional[int] = None
-) -> list[int]:
+def _member_chunks(table: Table) -> Iterator[np.ndarray]:
+    """Member coalition masks of a table, ascending, a bounded chunk at a time."""
+    nonzero = np.flatnonzero(table)
+    for start in range(0, nonzero.size, _MEMBER_WORDS):
+        index = nonzero[start : start + _MEMBER_WORDS]
+        bits = np.unpackbits(table[index].view(np.uint8), bitorder="little")
+        rows, cols = np.nonzero(bits.reshape(-1, 64))
+        yield (index[rows] << 6) | cols
+
+
+def table_members(table: Table) -> list[int]:
     """Set-bit indices (coalition masks) of a table, ascending."""
-    if table == 0:
-        return []
-    nbytes = max(1, (1 << n) >> 3)
-    arr = np.frombuffer(table.to_bytes(nbytes, "little"), dtype=np.uint8)
-    nz = np.flatnonzero(arr)
-    bits = np.unpackbits(arr[nz], bitorder="little").reshape(-1, 8)
-    rows, cols = np.nonzero(bits)
-    masks = (nz[rows].astype(np.int64) << 3) | cols
-    if limit is not None:
-        masks = masks[:limit]
-    return [int(m) for m in masks]
+    return np.concatenate([np.empty(0, np.int64), *_member_chunks(table)]).tolist()
 
 
-def table_count(table: int) -> int:
-    return table.bit_count()
-
-
-def players_in_all(table: int, n: int) -> int:
+def players_in_all(table: Table, n: int) -> int:
     """Bit-mask of players present in every member coalition of the table.
 
     The intersection over an empty table is the whole player set.
     """
-    mask = 0
-    for j in range(n):
-        if table & absence_table(n, j) == 0:
+    nonzero = np.flatnonzero(table)
+    if nonzero.size == 0:
+        return (1 << n) - 1
+    # Players 0..5 are bits inside a word, players 6.. are bits of its index.
+    union_word = np.bitwise_or.reduce(table.view(np.ndarray)[nonzero])
+    common_index = int(np.bitwise_and.reduce(nonzero))
+    mask = (common_index << 6) & ((1 << n) - 1)
+    for j in range(min(n, 6)):
+        if not union_word & _pattern(j, False):
             mask |= 1 << j
     return mask
 
 
-def min_member_weight(game: WeightedGame, table: int) -> Optional[int]:
+def min_member_weight(game: WeightedGame, table: Table) -> Optional[int]:
     """Minimum weight (under ``game``) over the coalitions in the table."""
-    if table == 0:
-        return None
-    n = game.n
-    lo = min(n, _LO_BITS)
+    lo = min(game.n, _LO_BITS)
     low_sums = _subset_sums(game.weights[:lo])
     high_sums = _subset_sums(game.weights[lo:])
-    nbytes = max(1, (1 << n) >> 3)
-    arr = np.frombuffer(table.to_bytes(nbytes, "little"), dtype=np.uint8)
-    nz = np.flatnonzero(arr)
-    block_bytes = max(1, (1 << lo) >> 3)
-    best = None
-    for block in np.unique(nz // block_bytes):
-        chunk = arr[block * block_bytes : (block + 1) * block_bytes]
-        present = np.unpackbits(chunk, bitorder="little").astype(bool)[: 1 << lo]
-        local = int(low_sums[present].min()) + int(high_sums[block])
-        if best is None or local < best:
-            best = local
-    return best
+    return min(
+        (
+            int((low_sums[m & ((1 << lo) - 1)] + high_sums[m >> lo]).min())
+            for m in _member_chunks(table)
+        ),
+        default=None,
+    )
+
+
+def _evaluate_bits(e: GameExpr, bits: np.ndarray) -> np.ndarray:
+    if isinstance(e, Leaf):
+        w = np.array(e.game.weights, dtype=np.int64)
+        return bits @ w >= e.game.quota
+    assert isinstance(e, Node)
+    parts = [_evaluate_bits(c, bits) for c in e.children]
+    out = parts[0].copy()
+    for p in parts[1:]:
+        if e.op == AND:
+            out &= p
+        else:
+            out |= p
+    return out
 
 
 def evaluate_many(expr: ExprLike, masks: np.ndarray) -> np.ndarray:
@@ -242,22 +278,7 @@ def evaluate_many(expr: ExprLike, masks: np.ndarray) -> np.ndarray:
     masks = np.asarray(masks, dtype=np.int64)
     shifts = np.arange(expr.n, dtype=np.int64)
     bits = (masks[:, None] >> shifts[None, :]) & 1
-
-    def rec(e: GameExpr) -> np.ndarray:
-        if isinstance(e, Leaf):
-            w = np.array(e.game.weights, dtype=np.int64)
-            return bits @ w >= e.game.quota
-        assert isinstance(e, Node)
-        parts = [rec(c) for c in e.children]
-        out = parts[0].copy()
-        for p in parts[1:]:
-            if e.op == AND:
-                out &= p
-            else:
-                out |= p
-        return out
-
-    return rec(expr)
+    return _evaluate_bits(expr, bits)
 
 
 # --- predicates and public sweep operations --------------------------------
@@ -291,14 +312,6 @@ class IntervalPredicate:
 
 
 @dataclass(frozen=True)
-class SweepReport:
-    satisfying_count: int
-    maximal_elements: Optional[tuple[Coalition, ...]]
-    elapsed_seconds: float
-    coalitions_visited: int
-
-
-@dataclass(frozen=True)
 class EquivalenceResult:
     equal: bool
     counterexample: Optional[Coalition]
@@ -307,11 +320,10 @@ class EquivalenceResult:
         return self.equal
 
 
-def satisfying_table(pred: IntervalPredicate, workers: int = 1) -> int:
-    n = pred.n
-    return expr_table(pred.up, workers) & (
-        full_table(n) ^ expr_table(pred.down, workers)
-    )
+def satisfying_table(pred: IntervalPredicate, workers: int = 1) -> Table:
+    sat = expr_table(pred.up, workers)
+    sat &= complement(expr_table(pred.down, workers), pred.n)
+    return sat
 
 
 def equivalent(a: ExprLike, b: ExprLike, workers: int = 1) -> EquivalenceResult:
@@ -322,36 +334,46 @@ def equivalent(a: ExprLike, b: ExprLike, workers: int = 1) -> EquivalenceResult:
     a, b = as_expr(a), as_expr(b)
     if a.n != b.n:
         raise ValueError(f"player universes differ: {a.n} vs {b.n}")
-    diff = expr_table(a, workers) ^ expr_table(b, workers)
-    if diff == 0:
+    diff = expr_table(a, workers)
+    diff ^= expr_table(b, workers)
+    first = int(np.argmax(diff != 0))
+    word = int(diff[first])
+    if word == 0:
         return EquivalenceResult(True, None)
-    lowest = (diff & -diff).bit_length() - 1
+    lowest = (first << 6) + (word & -word).bit_length() - 1
     return EquivalenceResult(False, Coalition(lowest, a.n))
 
 
-def _maximal_bits(sat: int, n: int) -> int:
+def _maximal_bits(sat: Table, n: int) -> Table:
     # One-step test, whole table at once: m is maximal iff m satisfies and no
     # one-element extension does.  For interval predicates one step suffices:
     # an extension stays winning in the up part, so it can only fail by newly
-    # winning the down part, which every further superset inherits.
-    bad = 0
+    # winning the down part, which every further superset inherits.  In place.
+    bad = np.zeros_like(sat)
+    scratch = np.empty_like(sat)
     for j in range(n):
-        bad |= (sat >> (1 << j)) & absence_table(n, j)
-    return sat & ~bad
+        if j < 6:
+            np.right_shift(sat, 1 << j, out=scratch)
+            scratch &= _pattern(j, False)
+            bad |= scratch
+        else:
+            _pairs(bad, j)[:, 0] |= _pairs(sat, j)[:, 1]
+    np.invert(bad, out=bad)
+    sat &= bad
+    return sat
 
 
-def maximal_elements(table: int, n: int) -> list[int]:
-    """Masks in the table that have no strict superset also in the table."""
+def maximal_elements(table: Table, n: int) -> list[int]:
+    """Masks with no strict superset in the table (closes it downward in place)."""
     # The one-step test is only sound on down-closed tables; closing first is
     # harmless because a down-closure has the same maximal elements.
-    return table_members(_maximal_bits(down_closure(table, n), n), n)
+    return table_members(_maximal_bits(down_closure(table, n), n))
 
 
 def maximal_satisfying(pred: IntervalPredicate, workers: int = 1) -> list[Coalition]:
     """Inclusion-maximal coalitions satisfying the predicate, ascending by mask."""
     n = pred.n
-    sat = satisfying_table(pred, workers)
-    masks = table_members(_maximal_bits(sat, n), n)
+    masks = table_members(_maximal_bits(satisfying_table(pred, workers), n))
     if masks:
         # Re-filter the merged candidates against the predicate itself.
         arr = np.array(masks, dtype=np.int64)
@@ -359,24 +381,3 @@ def maximal_satisfying(pred: IntervalPredicate, workers: int = 1) -> list[Coalit
         if not bool(ok.all()):
             raise AssertionError("maximal candidate failed the predicate re-check")
     return [Coalition(m, n) for m in masks]
-
-
-def stream(
-    pred: IntervalPredicate,
-    visitor: Optional[Callable[[Coalition], None]] = None,
-    workers: int = 1,
-) -> SweepReport:
-    """Visit every satisfying coalition exactly once (ascending mask order)."""
-    start = time.perf_counter()
-    n = pred.n
-    sat = satisfying_table(pred, workers)
-    count = table_count(sat)
-    if visitor is not None:
-        for m in table_members(sat, n):
-            visitor(Coalition(m, n))
-    return SweepReport(
-        satisfying_count=count,
-        maximal_elements=None,
-        elapsed_seconds=time.perf_counter() - start,
-        coalitions_visited=1 << n,
-    )

@@ -2,7 +2,8 @@
 
 Everything here works from the mathematical definitions with plain Python
 loops over all 2^n coalitions, deliberately avoiding the bit-table engine
-under test.  Keep n small.
+under test; only the table *type* is imported, so that tables can be
+converted to and from one integer (bit m = coalition m).  Keep n small.
 """
 
 import itertools
@@ -12,6 +13,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from votedim.games import AND, GameExpr, Leaf, Node, WeightedGame
+from votedim.sweep import Table
 
 
 def weight_of(weights: tuple[int, ...], mask: int) -> int:
@@ -38,6 +40,38 @@ def table_of(masks: Iterable[int]) -> int:
     for m in masks:
         table |= 1 << m
     return table
+
+
+def table_to_int(table) -> int:
+    """A word-array win table as one integer: bit m = coalition m."""
+    return int.from_bytes(np.asarray(table, dtype="<u8").tobytes(), "little")
+
+
+def int_to_table(bits: int, n: int):
+    """The word-array win table whose coalition m is bit m of ``bits``."""
+    assert 0 <= bits < 1 << (1 << n)
+    words = max(1, (1 << n) >> 6)
+    raw = np.frombuffer(bits.to_bytes(8 * words, "little"), dtype="<u8")
+    return raw.copy().view(Table)
+
+
+def down_set(masks: Iterable[int]) -> set[int]:
+    """Every subset of every mask."""
+    out = set()
+    for m in masks:
+        sub = m
+        while True:
+            out.add(sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & m
+    return out
+
+
+def up_set(masks: Iterable[int], n: int) -> set[int]:
+    """Every superset (within n players) of every mask."""
+    full = (1 << n) - 1
+    return {full ^ m for m in down_set(full ^ s for s in masks)}
 
 
 def maximal_masks(masks: set[int], n: int) -> set[int]:

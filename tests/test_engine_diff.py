@@ -1,0 +1,167 @@
+"""Differential tests of the word-array sweep engine.
+
+Against the definition-level oracles at n = 1..12 (n < 6 is the case where a
+table is smaller than one word) and bit for bit against the frozen big-integer
+engine in ``bigint_engine.py`` at n = 20, where the oracles are too slow.
+"""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+import bigint_engine
+import oracles
+from votedim import sweep
+from votedim.games import WeightedGame, all_of
+
+rngs = st.integers(0, 2**32 - 1).map(random.Random)
+small_n = st.integers(1, 12)
+LARGE_N = 20
+
+
+def random_bits(rng: random.Random, n: int) -> int:
+    """A dense random table for small universes, else a few members."""
+    if n <= 8 and rng.random() < 0.5:
+        return rng.getrandbits(1 << n)
+    return oracles.table_of(rng.randrange(1 << n) for _ in range(rng.randint(0, 5)))
+
+
+def indicator_veto(rng: random.Random, n: int) -> WeightedGame:
+    while True:
+        weights = tuple(rng.randint(0, 1) for _ in range(n))
+        if any(weights):
+            return WeightedGame(weights, 1)
+
+
+def random_leaf(rng: random.Random, n: int) -> WeightedGame:
+    """A weighted game, an indicator veto every fourth draw on average."""
+    if rng.random() < 0.25:
+        return indicator_veto(rng, n)
+    return oracles.random_game(rng, n, max_weight=rng.choice((1, 8, 50)))
+
+
+def grouped_veto_expr(rng: random.Random, n: int):
+    """An AND node with enough indicator vetoes to take the grouped path."""
+    vetoes = [indicator_veto(rng, n) for _ in range(sweep._INDICATOR_GROUP_MIN + 2)]
+    return all_of(oracles.random_game(rng, n), *vetoes)
+
+
+def table(bits: int, n: int):
+    return oracles.int_to_table(bits, n)
+
+
+class TestAgainstOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(small_n, rngs)
+    def test_win_table(self, n, rng):
+        game = random_leaf(rng, n)
+        got = oracles.table_to_int(sweep.win_table(game))
+        assert got == oracles.table_of(oracles.winning_masks(game, n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_n, rngs)
+    def test_closures(self, n, rng):
+        bits = random_bits(rng, n)
+        members = sweep.table_members(table(bits, n))
+        down = sweep.down_closure(table(bits, n), n)
+        up = sweep.up_closure(table(bits, n), n)
+        assert oracles.table_to_int(down) == oracles.table_of(oracles.down_set(members))
+        assert oracles.table_to_int(up) == oracles.table_of(oracles.up_set(members, n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_n, rngs)
+    def test_maximal(self, n, rng):
+        bits = random_bits(rng, n)
+        members = {m for m in range(1 << n) if bits >> m & 1}
+        expected = oracles.maximal_masks(members, n)
+        assert sweep.maximal_elements(table(bits, n), n) == sorted(expected)
+        # _maximal_bits alone is exact on down-closed tables.
+        closed = oracles.table_of(oracles.down_set(members))
+        got = sweep._maximal_bits(table(closed, n), n)
+        assert oracles.table_to_int(got) == oracles.table_of(expected)
+        assert got.bit_count() == len(expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_n, rngs)
+    def test_queries(self, n, rng):
+        bits = random_bits(rng, n)
+        members = [m for m in range(1 << n) if bits >> m & 1]
+        game = oracles.random_game(rng, n)
+        t = table(bits, n)
+        assert sweep.table_members(t) == members
+        assert t.bit_count() == len(members)
+        common = (1 << n) - 1
+        for m in members:
+            common &= m
+        assert sweep.players_in_all(t, n) == common
+        assert sweep.min_member_weight(game, t) == min(
+            (oracles.weight_of(game.weights, m) for m in members), default=None
+        )
+        flipped = oracles.table_to_int(sweep.complement(t, n))
+        assert flipped == ((1 << (1 << n)) - 1) ^ bits
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 12), rngs)
+    def test_expr_table_with_grouped_vetoes(self, n, rng):
+        expr = grouped_veto_expr(rng, n)
+        got = oracles.table_to_int(sweep.expr_table(expr))
+        assert got == oracles.table_of(oracles.winning_masks(expr, n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_n, rngs)
+    def test_smallest_counterexample(self, n, rng):
+        a, b = oracles.random_expr(rng, n), oracles.random_expr(rng, n)
+        differ = [m for m in range(1 << n) if oracles.wins(a, m) != oracles.wins(b, m)]
+        result = sweep.equivalent(a, b)
+        assert bool(result) == (not differ)
+        if differ:
+            assert result.counterexample.mask == differ[0]
+
+
+class TestAgainstBigIntEngine:
+    @settings(max_examples=15, deadline=None)
+    @given(rngs)
+    def test_win_table_and_closures(self, rng):
+        n = LARGE_N
+        game = random_leaf(rng, n)
+        expected = bigint_engine.win_table(game)
+        got = sweep.win_table(game)
+        assert oracles.table_to_int(got) == expected
+        for bits in (expected, random_bits(rng, n)):
+            down = sweep.down_closure(table(bits, n), n)
+            up = sweep.up_closure(table(bits, n), n)
+            assert oracles.table_to_int(down) == bigint_engine.down_closure(bits, n)
+            assert oracles.table_to_int(up) == bigint_engine.up_closure(bits, n)
+
+    @settings(max_examples=15, deadline=None)
+    @given(rngs)
+    def test_maximal_and_queries(self, rng):
+        n = LARGE_N
+        game = oracles.random_game(rng, n, max_weight=50)
+        sparse = random_bits(rng, n)
+        losing = bigint_engine.full_table(n) ^ bigint_engine.win_table(game)
+        for bits in (sparse, losing):
+            t = table(bits, n)
+            assert sweep.table_members(t) == bigint_engine.table_members(bits, n)
+            assert t.bit_count() == bits.bit_count()
+            assert sweep.players_in_all(t, n) == bigint_engine.players_in_all(bits, n)
+            assert sweep.min_member_weight(game, t) == bigint_engine.min_member_weight(
+                game, bits
+            )
+            got = sweep._maximal_bits(table(bits, n), n)
+            assert oracles.table_to_int(got) == bigint_engine.maximal_bits(bits, n)
+            assert sweep.maximal_elements(t, n) == bigint_engine.maximal_elements(
+                bits, n
+            )
+
+    @settings(max_examples=10, deadline=None)
+    @given(rngs)
+    def test_expr_table_and_first_difference(self, rng):
+        n = LARGE_N
+        grouped = grouped_veto_expr(rng, n)
+        got = oracles.table_to_int(sweep.expr_table(grouped))
+        assert got == bigint_engine.expr_table(grouped)
+        a, b = oracles.random_expr(rng, n), oracles.random_expr(rng, n)
+        expected = bigint_engine.first_difference(a, b)
+        result = sweep.equivalent(a, b)
+        assert (None if result else result.counterexample.mask) == expected

@@ -1,6 +1,7 @@
 """The bit-table sweep engine against definition-level oracles."""
 
 import functools
+import gc
 import math
 import random
 
@@ -17,22 +18,40 @@ rngs = st.integers(0, 2**32 - 1).map(random.Random)
 
 class TestTables:
     def test_full_table(self):
-        assert sweep.full_table(2) == 0b1111
-        assert sweep.full_table(0) == 0b1
+        assert oracles.table_to_int(sweep.full_table(2)) == 0b1111
+        assert oracles.table_to_int(sweep.full_table(0)) == 0b1
+        for n in (1, 5, 6, 7, 9):
+            table = sweep.full_table(n)
+            assert table.size == max(1, (1 << n) // 64)
+            assert oracles.table_to_int(table) == (1 << (1 << n)) - 1
+            assert table.bit_count() == 1 << n
 
     def test_presence_absence_tables(self):
-        for n in (1, 3, 6):
+        # In-word masks: bit m of a word is set iff player j is in m.
+        for j in range(6):
+            presence = int(sweep._pattern(j, True))
+            absence = int(sweep._pattern(j, False))
+            for m in range(64):
+                assert bool(presence >> m & 1) == bool(m >> j & 1)
+            assert absence == presence ^ (2**64 - 1)
+        # Whole tables: the up-closure of {j} holds the coalitions with j,
+        # its complement those without, and no bit above 2^n is ever set.
+        for n in (1, 3, 6, 8):
             for j in range(n):
-                presence = sweep.presence_table(n, j)
+                presence = sweep.up_closure(oracles.int_to_table(1 << (1 << j), n), n)
+                bits = oracles.table_to_int(presence)
                 for m in range(1 << n):
-                    assert bool(presence >> m & 1) == bool(m >> j & 1)
-                assert sweep.absence_table(n, j) == sweep.full_table(n) ^ presence
+                    assert bool(bits >> m & 1) == bool(m >> j & 1)
+                absence = oracles.table_to_int(sweep.complement(presence, n))
+                assert absence == ((1 << (1 << n)) - 1) ^ bits
 
     @given(st.integers(1, 10), rngs)
     def test_win_table_matches_definition(self, n, rng):
         game = oracles.random_game(rng, n)
         table = sweep.win_table(game)
-        assert table == oracles.table_of(oracles.winning_masks(game, n))
+        assert oracles.table_to_int(table) == oracles.table_of(
+            oracles.winning_masks(game, n)
+        )
 
     def test_win_table_veto_fast_path_agrees_with_generic(self):
         # Rescaling by 2 leaves the winners unchanged but disqualifies the
@@ -49,13 +68,15 @@ class TestTables:
         members = {m for m in range(1 << n) if table >> m & 1}
         down = {m for m in range(1 << n) if any(m & s == m for s in members)}
         up = {m for m in range(1 << n) if any(m & s == s for s in members)}
-        assert sweep.down_closure(table, n) == oracles.table_of(down)
-        assert sweep.up_closure(table, n) == oracles.table_of(up)
+        got_down = sweep.down_closure(oracles.int_to_table(table, n), n)
+        got_up = sweep.up_closure(oracles.int_to_table(table, n), n)
+        assert oracles.table_to_int(got_down) == oracles.table_of(down)
+        assert oracles.table_to_int(got_up) == oracles.table_of(up)
 
     @given(st.integers(2, 8), rngs)
     def test_expr_table_matches_definition(self, n, rng):
         expr = oracles.random_expr(rng, n)
-        assert sweep.expr_table(expr) == oracles.table_of(
+        assert oracles.table_to_int(sweep.expr_table(expr)) == oracles.table_of(
             oracles.winning_masks(expr, n)
         )
 
@@ -72,25 +93,30 @@ class TestTables:
         other = WeightedGame(tuple(rng.randint(0, 4) for _ in range(n)), 9)
         grouped = sweep.expr_table(all_of(other, *vetoes))
         expected = functools.reduce(
-            lambda acc, g: acc & sweep.win_table(g), vetoes, sweep.win_table(other)
+            lambda acc, g: acc & oracles.table_to_int(sweep.win_table(g)),
+            vetoes,
+            oracles.table_to_int(sweep.win_table(other)),
         )
-        assert grouped == expected
+        assert oracles.table_to_int(grouped) == expected
 
 
 class TestTableQueries:
-    def test_members_count_and_limit(self):
-        table = 0b10110010
-        assert sweep.table_members(table, 3) == [1, 4, 5, 7]
-        assert sweep.table_members(table, 3, limit=2) == [1, 4]
-        assert sweep.table_count(table) == 4
-        assert sweep.table_members(0, 3) == []
+    def test_members_and_count(self):
+        table = oracles.int_to_table(0b10110010, 3)
+        assert sweep.table_members(table) == [1, 4, 5, 7]
+        assert table.bit_count() == 4
+        assert sweep.table_members(oracles.int_to_table(0, 3)) == []
+        # Across word boundaries the order stays ascending by mask.
+        wide = oracles.int_to_table(sum(1 << m for m in (200, 3, 64, 65, 255)), 8)
+        assert sweep.table_members(wide) == [3, 64, 65, 200, 255]
+        assert wide.bit_count() == 5
 
     def test_players_in_all(self):
         # Members {0,1} and {1,2}: only player 1 is common.
-        table = (1 << 0b011) | (1 << 0b110)
+        table = oracles.int_to_table((1 << 0b011) | (1 << 0b110), 3)
         assert sweep.players_in_all(table, 3) == 0b010
         # Empty table: full mask by convention.
-        assert sweep.players_in_all(0, 3) == 0b111
+        assert sweep.players_in_all(oracles.int_to_table(0, 3), 3) == 0b111
 
     @given(st.integers(1, 9), rngs)
     def test_min_member_weight(self, n, rng):
@@ -104,20 +130,20 @@ class TestTableQueries:
             ),
             default=None,
         )
-        assert sweep.min_member_weight(game, table) == expected
+        got = sweep.min_member_weight(game, oracles.int_to_table(table, n))
+        assert got == expected
 
     def test_min_member_weight_tiny_universe(self):
         game = WeightedGame((3, 5), 4)
-        assert sweep.min_member_weight(game, 0b1000) == 8
-        assert sweep.min_member_weight(game, 0) is None
+        assert sweep.min_member_weight(game, oracles.int_to_table(0b1000, 2)) == 8
+        assert sweep.min_member_weight(game, oracles.int_to_table(0, 2)) is None
 
     @given(st.integers(1, 9), rngs)
     def test_maximal_elements(self, n, rng):
         table = rng.getrandbits(1 << n)
         members = {m for m in range(1 << n) if table >> m & 1}
-        assert set(sweep.maximal_elements(table, n)) == oracles.maximal_masks(
-            members, n
-        )
+        got = sweep.maximal_elements(oracles.int_to_table(table, n), n)
+        assert set(got) == oracles.maximal_masks(members, n)
 
 
 class TestPredicates:
@@ -146,15 +172,17 @@ class TestPredicates:
         assert result.counterexample == Coalition(0b101, 3)
         assert bool(sweep.equivalent(a, a))
 
-    def test_stream_counts_and_order(self):
+    def test_satisfying_table_counts_and_order(self):
         n = 4
         pred = sweep.IntervalPredicate(up=unit_game(2, n), down=unit_game(4, n))
-        seen = []
-        report = sweep.stream(pred, visitor=seen.append)
+        table = sweep.satisfying_table(pred)
+        seen = [Coalition(m, n) for m in sweep.table_members(table)]
         # Coalitions of size 2 or 3 out of 4 players.
         expected_count = math.comb(4, 2) + math.comb(4, 3)
-        assert report.satisfying_count == expected_count == len(seen)
-        assert report.coalitions_visited == 1 << n
+        assert table.bit_count() == expected_count == len(seen)
+        # One word holds all 2^n coalitions; the bits above them stay clear.
+        assert table.size == 1
+        assert oracles.table_to_int(table) >> (1 << n) == 0
         masks = [s.mask for s in seen]
         assert masks == sorted(masks)
         assert all(pred.satisfied(s) for s in seen)
@@ -165,11 +193,13 @@ class TestDeterminism:
         rng = random.Random(11)
         game = oracles.random_game(rng, 14, max_weight=50)
         expr = any_of(game, unit_game(9, 14))
-        baseline_game = sweep.win_table(game, workers=1)
-        baseline_expr = sweep.expr_table(expr, workers=1)
+        baseline_game = oracles.table_to_int(sweep.win_table(game, workers=1))
+        baseline_expr = oracles.table_to_int(sweep.expr_table(expr, workers=1))
         for workers in (2, 5):
-            assert sweep.win_table(game, workers=workers) == baseline_game
-            assert sweep.expr_table(expr, workers=workers) == baseline_expr
+            got_game = sweep.win_table(game, workers=workers)
+            got_expr = sweep.expr_table(expr, workers=workers)
+            assert oracles.table_to_int(got_game) == baseline_game
+            assert oracles.table_to_int(got_expr) == baseline_expr
 
     @given(st.integers(1, 10), rngs)
     def test_evaluate_many_matches_single_evaluation(self, n, rng):
@@ -180,3 +210,17 @@ class TestDeterminism:
         got = sweep.evaluate_many(expr, masks)
         expected = np.array([oracles.wins(expr, int(m)) for m in masks])
         assert np.array_equal(got, expected)
+
+    def test_evaluate_many_leaves_no_garbage(self):
+        # The recursion must not keep the (masks x n) bit matrix alive in a
+        # reference cycle until the collector runs.
+        expr = any_of(all_of(unit_game(2, 6), unit_game(3, 6)), unit_game(5, 6))
+        masks = np.arange(64, dtype=np.int64)
+        gc.collect()
+        gc.disable()
+        try:
+            got = sweep.evaluate_many(expr, masks)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert np.array_equal(got, [oracles.wins(expr, int(m)) for m in masks])
