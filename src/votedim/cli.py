@@ -297,20 +297,14 @@ def analyze(
 @_data_option
 @_exclude_option
 @_threads_option
-@click.option("--boost-offset", type=int, default=0, hidden=True)
-def verify(
-    data_ref: str, exclude: str, threads: Optional[int], boost_offset: int
-) -> None:
+def verify(data_ref: str, exclude: str, threads: Optional[int]) -> None:
     """Exhaustively check the emitted intersection against the rule."""
     workers = _workers(threads)
     excluded = _parse_exclude(exclude)
     rule = _build_rule(_load_table(data_ref), excluded)
     try:
         dec = decompose.union_as_intersection(
-            rule.population_game,
-            rule.veto_game,
-            workers=workers,
-            boost_offset=boost_offset,
+            rule.population_game, rule.veto_game, workers=workers
         )
     except decompose.EmptyCoreError as e:
         click.echo(

@@ -7,6 +7,13 @@ win the second.  When every gap coalition contains a common core of
 players, boosting each core player's weight by a fixed amount yields games
 that admit all gap coalitions; the coalitions the boosted intersection
 over-admits are then fenced off one veto game apiece.
+
+With boost u >= 0, quota q and weights w, the boosted intersection wins
+exactly ``[w(S) >= q] or ([w(S) >= q - u] and core ⊆ S)``.  So the frontier
+is read off three tables whatever the core size: the gap survey's two and
+one at quota q - u, cut to supersets of the core in place.  The shortcut
+only finds the frontier: the emitted games are still the boosted copies and
+the vetoes, and ``verify`` folds every one of them leaf by leaf.
 """
 
 from dataclasses import dataclass
@@ -171,9 +178,14 @@ def gap_summary(
     """Exact survey of the coalitions losing ``first`` but winning ``second``."""
     if first.n != second.n:
         raise ValueError(f"player counts differ: {first.n} vs {second.n}")
-    n = first.n
-    table = sweep.complement(sweep.win_table(first, workers), n)
+    table = sweep.complement(sweep.win_table(first, workers), first.n)
     table &= sweep.win_table(second, workers)
+    return _summarize_gap(first, table, member_cap)
+
+
+def _summarize_gap(first: WeightedGame, table: sweep.Table, member_cap: int) -> GapSummary:
+    """Gap statistics read from the gap table, which is left unchanged."""
+    n = first.n
     count = table.bit_count()
     core = Coalition(sweep.players_in_all(table, n), n)
     if count == 0:
@@ -202,7 +214,6 @@ def union_as_intersection(
     second: WeightedGame,
     member_cap: int = GAP_MEMBER_CAP,
     workers: int = 1,
-    boost_offset: int = 0,
 ) -> Decomposition:
     """Rewrite ``first OR second`` as an intersection of weighted games.
 
@@ -212,9 +223,8 @@ def union_as_intersection(
     admits every union winner, and its excess winners (the frontier) are
     removed by one veto game each.
 
-    ``boost_offset`` shifts the derived boost and exists solely for
-    fault-injection in verification tests; any non-zero value breaks the
-    rewrite.
+    The frontier comes from the closed form of the boosted intersection
+    (module docstring) and is re-checked against the unfused games.
 
     Raises
     ------
@@ -222,17 +232,33 @@ def union_as_intersection(
         When the gap coalitions share no player, carrying the gap summary
         for diagnostics.
     """
-    gap = gap_summary(first, second, member_cap, workers)
+    if first.n != second.n:
+        raise ValueError(f"player counts differ: {first.n} vs {second.n}")
+    n = first.n
+    sat = sweep.complement(sweep.win_table(first, workers), n)
+    gap_table = sweep.win_table(second, workers)
+    gap_table &= sat
+    gap = _summarize_gap(first, gap_table, member_cap)
     if gap.count == 0:
         return Decomposition((first,), gap, (), METHOD_FIRST_GAME)
     if gap.common_core.mask == 0:
         raise EmptyCoreError(gap)
     assert gap.boost is not None
-    boosted = _boosted_games(first, gap.common_core, gap.boost + boost_offset)
-    up: ExprLike = boosted[0] if len(boosted) == 1 else all_of(*boosted)
-    frontier = sweep.maximal_satisfying(
-        sweep.IntervalPredicate(up=as_expr(up), down=any_of(first, second)),
-        workers,
+    boosted = _boosted_games(first, gap.common_core, gap.boost)
+    # The boost as emitted: the frontier must fence exactly these games.
+    boost = boosted[0].total_weight - first.total_weight
+    assert boost >= 0
+
+    # Over-admitted: lose first and second (not first, minus the gap), reach
+    # q - u (always, when q - u <= 0), and contain the core.
+    sat ^= gap_table
+    del gap_table
+    if first.quota > boost:
+        sat &= sweep.win_table(WeightedGame(first.weights, first.quota - boost), workers)
+    sweep.keep_supersets(sat, gap.common_core.mask)
+    up = boosted[0] if len(boosted) == 1 else all_of(*boosted)
+    frontier = sweep.checked_maximal(
+        sweep.IntervalPredicate(up=up, down=any_of(first, second)), sat
     )
     for s in frontier:
         # A frontier member loses the union, so it cannot be the grand

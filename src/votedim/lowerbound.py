@@ -231,6 +231,15 @@ def verify_certificate_set(
     )
 
 
+def _heaviest(masks: np.ndarray, n: int, k: int) -> list[int]:
+    """The first ``k`` of the non-empty ``masks`` by (-popcount, mask)."""
+    # Big coalitions first; ascending mask breaks ties deterministically.
+    # One int64 key per mask orders by both and stays below 2^38.
+    key = (n - np.bitwise_count(masks).astype(np.int64)) << n | masks
+    top = np.sort(np.partition(key, min(k, key.size) - 1)[:k])
+    return (top & ((1 << n) - 1)).tolist()
+
+
 def search_certificate_set(
     game: ExprLike,
     pool_budget: int = 64,
@@ -254,14 +263,14 @@ def search_certificate_set(
     n = expr.n
     losing_table = sweep.complement(sweep.expr_table(expr, workers), n)
     maximal = sweep.maximal_elements(losing_table, n)
-    # Big coalitions first; ascending mask breaks ties deterministically.
-    pool = sorted(maximal, key=lambda m: (-m.bit_count(), m))[:pool_budget]
+    del losing_table
+    pool = _heaviest(maximal, n, pool_budget)
     rng = random.Random(seed)
     members = set(pool)
     attempts = 0
-    while len(pool) < pool_budget and attempts < 8 * pool_budget and maximal:
+    while len(pool) < pool_budget and attempts < 8 * pool_budget:
         attempts += 1
-        source = rng.choice(maximal)
+        source = int(rng.choice(maximal))
         drop = rng.sample(
             [j for j in range(n) if source >> j & 1],
             k=min(rng.randint(1, 2), source.bit_count()),
@@ -296,7 +305,7 @@ def search_certificate_set(
             break
     if not clique:
         # A simple game always has a losing coalition: the empty one.
-        clique = [maximal[0]] if maximal else [0]
+        clique = [int(maximal[0])]
     return verify_certificate_set(
         expr, [Coalition(m, n) for m in clique], delta_cap, workers
     )

@@ -178,6 +178,17 @@ def up_closure(table: Table, n: int) -> Table:
     return table
 
 
+def keep_supersets(table: Table, mask: int) -> Table:
+    """Clear every coalition that misses a player of ``mask``, in place."""
+    for j in range(mask.bit_length()):
+        if mask >> j & 1:
+            if j < 6:
+                table &= _pattern(j, True)
+            else:
+                _pairs(table, j)[:, 0] = 0
+    return table
+
+
 def expr_table(expr: ExprLike, workers: int = 1) -> Table:
     """Win table of a boolean game expression (fold of the leaf tables)."""
     expr = as_expr(expr)
@@ -220,9 +231,14 @@ def _member_chunks(table: Table) -> Iterator[np.ndarray]:
         yield (index[rows] << 6) | cols
 
 
+def member_array(table: Table) -> np.ndarray:
+    """Set-bit indices (coalition masks) of a table, ascending, as ``int64``."""
+    return np.concatenate([np.empty(0, np.int64), *_member_chunks(table)])
+
+
 def table_members(table: Table) -> list[int]:
     """Set-bit indices (coalition masks) of a table, ascending."""
-    return np.concatenate([np.empty(0, np.int64), *_member_chunks(table)]).tolist()
+    return member_array(table).tolist()
 
 
 def players_in_all(table: Table, n: int) -> int:
@@ -363,21 +379,32 @@ def _maximal_bits(sat: Table, n: int) -> Table:
     return sat
 
 
-def maximal_elements(table: Table, n: int) -> list[int]:
-    """Masks with no strict superset in the table (closes it downward in place)."""
+def maximal_elements(table: Table, n: int) -> np.ndarray:
+    """Masks with no strict superset in the table, ascending (closes it in place)."""
     # The one-step test is only sound on down-closed tables; closing first is
     # harmless because a down-closure has the same maximal elements.
-    return table_members(_maximal_bits(down_closure(table, n), n))
+    return member_array(_maximal_bits(down_closure(table, n), n))
+
+
+def checked_maximal(pred: IntervalPredicate, sat: Table) -> list[Coalition]:
+    """Maximal members of ``sat``, a satisfying table of ``pred`` (consumed).
+
+    However ``sat`` was built, each candidate is re-checked against ``pred``
+    itself: it must satisfy it and no one-player extension may.
+    """
+    n = pred.n
+    masks = table_members(_maximal_bits(sat, n))
+    arr = np.array(masks, dtype=np.int64)
+    ext = (arr[:, None] | (np.int64(1) << np.arange(n, dtype=np.int64))).ravel()
+    probe = np.concatenate([arr, ext[ext != np.repeat(arr, n)]])
+    ok = evaluate_many(pred.up, probe) & ~evaluate_many(pred.down, probe)
+    if not ok[: arr.size].all():
+        raise AssertionError("maximal candidate failed the predicate re-check")
+    if ok[arr.size :].any():
+        raise AssertionError("a one-player extension of a maximal candidate satisfies the predicate")
+    return [Coalition(m, n) for m in masks]
 
 
 def maximal_satisfying(pred: IntervalPredicate, workers: int = 1) -> list[Coalition]:
     """Inclusion-maximal coalitions satisfying the predicate, ascending by mask."""
-    n = pred.n
-    masks = table_members(_maximal_bits(satisfying_table(pred, workers), n))
-    if masks:
-        # Re-filter the merged candidates against the predicate itself.
-        arr = np.array(masks, dtype=np.int64)
-        ok = evaluate_many(pred.up, arr) & ~evaluate_many(pred.down, arr)
-        if not bool(ok.all()):
-            raise AssertionError("maximal candidate failed the predicate re-check")
-    return [Coalition(m, n) for m in masks]
+    return checked_maximal(pred, satisfying_table(pred, workers))

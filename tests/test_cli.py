@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from votedim import decompose
 from votedim.cli import main
 
 TOY16 = """\
@@ -218,10 +219,15 @@ class TestVerify:
         assert result.exit_code == 0
         assert "verification passed" in result.stdout
 
-    def test_corrupted_boost_fails(self, toys):
-        result = run(
-            "verify", "--data", toys["toy16"], "--boost-offset", "-1", "--threads", "1"
+    def test_corrupted_boost_fails(self, toys, monkeypatch):
+        # Emit every boosted game one unit short of the derived boost.
+        boosted = decompose._boosted_games
+        monkeypatch.setattr(
+            decompose,
+            "_boosted_games",
+            lambda base, core, boost: boosted(base, core, boost - 1),
         )
+        result = run("verify", "--data", toys["toy16"], "--threads", "1")
         assert result.exit_code == 1
         assert "verification FAILED" in result.stderr
         assert "wins only the rule" in result.stderr

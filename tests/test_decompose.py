@@ -169,8 +169,43 @@ class TestUnionAsIntersection:
     def test_boost_offset_breaks_equivalence(self):
         first = WeightedGame((2, 2, 2, 0), 4)
         second = WeightedGame((1, 1, 0, 2), 3)
-        dec = union_as_intersection(first, second, boost_offset=-1)
-        assert not sweep.equivalent(dec.intersection(), any_of(first, second))
+        dec = union_as_intersection(first, second)
+        assert dec.games[0] == WeightedGame((2, 2, 2, 2), 4)
+        lowered = Decomposition(
+            (WeightedGame((2, 2, 2, 1), 4),) + dec.games[1:],
+            dec.gap,
+            dec.frontier,
+            METHOD_CORE_BOOST,
+        )
+        assert not sweep.equivalent(lowered.intersection(), any_of(first, second))
+
+    def test_zero_minimum_weight_keeps_the_frontier(self):
+        # Every gap coalition weighs 0 in the first game, so the lowered
+        # quota q - u is 0: that table admits everything.
+        first = WeightedGame((0, 0, 0, 1), 1)
+        second = WeightedGame((2, 1, 1, 0), 3)
+        dec = union_as_intersection(first, second)
+        assert dec.gap.min_weight == 0
+        assert dec.games[0] == WeightedGame((1, 0, 0, 1), 1)
+        assert [s.members() for s in dec.frontier] == [(0,)]
+        assert sweep.equivalent(dec.intersection(), any_of(first, second))
+
+    def test_table_count_does_not_grow_with_the_core(self, monkeypatch):
+        built = []
+        win_table = sweep.win_table
+
+        def counting(game, workers=1):
+            built.append(game)
+            return win_table(game, workers)
+
+        monkeypatch.setattr(sweep, "win_table", counting)
+        # Only supersets of {0..6} win the second game: a 7-player core.
+        first = WeightedGame((1, 1, 1, 1, 1, 1, 1, 3), 8)
+        second = WeightedGame((1, 1, 1, 1, 1, 1, 1, 0), 7)
+        dec = union_as_intersection(first, second)
+        assert dec.method == METHOD_CORE_BOOST
+        assert dec.common_core_players() == tuple(range(7))
+        assert len(built) <= 3
 
     @settings(deadline=None)
     @given(st.integers(2, 8), rngs)

@@ -3,6 +3,8 @@
 Against the definition-level oracles at n = 1..12 (n < 6 is the case where a
 table is smaller than one word) and bit for bit against the frozen big-integer
 engine in ``bigint_engine.py`` at n = 20, where the oracles are too slow.
+The rewrite's closed-form frontier is compared with both engines' folds of
+the boosted games it emits.
 """
 
 import random
@@ -12,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 import bigint_engine
 import oracles
 from votedim import sweep
-from votedim.games import WeightedGame, all_of
+from votedim.decompose import METHOD_CORE_BOOST, EmptyCoreError, union_as_intersection
+from votedim.games import WeightedGame, all_of, any_of
 
 rngs = st.integers(0, 2**32 - 1).map(random.Random)
 small_n = st.integers(1, 12)
@@ -46,6 +49,40 @@ def grouped_veto_expr(rng: random.Random, n: int):
     return all_of(oracles.random_game(rng, n), *vetoes)
 
 
+def heavy_game(rng: random.Random, n: int, core=()) -> WeightedGame:
+    """Zero weights allowed; a high quota, or one only supersets of ``core`` meet."""
+    weights = [rng.randint(0, rng.choice((1, 3, 8))) for _ in range(n)]
+    for k in core:
+        weights[k] = max(1, weights[k])
+    weights[rng.randrange(n)] |= 1
+    total = sum(weights)
+    if core:
+        return WeightedGame(tuple(weights), total - min(weights[k] for k in core) + 1)
+    return WeightedGame(tuple(weights), rng.randint((total + 1) // 2, total))
+
+
+def union_pair(rng: random.Random, n: int) -> tuple[WeightedGame, WeightedGame]:
+    """A pair whose gap is often non-empty, and every other time has a core."""
+    core = rng.sample(range(n), rng.randint(1, n)) if rng.random() < 0.5 else ()
+    return heavy_game(rng, n), heavy_game(rng, n, core)
+
+
+def collapsed_and_unfused(rng: random.Random, n: int, unfused_frontier):
+    """The rewrite's frontier and ``unfused_frontier(up, down)``, or None."""
+    first, second = union_pair(rng, n)
+    try:
+        dec = union_as_intersection(first, second, member_cap=0)
+    except EmptyCoreError:
+        return None
+    if dec.method != METHOD_CORE_BOOST:
+        assert dec.frontier == ()
+        return None
+    boosted = dec.games[: len(dec.common_core_players())]
+    up = boosted[0] if len(boosted) == 1 else all_of(*boosted)
+    got = [s.mask for s in dec.frontier]
+    return got, unfused_frontier(up, any_of(first, second))
+
+
 def table(bits: int, n: int):
     return oracles.int_to_table(bits, n)
 
@@ -74,7 +111,7 @@ class TestAgainstOracles:
         bits = random_bits(rng, n)
         members = {m for m in range(1 << n) if bits >> m & 1}
         expected = oracles.maximal_masks(members, n)
-        assert sweep.maximal_elements(table(bits, n), n) == sorted(expected)
+        assert sweep.maximal_elements(table(bits, n), n).tolist() == sorted(expected)
         # _maximal_bits alone is exact on down-closed tables.
         closed = oracles.table_of(oracles.down_set(members))
         got = sweep._maximal_bits(table(closed, n), n)
@@ -150,7 +187,7 @@ class TestAgainstBigIntEngine:
             )
             got = sweep._maximal_bits(table(bits, n), n)
             assert oracles.table_to_int(got) == bigint_engine.maximal_bits(bits, n)
-            assert sweep.maximal_elements(t, n) == bigint_engine.maximal_elements(
+            assert sweep.maximal_elements(t, n).tolist() == bigint_engine.maximal_elements(
                 bits, n
             )
 
@@ -165,3 +202,31 @@ class TestAgainstBigIntEngine:
         expected = bigint_engine.first_difference(a, b)
         result = sweep.equivalent(a, b)
         assert (None if result else result.counterexample.mask) == expected
+
+
+class TestCollapsedFrontier:
+    """The closed-form frontier table against folds of every boosted game."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_n, rngs)
+    def test_matches_unfused_fold(self, n, rng):
+        def unfused(up, down):
+            pred = sweep.IntervalPredicate(up=up, down=down)
+            return [s.mask for s in sweep.maximal_satisfying(pred)]
+
+        pair = collapsed_and_unfused(rng, n, unfused)
+        if pair is not None:
+            assert pair[0] == pair[1]
+
+    @settings(max_examples=30, deadline=None)
+    @given(rngs)
+    def test_matches_frozen_engine_fold(self, rng):
+        n = LARGE_N
+
+        def unfused(up, down):
+            sat = bigint_engine.expr_table(up) & ~bigint_engine.expr_table(down)
+            return bigint_engine.table_members(bigint_engine.maximal_bits(sat, n), n)
+
+        pair = collapsed_and_unfused(rng, n, unfused)
+        if pair is not None:
+            assert pair[0] == pair[1]

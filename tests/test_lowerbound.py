@@ -1,8 +1,13 @@
 """Pairwise-incompatibility certificates and lower-bound sets."""
 
+import random
+
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
+from votedim import lowerbound
 from votedim.games import Coalition, WeightedGame, all_of, unit_game
 from votedim.lowerbound import (
     DELTA_CAP,
@@ -216,6 +221,13 @@ class TestSearchCertificateSet:
         first = search_certificate_set(game, seed=7)
         second = search_certificate_set(game, seed=7)
         assert first == second
+
+    @given(st.integers(1, 32), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_pool_takes_the_heaviest_masks_first(self, n, k, seed):
+        rng = random.Random(seed)
+        masks = sorted({rng.getrandbits(n) for _ in range(rng.randint(1, 60))})
+        expected = sorted(masks, key=lambda m: (-m.bit_count(), m))[:k]
+        assert lowerbound._heaviest(np.array(masks, dtype=np.int64), n, k) == expected
 
     def test_budget_validation(self):
         with pytest.raises(ValueError, match="budgets"):

@@ -162,6 +162,19 @@ class TestPredicates:
         assert {s.mask for s in got} == expected
         assert [s.mask for s in got] == sorted(s.mask for s in got)
 
+    def test_checked_maximal_rejects_wrong_tables(self):
+        # Satisfied by every coalition except the empty and the grand one:
+        # the maximal members are the three pairs.
+        pred = sweep.IntervalPredicate(up=unit_game(1, 3), down=unit_game(3, 3))
+        got = sweep.checked_maximal(pred, sweep.satisfying_table(pred))
+        assert [s.mask for s in got] == [0b011, 0b101, 0b110]
+        # {0} is maximal in a table that holds only it, but {0, 1} satisfies.
+        with pytest.raises(AssertionError, match="extension"):
+            sweep.checked_maximal(pred, oracles.int_to_table(1 << 0b001, 3))
+        # The grand coalition does not satisfy the predicate at all.
+        with pytest.raises(AssertionError, match="re-check"):
+            sweep.checked_maximal(pred, oracles.int_to_table(1 << 0b111, 3))
+
     def test_equivalent_reports_smallest_difference(self):
         a = WeightedGame((1, 1, 0), 2)
         b = WeightedGame((1, 1, 1), 2)
