@@ -16,7 +16,6 @@ from .games import (
     all_of,
     any_of,
     as_expr,
-    leaf,
     unit_game,
 )
 from .data import (
@@ -70,7 +69,6 @@ __all__ = [
     "builtin_table",
     "find_certificate",
     "gap_summary",
-    "leaf",
     "load_table",
     "refine_by_vetoes",
     "search_certificate_set",

@@ -166,12 +166,6 @@ class WeightedGame:
     def wins(self, s: Coalition) -> bool:
         return self.weight_sum(s) >= self.quota
 
-    def rescaled(self, factor: int) -> "WeightedGame":
-        """The same game with all weights and the quota multiplied by ``factor``."""
-        if factor < 1:
-            raise ValueError("scale factor must be a positive integer")
-        return WeightedGame(tuple(w * factor for w in self.weights), self.quota * factor)
-
     def __repr__(self) -> str:
         ws = ",".join(map(str, self.weights))
         return f"[{self.quota}; {ws}]"
@@ -204,10 +198,6 @@ class GameExpr:
 
     def leaves(self) -> Iterator[WeightedGame]:
         raise NotImplementedError
-
-    @property
-    def leaf_count(self) -> int:
-        return sum(1 for _ in self.leaves())
 
     def _assert_boundary(self) -> None:
         if self.evaluate(Coalition.empty(self.n)):
@@ -275,10 +265,6 @@ def as_expr(x: ExprLike) -> GameExpr:
     if isinstance(x, WeightedGame):
         return Leaf(x)
     raise TypeError(f"expected GameExpr or WeightedGame, got {type(x).__name__}")
-
-
-def leaf(game: WeightedGame) -> GameExpr:
-    return Leaf(game)
 
 
 def all_of(*exprs: ExprLike) -> GameExpr:

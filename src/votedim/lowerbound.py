@@ -8,6 +8,11 @@ with both sides of the split at or above the quota, so at least one of
 ``a``, ``b`` reaches the quota too and cannot stay losing.  A set of k
 pairwise-incompatible losing coalitions therefore needs k distinct games
 in any intersection representation: the game's dimension is at least k.
+
+The split search is meet-in-the-middle: the free players of the difference
+are cut into a low part of at most ``_CHUNK_BITS`` players and a high part,
+each distinct leaf gets one partial-sum table per part, and for a fixed high
+index each side of a split wins a leaf iff its low sum meets one scalar bound.
 """
 
 import random
@@ -17,14 +22,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .games import Coalition, ExprLike, GameExpr, as_expr
+from .games import Coalition, ExprLike, WeightedGame, as_expr
 from . import sweep
 
 # Symmetric differences beyond this size are not searched (2^(size-1)
 # candidate splits); callers may widen the cap explicitly.
 DELTA_CAP = 30
 
-_CHUNK = 1 << 18
+# Selector bits searched per chunk: the low partial-sum table of each leaf
+# has 2^_CHUNK_BITS entries, however large the symmetric difference.
+_CHUNK_BITS = 18
 
 STATUS_CERTIFIED = "certified"
 STATUS_NO_CERTIFICATE = "no-certificate"
@@ -111,14 +118,6 @@ class CertificateSetReport:
         )
 
 
-def _expand_selector(r: np.ndarray, positions: Sequence[int]) -> np.ndarray:
-    """Spread selector bits of ``r`` onto the given mask positions."""
-    out = np.zeros_like(r)
-    for i, d in enumerate(positions):
-        out |= ((r >> i) & 1) << d
-    return out
-
-
 def find_certificate(
     game: ExprLike, a: Coalition, b: Coalition, delta_cap: int = DELTA_CAP
 ) -> Optional[IncompatibilityCertificate]:
@@ -152,17 +151,32 @@ def find_certificate(
         return None
     if t > delta_cap:
         raise DeltaTooLarge(t, delta_cap)
-    positions = [j for j in range(expr.n) if delta >> j & 1]
-    free = positions[:-1]
-    total = 1 << len(free)
-    for start in range(0, total, _CHUNK):
-        r = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        xm = _expand_selector(r, free)
-        ok = sweep.evaluate_many(expr, base | xm)
-        ok &= sweep.evaluate_many(expr, base | (delta ^ xm))
+    free = [j for j in range(expr.n) if delta >> j & 1][:-1]
+    lo = min(len(free), _CHUNK_BITS)
+    # Selector r = h * 2^lo + l is the split x = low_x[l] | high_x[h].
+    low_x = sweep.subset_sums(1 << d for d in free[:lo])
+    high_x = sweep.subset_sums(1 << d for d in free[lo:])
+
+    def bounds(game: WeightedGame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # p = base | x wins the leaf iff w(x) >= q - w(base), and
+        # q = base | (Δ \ x) iff w(x) <= w(base) + w(Δ) - q.  Split w(x) into
+        # its low and high halves: one scalar bound per high index and side.
+        w_base = game.weight_sum(Coalition(base, expr.n))
+        w_delta = game.weight_sum(Coalition(delta, expr.n))
+        high = sweep.subset_sums(game.weights[d] for d in free[lo:])
+        return (
+            sweep.subset_sums(game.weights[d] for d in free[:lo]),
+            game.quota - w_base - high,
+            w_base + w_delta - game.quota - high,
+        )
+
+    tables = {game: bounds(game) for game in dict.fromkeys(expr.leaves())}
+    for h in range(high_x.size):
+        ok = sweep.evaluate_leaves(expr, lambda g: tables[g][0] >= tables[g][1][h])
+        ok &= sweep.evaluate_leaves(expr, lambda g: tables[g][0] <= tables[g][2][h])
         hits = np.flatnonzero(ok)
         if hits.size:
-            x_mask = int(xm[hits[0]])
+            x_mask = int(low_x[hits[0]] | high_x[h])
             cert = IncompatibilityCertificate(
                 a=a,
                 b=b,

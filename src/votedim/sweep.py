@@ -7,7 +7,8 @@ Weighted games are packed straight into it from two half-universe partial-sum
 tables (2 * 2^(n/2) memory instead of 2^n); every later operation works in
 place.  Closures and the maximality test are the bitset subset-sum (zeta)
 transform: halves of a ``reshape(-1, 2, 2^(j-6))`` view for player j >= 6,
-in-word shifts under a constant mask for j < 6.
+in-word shifts under a constant mask for j < 6.  Batches of single
+coalitions (``evaluate_many``) read their weights off the same two tables.
 
 Block construction is deterministic: the coalition space is split into
 contiguous blocks of low-index masks, each block's bytes depend only on its
@@ -84,7 +85,7 @@ def _pairs(table: Table, j: int) -> np.ndarray:
     return table.reshape(-1, 2, 1 << (j - 6))
 
 
-def _subset_sums(weights: Iterable[int]) -> np.ndarray:
+def subset_sums(weights: Iterable[int]) -> np.ndarray:
     """Partial-sum table: entry m = total weight of the players with bits in m."""
     sums = np.zeros(1, dtype=np.int64)
     for w in weights:
@@ -127,8 +128,8 @@ def win_table(game: WeightedGame, workers: int = 1) -> Table:
         return _vetoed([_blocked_mask(game)], n)
 
     lo = min(n, _LO_BITS)
-    low_sums = _subset_sums(game.weights[:lo])
-    high_sums = _subset_sums(game.weights[lo:])
+    low_sums = subset_sums(game.weights[:lo])
+    high_sums = subset_sums(game.weights[lo:])
     quota = np.int64(game.quota)
 
     table = _empty(n)
@@ -259,42 +260,35 @@ def players_in_all(table: Table, n: int) -> int:
     return mask
 
 
+def _weights_of(game: WeightedGame, masks: np.ndarray) -> np.ndarray:
+    """Weight of each coalition mask, read off the two half-universe partial sums."""
+    lo = min(game.n, _LO_BITS)
+    low = subset_sums(game.weights[:lo])[masks & ((1 << lo) - 1)]
+    return low + subset_sums(game.weights[lo:])[masks >> lo]
+
+
 def min_member_weight(game: WeightedGame, table: Table) -> Optional[int]:
     """Minimum weight (under ``game``) over the coalitions in the table."""
-    lo = min(game.n, _LO_BITS)
-    low_sums = _subset_sums(game.weights[:lo])
-    high_sums = _subset_sums(game.weights[lo:])
     return min(
-        (
-            int((low_sums[m & ((1 << lo) - 1)] + high_sums[m >> lo]).min())
-            for m in _member_chunks(table)
-        ),
-        default=None,
+        (int(_weights_of(game, m).min()) for m in _member_chunks(table)), default=None
     )
 
 
-def _evaluate_bits(e: GameExpr, bits: np.ndarray) -> np.ndarray:
-    if isinstance(e, Leaf):
-        w = np.array(e.game.weights, dtype=np.int64)
-        return bits @ w >= e.game.quota
-    assert isinstance(e, Node)
-    parts = [_evaluate_bits(c, bits) for c in e.children]
-    out = parts[0].copy()
-    for p in parts[1:]:
-        if e.op == AND:
-            out &= p
-        else:
-            out |= p
-    return out
+def evaluate_leaves(
+    expr: GameExpr, leaf_wins: Callable[[WeightedGame], np.ndarray]
+) -> np.ndarray:
+    """Fold the AND/OR tree over per-leaf boolean arrays, one entry per candidate."""
+    if isinstance(expr, Leaf):
+        return leaf_wins(expr.game)
+    assert isinstance(expr, Node)
+    parts = [evaluate_leaves(c, leaf_wins) for c in expr.children]
+    return (np.logical_and if expr.op == AND else np.logical_or).reduce(parts)
 
 
 def evaluate_many(expr: ExprLike, masks: np.ndarray) -> np.ndarray:
     """Vectorized evaluation of an expression on an array of coalition masks."""
-    expr = as_expr(expr)
     masks = np.asarray(masks, dtype=np.int64)
-    shifts = np.arange(expr.n, dtype=np.int64)
-    bits = (masks[:, None] >> shifts[None, :]) & 1
-    return _evaluate_bits(expr, bits)
+    return evaluate_leaves(as_expr(expr), lambda g: _weights_of(g, masks) >= g.quota)
 
 
 # --- predicates and public sweep operations --------------------------------

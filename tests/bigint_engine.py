@@ -6,6 +6,10 @@ pattern tables and crosses ``to_bytes``/``from_bytes``, which is why the
 package replaced it with a word-array engine; it is kept only so that the
 tests can compare the two engines bit for bit at sizes where the
 definition-level oracles in ``oracles.py`` are too slow.  Do not optimise it.
+
+The certificate split search that spread selector bits into a (splits x
+players) bit matrix and multiplied it by each leaf's weights is frozen here
+too (``certificate_split``), as the reference for the two-table search.
 """
 
 from __future__ import annotations
@@ -182,3 +186,53 @@ def maximal_bits(sat: int, n: int) -> int:
 
 def maximal_elements(table: int, n: int) -> list[int]:
     return table_members(maximal_bits(down_closure(table, n), n), n)
+
+
+# --- the bit-matrix certificate search, replaced by the two-table split ---
+
+
+def _expand_selector(r: np.ndarray, positions) -> np.ndarray:
+    out = np.zeros_like(r)
+    for i, d in enumerate(positions):
+        out |= ((r >> i) & 1) << d
+    return out
+
+
+def _evaluate_bits(e, bits: np.ndarray) -> np.ndarray:
+    if isinstance(e, Leaf):
+        return bits @ np.array(e.game.weights, dtype=np.int64) >= e.game.quota
+    parts = [_evaluate_bits(c, bits) for c in e.children]
+    out = parts[0].copy()
+    for p in parts[1:]:
+        if e.op == AND:
+            out &= p
+        else:
+            out |= p
+    return out
+
+
+def evaluate_many(expr: ExprLike, masks: np.ndarray) -> np.ndarray:
+    expr = as_expr(expr)
+    masks = np.asarray(masks, dtype=np.int64)
+    bits = (masks[:, None] >> np.arange(expr.n, dtype=np.int64)[None, :]) & 1
+    return _evaluate_bits(expr, bits)
+
+
+def certificate_split(
+    expr: ExprLike, a: int, b: int, chunk: int = 1 << 18
+) -> Optional[int]:
+    """x of the first certifying split of two losing masks, or None."""
+    expr = as_expr(expr)
+    base = a & b
+    delta = (a | b) ^ base
+    free = [j for j in range(expr.n) if delta >> j & 1][:-1]
+    total = (1 << len(free)) if delta else 0
+    for start in range(0, total, chunk):
+        r = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        xm = _expand_selector(r, free)
+        ok = evaluate_many(expr, base | xm)
+        ok &= evaluate_many(expr, base | (delta ^ xm))
+        hits = np.flatnonzero(ok)
+        if hits.size:
+            return int(xm[hits[0]])
+    return None

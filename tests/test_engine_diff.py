@@ -4,18 +4,20 @@ Against the definition-level oracles at n = 1..12 (n < 6 is the case where a
 table is smaller than one word) and bit for bit against the frozen big-integer
 engine in ``bigint_engine.py`` at n = 20, where the oracles are too slow.
 The rewrite's closed-form frontier is compared with both engines' folds of
-the boosted games it emits.
+the boosted games it emits, and the two-table certificate split search with
+the bit-matrix search it replaced.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import bigint_engine
 import oracles
-from votedim import sweep
+from votedim import data, lowerbound, sweep
 from votedim.decompose import METHOD_CORE_BOOST, EmptyCoreError, union_as_intersection
-from votedim.games import WeightedGame, all_of, any_of
+from votedim.games import Coalition, WeightedGame, all_of, any_of
 
 rngs = st.integers(0, 2**32 - 1).map(random.Random)
 small_n = st.integers(1, 12)
@@ -230,3 +232,118 @@ class TestCollapsedFrontier:
         pair = collapsed_and_unfused(rng, n, unfused)
         if pair is not None:
             assert pair[0] == pair[1]
+
+
+def large_loser(rng: random.Random, expr, n: int) -> int:
+    """Drop players from the grand coalition in random order until it loses."""
+    mask = (1 << n) - 1
+    for j in rng.sample(range(n), n):
+        if not oracles.wins(expr, mask):
+            break
+        mask ^= 1 << j
+    return mask
+
+
+def minimal_winner(rng: random.Random, expr, n: int, avoid: int = 0) -> int:
+    """Drop players from the grand coalition while it wins, ``avoid`` first."""
+    order = rng.sample(range(n), n)
+    order.sort(key=lambda j: not avoid >> j & 1)
+    mask = (1 << n) - 1
+    for j in order:
+        if oracles.wins(expr, mask ^ (1 << j)):
+            mask ^= 1 << j
+    return mask
+
+
+def losing_pair(rng: random.Random, expr, n: int, max_delta: int):
+    """Two losing masks that differ in 1..max_delta players, or None.
+
+    Half the draws split the difference of two minimal winners p, q between
+    a and b, so that (p, q) itself is a certificate whenever both halves
+    lose.  A weighted game has no such split; then, as in the other half of
+    the draws, a and b are two large losers, which seldom certify.
+    """
+    planted = rng.random() < 0.5
+    for attempt in range(200):
+        if planted and attempt < 100:
+            p = minimal_winner(rng, expr, n)
+            q = minimal_winner(rng, expr, n, avoid=p)
+            delta = p ^ q
+            for _ in range(20):
+                side = rng.getrandbits(n) & delta
+                a, b = (p & q) | side, (p & q) | (delta ^ side)
+                if not (oracles.wins(expr, a) or oracles.wins(expr, b)):
+                    break
+            else:
+                continue
+        else:
+            a, b = large_loser(rng, expr, n), large_loser(rng, expr, n)
+        if 1 <= (a ^ b).bit_count() <= max_delta:
+            return a, b
+    return None
+
+
+def chamber_expr(rng: random.Random, n: int):
+    """An AND of weighted games on disjoint player groups (n >= 2).
+
+    Such a game is far from weighted, so many of its losing pairs certify.
+    """
+    players = rng.sample(range(n), n)
+    cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(1, 2))))
+    games = []
+    for group in (players[i:j] for i, j in zip([0, *cuts], [*cuts, n])):
+        weights = [rng.randint(1, 5) if j in group else 0 for j in range(n)]
+        games.append(WeightedGame(tuple(weights), rng.randint(1, sum(weights))))
+    return all_of(*games)
+
+
+def split_search(expr, a: int, b: int, n: int):
+    """The new search's x mask and the frozen bit-matrix search's, for one pair."""
+    cert = lowerbound.find_certificate(expr, Coalition(a, n), Coalition(b, n))
+    got = None if cert is None else cert.x.mask
+    return got, bigint_engine.certificate_split(expr, a, b)
+
+
+class TestSplitSearch:
+    """The two-table split search against the bit-matrix search it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 12), rngs)
+    def test_small_expressions_across_chunks(self, n, rng):
+        make = chamber_expr if rng.random() < 0.5 else oracles.random_expr
+        expr = make(rng, n)
+        pair = losing_pair(rng, expr, n, n)
+        if pair is None:
+            return
+        a, b = pair
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lowerbound, "_CHUNK_BITS", 2)
+            got, expected = split_search(expr, a, b, n)
+        assert got == expected
+
+    @pytest.mark.parametrize("chunk_bits", [lowerbound._CHUNK_BITS, 5])
+    @settings(max_examples=25, deadline=None)
+    @given(rng=rngs)
+    def test_eu_rule_without_uk(self, chunk_bits, rng):
+        rule = data.build_eu_rule(data.builtin_table("2018"), ["United Kingdom"])
+        pair = losing_pair(rng, rule.expr, rule.expr.n, 16)
+        assert pair is not None
+        a, b = pair
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lowerbound, "_CHUNK_BITS", chunk_bits)
+            got, expected = split_search(rule.expr, a, b, rule.expr.n)
+        assert got == expected
+
+    def test_first_hit_in_a_high_chunk(self):
+        # p must hold player 0 or 1 and player 18; player 19, the last of
+        # the difference, always sits in q.  So the first hit is the selector
+        # 2^18 + 1, the second chunk at the default chunk size.
+        n = 20
+        expr = all_of(
+            WeightedGame(tuple(int(j in (0, 1)) for j in range(n)), 1),
+            WeightedGame(tuple(int(j in (18, 19)) for j in range(n)), 1),
+        )
+        a, b = (1 << 10) - 1, ((1 << 20) - 1) ^ ((1 << 10) - 1)
+        assert lowerbound._CHUNK_BITS == 18
+        got, expected = split_search(expr, a, b, n)
+        assert got == expected == (1 << 0) | (1 << 18)

@@ -60,7 +60,8 @@ class TestTables:
             veto = WeightedGame(
                 tuple(0 if blocked >> j & 1 else 1 for j in range(6)), 1
             )
-            assert sweep.win_table(veto) == sweep.win_table(veto.rescaled(2))
+            doubled = WeightedGame(tuple(2 * w for w in veto.weights), 2)
+            assert sweep.win_table(veto) == sweep.win_table(doubled)
 
     @given(st.integers(1, 8), rngs)
     def test_closures(self, n, rng):
@@ -214,8 +215,10 @@ class TestDeterminism:
             assert oracles.table_to_int(got_game) == baseline_game
             assert oracles.table_to_int(got_expr) == baseline_expr
 
-    @given(st.integers(1, 10), rngs)
+    @settings(deadline=None)
+    @given(st.integers(1, 28), rngs)
     def test_evaluate_many_matches_single_evaluation(self, n, rng):
+        # n > 14 reads both halves of the two-table lookup.
         expr = oracles.random_expr(rng, n)
         masks = np.array(
             [rng.randint(0, (1 << n) - 1) for _ in range(64)], dtype=np.int64
