@@ -32,6 +32,8 @@ from .decompose import (
     Decomposition,
     EmptyCoreError,
     GapSummary,
+    RuleAnalysis,
+    analyze_rule,
     gap_summary,
     refine_by_vetoes,
     union_as_intersection,
@@ -59,10 +61,12 @@ __all__ = [
     "GapSummary",
     "IncompatibilityCertificate",
     "PopulationTable",
+    "RuleAnalysis",
     "RuleConfig",
     "UniverseMismatchError",
     "WeightedGame",
     "all_of",
+    "analyze_rule",
     "any_of",
     "as_expr",
     "build_eu_rule",

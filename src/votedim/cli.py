@@ -45,18 +45,12 @@ def _load_table(data_ref: str) -> data.PopulationTable:
 
 
 def _parse_exclude(exclude: str) -> tuple[str, ...]:
-    return tuple(s.strip() for s in exclude.split(",") if s.strip())
+    return tuple(dict.fromkeys(s.strip() for s in exclude.split(",") if s.strip()))
 
 
-def _build_rule(
-    table: data.PopulationTable,
-    excluded: tuple[str, ...],
-    quota_member_count: Optional[int] = None,
-) -> data.EuRule:
+def _build_rule(table: data.PopulationTable, excluded: tuple[str, ...]) -> data.EuRule:
     try:
-        return data.build_eu_rule(
-            table, exclude=excluded, quota_member_count=quota_member_count
-        )
+        return data.build_eu_rule(table, exclude=excluded)
     except ValueError as e:
         raise click.UsageError(str(e))
 
@@ -69,22 +63,15 @@ def _game_row(game: WeightedGame) -> dict:
     return {"quota": game.quota, "weights": list(game.weights)}
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 def _gap_section(rule: data.EuRule, gap: decompose.GapSummary) -> dict:
-    section = {
+    return {
         "count": gap.count,
         "common_core": list(rule.label_members(gap.common_core.mask)),
         "min_weight_scaled": gap.min_weight,
         "boost_scaled": gap.boost,
-        "boost_population_units": (
-            None if gap.boost is None else _ceil_div(gap.boost, rule.scale)
-        ),
+        "boost_population_units": None if gap.boost is None else -(-gap.boost // rule.scale),
         "members": None if gap.members is None else _labels(rule, gap.members),
     }
-    return section
 
 
 def _alternate_section(
@@ -102,47 +89,36 @@ def _alternate_section(
     table; the two readings disagree on the rule, so the report carries the
     second one's outcome as well.
     """
-    full_m = table.member_count
-    cfg = main_rule.config
-    if (cfg.member_quota(full_m), cfg.veto_quota(full_m)) == (
-        main_rule.member_quota,
-        main_rule.veto_quota,
-    ):
-        return None
     try:
-        rule = data.build_eu_rule(table, exclude=excluded, quota_member_count=full_m)
+        rule = data.build_eu_rule(
+            table, exclude=excluded, quota_member_count=table.member_count
+        )
     except ValueError as e:
         return {"error": str(e)}
-    section = {
+    quotas = (rule.member_quota, rule.veto_quota)
+    if quotas == (main_rule.member_quota, main_rule.veto_quota):
+        return None
+    result = decompose.analyze_rule(rule, swap_roles, gap_cap, workers)
+    return {
         "member_quota": rule.member_quota,
         "veto_quota": rule.veto_quota,
+        "method": result.method,
+        "gap_count": result.gap.count,
+        "common_core": list(rule.label_members(result.gap.common_core.mask)),
+        "frontier_count": None if result.bound is None else len(result.frontier),
+        "bound": result.bound,
     }
-    first, second = rule.population_game, rule.veto_game
-    if swap_roles:
-        first, second = second, first
-    try:
-        dec = decompose.union_as_intersection(first, second, gap_cap, workers)
-    except decompose.EmptyCoreError as e:
-        section.update(
-            {
-                "method": "inapplicable",
-                "gap_count": e.gap.count,
-                "common_core": [],
-                "frontier_count": None,
-                "bound": None,
-            }
+
+
+def _analyze_or_exit(rule: data.EuRule, swap_roles: bool, gap_cap: int, workers: int):
+    result = decompose.analyze_rule(rule, swap_roles, gap_cap, workers)
+    if result.bound is None:
+        click.echo(
+            f"rewrite inapplicable: {result.gap.count} gap coalitions share no player",
+            err=True,
         )
-        return section
-    section.update(
-        {
-            "method": dec.method,
-            "gap_count": dec.gap.count,
-            "common_core": list(rule.label_members(dec.gap.common_core.mask)),
-            "frontier_count": len(dec.frontier),
-            "bound": 1 + len(dec.games),
-        }
-    )
-    return section
+        sys.exit(EXIT_INAPPLICABLE)
+    return result
 
 
 def _render_text(report: dict) -> str:
@@ -175,15 +151,19 @@ def _render_text(report: dict) -> str:
     lines.append(f"method: {report['method']}")
     lines.append(f"bound: {report['bound']}")
     alt = report["alternate_quota_reading"]
-    if alt is not None:
-        if "error" in alt:
-            lines.append(f"alternate quota reading: invalid ({alt['error']})")
-        else:
-            lines.append(
-                f"alternate quota reading (retained quotas {alt['member_quota']}/"
-                f"{alt['veto_quota']}): method {alt['method']}, gap {alt['gap_count']}, "
+    if alt is not None and "error" in alt:
+        lines.append(f"alternate quota reading: invalid ({alt['error']})")
+    elif alt is not None:
+        outcome = f"inapplicable ({alt['gap_count']} gap coalitions share no player)"
+        if alt["bound"] is not None:
+            outcome = (
+                f"method {alt['method']}, gap {alt['gap_count']}, "
                 f"frontier {alt['frontier_count']}, bound {alt['bound']}"
             )
+        lines.append(
+            f"alternate quota reading (retained quotas {alt['member_quota']}/"
+            f"{alt['veto_quota']}): {outcome}"
+        )
     lines.append("games:")
     for game in report["games"]:
         lines.append(f"  [{game['quota']}; {_join(game['weights'])}]")
@@ -248,18 +228,7 @@ def analyze(
     excluded = _parse_exclude(exclude)
     table = _load_table(data_ref)
     rule = _build_rule(table, excluded)
-    first, second = rule.population_game, rule.veto_game
-    if swap_roles:
-        first, second = second, first
-    try:
-        dec = decompose.union_as_intersection(first, second, gap_cap, workers)
-    except decompose.EmptyCoreError as e:
-        click.echo(
-            f"rewrite inapplicable: {e.gap.count} gap coalitions share no player",
-            err=True,
-        )
-        sys.exit(EXIT_INAPPLICABLE)
-    games = (rule.count_game,) + dec.games
+    result = _analyze_or_exit(rule, swap_roles, gap_cap, workers)
     report = {
         "dataset": data_ref,
         "excluded": sorted(excluded),
@@ -276,12 +245,12 @@ def analyze(
             "blocking_minority": rule.config.blocking_minority,
         },
         "swap_roles": swap_roles,
-        "gap": _gap_section(rule, dec.gap),
-        "frontier": _labels(rule, dec.frontier),
-        "frontier_count": len(dec.frontier),
-        "method": dec.method,
-        "games": [_game_row(g) for g in games],
-        "bound": 1 + len(dec.games),
+        "gap": _gap_section(rule, result.gap),
+        "frontier": _labels(rule, result.frontier),
+        "frontier_count": len(result.frontier),
+        "method": result.method,
+        "games": [_game_row(g) for g in result.games],
+        "bound": result.bound,
         "alternate_quota_reading": _alternate_section(
             table, excluded, rule, swap_roles, gap_cap, workers
         ),
@@ -302,25 +271,15 @@ def verify(data_ref: str, exclude: str, threads: Optional[int]) -> None:
     workers = _workers(threads)
     excluded = _parse_exclude(exclude)
     rule = _build_rule(_load_table(data_ref), excluded)
-    try:
-        dec = decompose.union_as_intersection(
-            rule.population_game, rule.veto_game, workers=workers
-        )
-    except decompose.EmptyCoreError as e:
+    games = _analyze_or_exit(rule, False, decompose.GAP_MEMBER_CAP, workers).games
+    check = sweep.equivalent(rule.expr, all_of(*games), workers)
+    if check:
         click.echo(
-            f"rewrite inapplicable: {e.gap.count} gap coalitions share no player",
-            err=True,
-        )
-        sys.exit(EXIT_INAPPLICABLE)
-    emitted = all_of(rule.count_game, *dec.games)
-    result = sweep.equivalent(rule.expr, emitted, workers)
-    if result:
-        click.echo(
-            f"verification passed: the {1 + len(dec.games)} games match the rule "
+            f"verification passed: the {len(games)} games match the rule "
             f"on all {1 << rule.n} coalitions"
         )
         return
-    witness = result.counterexample
+    witness = check.counterexample
     assert witness is not None
     side = "rule" if rule.expr.evaluate(witness) else "emitted intersection"
     click.echo(

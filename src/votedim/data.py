@@ -75,7 +75,8 @@ class PopulationTable:
                 raise ValueError(
                     f"populations must not increase down the table: rank "
                     f"{prev.rank} has {prev.population} but rank {cur.rank} "
-                    f"has {cur.population} (pass allow_unordered to accept)"
+                    f"has {cur.population}; sort the rows by descending "
+                    "population and number the ranks in that order"
                 )
             if cur.population == prev.population:
                 warnings.warn(

@@ -32,6 +32,7 @@ from .games import (
     as_expr,
 )
 from . import sweep
+from .data import EuRule
 
 # Gap-set members are materialized only up to this count; the summary
 # statistics (count, core, minimum weight) are exact regardless.
@@ -40,6 +41,7 @@ GAP_MEMBER_CAP = 10**6
 METHOD_CORE_BOOST = "core-boost"
 METHOD_VETO_FENCE = "veto-fence"
 METHOD_FIRST_GAME = "first-game"
+METHOD_INAPPLICABLE = "inapplicable"
 
 
 class EmptyCoreError(ValueError):
@@ -266,6 +268,38 @@ def union_as_intersection(
         assert s.mask != Coalition.grand(s.n).mask
     games = boosted + tuple(veto_game(s) for s in frontier)
     return Decomposition(games, gap, tuple(frontier), METHOD_CORE_BOOST)
+
+
+@dataclass(frozen=True)
+class RuleAnalysis:
+    """``games`` (count game first) intersect to the rule; none when ``inapplicable``."""
+
+    gap: GapSummary
+    games: tuple[WeightedGame, ...]
+    frontier: tuple[Coalition, ...]
+    method: str
+
+    @property
+    def bound(self) -> Optional[int]:
+        return None if self.method == METHOD_INAPPLICABLE else len(self.games)
+
+
+def analyze_rule(
+    rule: EuRule,
+    swap_roles: bool = False,
+    member_cap: int = GAP_MEMBER_CAP,
+    workers: int = 1,
+) -> RuleAnalysis:
+    """Rewrite ``count AND (population OR veto)``; ``swap_roles`` boosts the veto game."""
+    first, second = rule.population_game, rule.veto_game
+    if swap_roles:
+        first, second = second, first
+    try:
+        dec = union_as_intersection(first, second, member_cap, workers)
+    except EmptyCoreError as e:
+        return RuleAnalysis(e.gap, (), (), METHOD_INAPPLICABLE)
+    assert dec.gap is not None
+    return RuleAnalysis(dec.gap, (rule.count_game,) + dec.games, dec.frontier, dec.method)
 
 
 def refine_by_vetoes(

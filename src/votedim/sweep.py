@@ -41,9 +41,6 @@ _LO_BITS = 14
 _CHUNK_ELEMS = 1 << 21
 # Table words unpacked at a time when listing members.
 _MEMBER_WORDS = 1 << 15
-# An AND node folds this many quota-1 indicator leaves via one shared
-# down-closure instead of per-leaf tables.
-_INDICATOR_GROUP_MIN = 8
 
 class Table(np.ndarray):
     """A win table: ``uint64`` words, bit m of the array = coalition m."""
@@ -103,10 +100,6 @@ def _run_tasks(tasks: list[Callable[[], None]], workers: int) -> None:
                 pass
 
 
-def _is_indicator_veto(game: WeightedGame) -> bool:
-    return game.quota == 1 and all(w in (0, 1) for w in game.weights)
-
-
 def _blocked_mask(game: WeightedGame) -> int:
     return sum(1 << j for j, w in enumerate(game.weights) if w == 0)
 
@@ -122,11 +115,6 @@ def _vetoed(blocked: Iterable[int], n: int) -> Table:
 def win_table(game: WeightedGame, workers: int = 1) -> Table:
     """The full win table of a weighted game."""
     n = game.n
-    if _is_indicator_veto(game):
-        # Wins iff it meets the support; losing masks are exactly the subsets
-        # of the zero-weight player set.
-        return _vetoed([_blocked_mask(game)], n)
-
     lo = min(n, _LO_BITS)
     low_sums = subset_sums(game.weights[:lo])
     high_sums = subset_sums(game.weights[lo:])
@@ -201,12 +189,11 @@ def expr_table(expr: ExprLike, workers: int = 1) -> Table:
     children = list(expr.children)
     acc: Optional[Table] = None
     if expr.op == AND:
-        # Quota-1 indicator leaves under one AND share a single down-closure:
-        # their joint losing set is the union of the blocked coalitions' cones.
-        vetoes = [
-            c for c in children if isinstance(c, Leaf) and _is_indicator_veto(c.game)
-        ]
-        if len(vetoes) >= _INDICATOR_GROUP_MIN:
+        # A quota-1 leaf wins iff the coalition holds a positive-weight player,
+        # so it loses exactly on the subsets of its zero-weight players.  All
+        # such leaves under one AND share a single down-closure.
+        vetoes = [c for c in children if isinstance(c, Leaf) and c.game.quota == 1]
+        if vetoes:
             children = [c for c in children if c not in vetoes]
             acc = _vetoed((_blocked_mask(c.game) for c in vetoes), n)
 

@@ -46,12 +46,42 @@ rank,country,population
 2,Oak,2
 """
 
+# Without C, D and E the rule has 2 members; the full table's member quota,
+# ceil(0.55 * 5) = 3, is then out of reach.
+FIVE = """\
+rank,country,population
+1,A,50
+2,B,20
+3,C,15
+4,D,10
+5,E,5
+"""
+
+# Without C1 and C2, the retained quotas 6/7 leave 60 gap coalitions with no
+# common player when the veto game is the boosted side.
+TEN = "rank,country,population\n" + "".join(
+    f"{i},C{i},{p}\n" for i, p in enumerate((55, 54, 52, 48, 43, 24, 11, 7, 6, 4), 1)
+)
+
+UNORDERED = """\
+rank,country,population
+1,Pine,2
+2,Oak,3
+"""
+
 
 @pytest.fixture(scope="module")
 def toys(tmp_path_factory):
     root = tmp_path_factory.mktemp("tables")
     paths = {}
-    for name, text in (("toy16", TOY16), ("tiny2", TINY2), ("flat2", FLAT2)):
+    for name, text in (
+        ("toy16", TOY16),
+        ("tiny2", TINY2),
+        ("flat2", FLAT2),
+        ("five", FIVE),
+        ("ten", TEN),
+        ("unordered", UNORDERED),
+    ):
         p = root / f"{name}.csv"
         p.write_text(text, encoding="utf-8")
         paths[name] = str(p)
@@ -170,6 +200,46 @@ class TestAnalyze:
         assert result.exit_code == 3
         assert "share no player" in result.stderr
 
+    def test_alternate_reading_with_unsatisfiable_quota(self, toys):
+        report = analyze_json("--data", toys["five"], "--exclude", "C,D,E")
+        assert report["members"] == 2
+        assert report["bound"] == 2
+        assert report["alternate_quota_reading"] == {
+            "error": "member quota 3 is not satisfiable by 2 members"
+        }
+
+    def test_alternate_reading_inapplicable(self, toys):
+        report = analyze_json(
+            "--data", toys["ten"], "--exclude", "C1,C2", "--swap-roles"
+        )
+        assert report["bound"] == 28
+        assert report["alternate_quota_reading"] == {
+            "member_quota": 6,
+            "veto_quota": 7,
+            "method": "inapplicable",
+            "gap_count": 60,
+            "common_core": [],
+            "frontier_count": None,
+            "bound": None,
+        }
+
+    def test_alternate_reading_inapplicable_text(self, toys):
+        result = run("analyze", "--data", toys["ten"], "--exclude", "C1,C2", "--swap-roles")
+        assert result.exit_code == 0
+        assert (
+            "alternate quota reading (retained quotas 6/7): "
+            "inapplicable (60 gap coalitions share no player)\n" in result.stdout
+        )
+        assert "None" not in result.stdout
+
+    def test_duplicate_exclusions_are_reported_once(self, toys):
+        report = analyze_json("--data", toys["five"], "--exclude", "C,D,E,E")
+        assert report["excluded"] == ["C", "D", "E"]
+        assert report["members"] == 2
+        result = run("analyze", "--data", toys["five"], "--exclude", "C,D,E,E")
+        assert result.exit_code == 0
+        assert "excluded: C, D, E\n" in result.stdout
+
 
 class TestInputErrors:
     def test_unknown_builtin_year(self):
@@ -193,6 +263,13 @@ class TestInputErrors:
         result = run("analyze", "--data", toys["toy16"], "--exclude", "Atlantis")
         assert result.exit_code == 2
         assert "unknown countries: Atlantis" in result.stderr
+
+    def test_unordered_table(self, toys):
+        result = run("analyze", "--data", toys["unordered"])
+        assert result.exit_code == 2
+        assert "must not increase" in result.stderr
+        assert "sort the rows by descending population" in result.stderr
+        assert "allow_unordered" not in result.stderr
 
     def test_thread_count_must_be_positive(self, toys):
         result = run("analyze", "--data", toys["toy16"], "--threads", "0")
@@ -218,6 +295,12 @@ class TestVerify:
         result = run("verify", "--data", toys["toy16"], "--exclude", "Light12")
         assert result.exit_code == 0
         assert "verification passed" in result.stdout
+
+    def test_disjoint_gap_is_inapplicable(self, toys):
+        result = run("verify", "--data", toys["flat2"])
+        assert result.exit_code == 3
+        assert "rewrite inapplicable" in result.stderr
+        assert result.stdout == ""
 
     def test_corrupted_boost_fails(self, toys, monkeypatch):
         # Emit every boosted game one unit short of the derived boost.

@@ -46,8 +46,16 @@ def random_leaf(rng: random.Random, n: int) -> WeightedGame:
 
 
 def grouped_veto_expr(rng: random.Random, n: int):
-    """An AND node with enough indicator vetoes to take the grouped path."""
-    vetoes = [indicator_veto(rng, n) for _ in range(sweep._INDICATOR_GROUP_MIN + 2)]
+    """An AND node with 1-10 quota-1 leaves, some with weights above 1.
+
+    ``expr_table`` folds every quota-1 leaf under an AND into one shared
+    down-closure.
+    """
+    vetoes = []
+    for _ in range(rng.randint(1, 10)):
+        scale = rng.choice((1, 1, 3))
+        weights = indicator_veto(rng, n).weights
+        vetoes.append(WeightedGame(tuple(scale * w for w in weights), 1))
     return all_of(oracles.random_game(rng, n), *vetoes)
 
 

@@ -54,14 +54,23 @@ class TestTables:
         )
 
     def test_win_table_veto_fast_path_agrees_with_generic(self):
-        # Rescaling by 2 leaves the winners unchanged but disqualifies the
-        # quota-1 indicator shortcut, forcing the generic route.
+        # A quota-1 game wins iff the coalition holds a positive-weight
+        # player, whatever the positive weights are: rescaling the weights,
+        # with or without the quota, keeps the winners.  Under an AND,
+        # expr_table takes every quota-1 leaf through the shared
+        # down-closure; it must agree with the win table.
+        other = WeightedGame((1,) * 6, 2)
         for blocked in (0b0011, 0b0000, 0b101010):
             veto = WeightedGame(
                 tuple(0 if blocked >> j & 1 else 1 for j in range(6)), 1
             )
             doubled = WeightedGame(tuple(2 * w for w in veto.weights), 2)
+            heavy = WeightedGame(tuple(w * (j + 2) for j, w in enumerate(veto.weights)), 1)
             assert sweep.win_table(veto) == sweep.win_table(doubled)
+            assert sweep.win_table(heavy) == sweep.win_table(veto)
+            for game in (veto, heavy):
+                grouped = sweep.expr_table(all_of(other, game))
+                assert grouped == sweep.win_table(other) & sweep.win_table(veto)
 
     @given(st.integers(1, 8), rngs)
     def test_closures(self, n, rng):
