@@ -16,7 +16,6 @@ index each side of a split wins a leaf iff its low sum meets one scalar bound.
 """
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -231,11 +230,7 @@ def verify_certificate_set(
             return PairOutcome(i, j, STATUS_NO_CERTIFICATE, None)
         return PairOutcome(i, j, STATUS_CERTIFIED, cert)
 
-    if workers > 1 and len(index_pairs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = tuple(pool.map(attempt, index_pairs))
-    else:
-        outcomes = tuple(attempt(p) for p in index_pairs)
+    outcomes = tuple(sweep.map_threads(attempt, index_pairs, workers))
     certified = all(losing) and all(o.status == STATUS_CERTIFIED for o in outcomes)
     return CertificateSetReport(
         coalitions=coalitions,

@@ -3,16 +3,17 @@
 The engine's working representation is a *win table*: a little-endian
 ``uint64`` array of max(1, 2^n / 64) words whose bit m is set iff the
 coalition with bit-mask m wins (for n < 6 one word, unused high bits zero).
-Weighted games are packed straight into it from two half-universe partial-sum
-tables (2 * 2^(n/2) memory instead of 2^n); every later operation works in
-place.  Closures and the maximality test are the bitset subset-sum (zeta)
-transform: halves of a ``reshape(-1, 2, 2^(j-6))`` view for player j >= 6,
-in-word shifts under a constant mask for j < 6.  Batches of single
-coalitions (``evaluate_many``) read their weights off the same two tables.
+A weighted game's table is gathered in rows (Horowitz & Sahni's sorted
+halves): the low 11 players' sums are sorted once into 2^11 + 1 patterns
+"sorted rank >= r" (0.5 MB), and a binary search picks each row's pattern.
+Every later operation works in place.  Closures and the maximality test are
+the bitset subset-sum (zeta) transform: halves of a ``reshape(-1, 2,
+2^(j-6))`` view for player j >= 6, in-word shifts under a constant mask for
+j < 6.  Batches of single coalitions (``evaluate_many``) read their weights
+off two partial-sum tables.
 
-Block construction is deterministic: the coalition space is split into
-contiguous blocks of low-index masks, each block's bytes depend only on its
-own range, and workers write disjoint slices.  Every public result is
+Table construction is deterministic: workers gather disjoint chunks of rows,
+and each row depends only on its own high mask.  Every public result is
 therefore identical under any worker count.
 """
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -35,10 +36,12 @@ from .games import (
     as_expr,
 )
 
-# Meet-in-the-middle split: low-side partial-sum table covers this many bits.
+# Win table rows: 2^11 coalitions, whole words once n >= 6.
+_RANK_BITS = 11
+# Rows gathered per task: bounds the rank buffer (8 bytes per row).
+_GATHER_ROWS = 1 << 12
+# ``_weights_of``: the low-side partial-sum table covers this many players.
 _LO_BITS = 14
-# Target elements per numpy chunk while filling a table.
-_CHUNK_ELEMS = 1 << 21
 # Table words unpacked at a time when listing members.
 _MEMBER_WORDS = 1 << 15
 
@@ -90,14 +93,12 @@ def subset_sums(weights: Iterable[int]) -> np.ndarray:
     return sums
 
 
-def _run_tasks(tasks: list[Callable[[], None]], workers: int) -> None:
-    if workers <= 1 or len(tasks) <= 1:
-        for task in tasks:
-            task()
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for _ in pool.map(lambda task: task(), tasks):
-                pass
+def map_threads(fn: Callable, items: Sequence, workers: int) -> list:
+    """``[fn(x) for x in items]``, on up to ``workers`` threads if there are several items."""
+    if workers <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def _blocked_mask(game: WeightedGame) -> int:
@@ -115,27 +116,28 @@ def _vetoed(blocked: Iterable[int], n: int) -> Table:
 def win_table(game: WeightedGame, workers: int = 1) -> Table:
     """The full win table of a weighted game."""
     n = game.n
-    lo = min(n, _LO_BITS)
+    lo = min(n, _RANK_BITS)
     low_sums = subset_sums(game.weights[:lo])
-    high_sums = subset_sums(game.weights[lo:])
-    quota = np.int64(game.quota)
-
+    order = np.argsort(low_sums, kind="stable")
+    sorted_low = low_sums[order]
+    # Row h wins where low_sum >= quota - high_sum[h], a suffix of the sorted
+    # low sums: pattern r holds the low masks of sorted rank >= r.
+    patterns = np.zeros((order.size + 1, max(1, order.size >> 6)), dtype="<u8")
+    patterns[np.arange(order.size), order >> 6] = np.uint64(1) << (order & 63).astype("<u8")
+    np.bitwise_or.accumulate(patterns[::-1], axis=0, out=patterns[::-1])
+    thresholds = subset_sums(game.weights[lo:])
+    np.subtract(np.int64(game.quota), thresholds, out=thresholds)
     table = _empty(n)
-    out = table.view(np.uint8)
-    chunk_highs = max(1, _CHUNK_ELEMS >> lo)
+    rows = table.view(np.ndarray).reshape(thresholds.size, -1)
 
-    def fill(h_start: int, h_stop: int) -> None:
-        # low + high >= quota, compared without materialising the sums.
-        wins = low_sums[None, :] >= (quota - high_sums[h_start:h_stop])[:, None]
-        bits = np.packbits(wins, bitorder="little")
-        offset = (h_start << lo) >> 3
-        out[offset : offset + bits.size] = bits
+    def fill(start: int) -> None:
+        chunk = slice(start, start + _GATHER_ROWS)
+        # side="left": the first rank whose sum reaches the threshold, ties included.
+        ranks = np.searchsorted(sorted_low, thresholds[chunk], side="left")
+        # mode="clip" writes straight into the rows; "raise" would buffer a copy.
+        np.take(patterns, ranks, axis=0, out=rows[chunk], mode="clip")
 
-    tasks = [
-        (lambda a=h, b=min(h + chunk_highs, len(high_sums)): fill(a, b))
-        for h in range(0, len(high_sums), chunk_highs)
-    ]
-    _run_tasks(tasks, workers)
+    map_threads(fill, range(0, thresholds.size, _GATHER_ROWS), workers)
     return table
 
 
@@ -374,8 +376,7 @@ def checked_maximal(pred: IntervalPredicate, sat: Table) -> list[Coalition]:
     itself: it must satisfy it and no one-player extension may.
     """
     n = pred.n
-    masks = table_members(_maximal_bits(sat, n))
-    arr = np.array(masks, dtype=np.int64)
+    arr = member_array(_maximal_bits(sat, n))
     ext = (arr[:, None] | (np.int64(1) << np.arange(n, dtype=np.int64))).ravel()
     probe = np.concatenate([arr, ext[ext != np.repeat(arr, n)]])
     ok = evaluate_many(pred.up, probe) & ~evaluate_many(pred.down, probe)
@@ -383,7 +384,7 @@ def checked_maximal(pred: IntervalPredicate, sat: Table) -> list[Coalition]:
         raise AssertionError("maximal candidate failed the predicate re-check")
     if ok[arr.size :].any():
         raise AssertionError("a one-player extension of a maximal candidate satisfies the predicate")
-    return [Coalition(m, n) for m in masks]
+    return [Coalition(m, n) for m in arr.tolist()]
 
 
 def maximal_satisfying(pred: IntervalPredicate, workers: int = 1) -> list[Coalition]:

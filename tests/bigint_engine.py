@@ -7,6 +7,10 @@ package replaced it with a word-array engine; it is kept only so that the
 tests can compare the two engines bit for bit at sizes where the
 definition-level oracles in ``oracles.py`` are too slow.  Do not optimise it.
 
+The word-array engine's byte-per-coalition fill (compare ``low >= quota -
+high`` into a boolean block, ``packbits`` it into the table) is frozen here
+as ``packbits_win_table``, the reference for the rank-gather fill.
+
 The certificate split search that spread selector bits into a (splits x
 players) bit matrix and multiplied it by each leaf's weights is frozen here
 too (``certificate_split``), as the reference for the two-table search.
@@ -82,6 +86,24 @@ def win_table(game: WeightedGame) -> int:
         offset = (h << lo) >> 3
         out[offset : offset + bits.nbytes] = bits.tobytes()
     return int.from_bytes(bytes(out), "little")
+
+
+def packbits_win_table(game: WeightedGame) -> np.ndarray:
+    """Win table as little-endian ``uint64`` words (one word below n = 6)."""
+    n = game.n
+    lo = min(n, _LO_BITS)
+    low_sums = _subset_sums(game.weights[:lo])
+    high_sums = _subset_sums(game.weights[lo:])
+    quota = np.int64(game.quota)
+    table = np.zeros(max(1, (1 << n) >> 6), dtype="<u8")
+    out = table.view(np.uint8)
+    chunk_highs = max(1, _CHUNK_ELEMS >> lo)
+    for h in range(0, len(high_sums), chunk_highs):
+        wins = low_sums[None, :] >= (quota - high_sums[h : h + chunk_highs])[:, None]
+        bits = np.packbits(wins, bitorder="little")
+        offset = (h << lo) >> 3
+        out[offset : offset + bits.size] = bits
+    return table
 
 
 def down_closure(table: int, n: int) -> int:

@@ -4,12 +4,14 @@ Against the definition-level oracles at n = 1..12 (n < 6 is the case where a
 table is smaller than one word) and bit for bit against the frozen big-integer
 engine in ``bigint_engine.py`` at n = 20, where the oracles are too slow.
 The rewrite's closed-form frontier is compared with both engines' folds of
-the boosted games it emits, and the two-table certificate split search with
-the bit-matrix search it replaced.
+the boosted games it emits, the rank-gather win tables with the packbits
+fill they replaced, and the two-table certificate split search with the
+bit-matrix search it replaced.
 """
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,11 +19,14 @@ import bigint_engine
 import oracles
 from votedim import data, lowerbound, sweep
 from votedim.decompose import METHOD_CORE_BOOST, EmptyCoreError, union_as_intersection
-from votedim.games import Coalition, WeightedGame, all_of, any_of
+from votedim.games import MAX_TOTAL_WEIGHT, Coalition, WeightedGame, all_of, any_of
 
 rngs = st.integers(0, 2**32 - 1).map(random.Random)
 small_n = st.integers(1, 12)
 LARGE_N = 20
+worker_counts = st.sampled_from((1, 2, 3))
+# Rows per gather task: 1 and 3 split 2^(n-11) rows unevenly among workers.
+gather_rows = st.sampled_from((1, 3, sweep._GATHER_ROWS))
 
 
 def random_bits(rng: random.Random, n: int) -> int:
@@ -240,6 +245,79 @@ class TestCollapsedFrontier:
         pair = collapsed_and_unfused(rng, n, unfused)
         if pair is not None:
             assert pair[0] == pair[1]
+
+
+def unchecked_game(weights, quota: int) -> WeightedGame:
+    """A weighted game built without validation: quota may be <= 0 or > total."""
+    game = object.__new__(WeightedGame)
+    object.__setattr__(game, "weights", tuple(weights))
+    object.__setattr__(game, "quota", quota)
+    return game
+
+
+def edge_game(rng: random.Random, n: int) -> WeightedGame:
+    """Zero, all-equal or near-2^61 weights; the quota may lie past either end."""
+    kind = rng.choice(("zero", "equal", "huge", "plain"))
+    if kind == "zero":
+        weights = [rng.choice((0, 0, rng.randint(1, 9))) for _ in range(n)]
+    elif kind == "equal":
+        weights = [rng.randint(0, 3)] * n
+    elif kind == "huge":
+        top = MAX_TOTAL_WEIGHT // n
+        weights = [rng.randrange(top // 2, top) for _ in range(n)]
+    else:
+        weights = [rng.randint(0, 50) for _ in range(n)]
+    total = sum(weights)
+    quota = rng.choice(
+        (rng.randint(-3, 0), total + rng.randint(1, 3), rng.randint(1, max(1, total)))
+    )
+    return unchecked_game(weights, quota)
+
+
+def gathered_table(game: WeightedGame, workers: int, rows: int):
+    """``win_table`` with ``rows`` table rows per gather task."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep, "_GATHER_ROWS", rows)
+        return sweep.win_table(game, workers)
+
+
+class TestRankTables:
+    """The rank-gather win table against the oracles and the packbits fill."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_n, worker_counts, gather_rows, rngs)
+    def test_against_oracles(self, n, workers, rows, rng):
+        game = edge_game(rng, n)
+        got = gathered_table(game, workers, rows)
+        assert got.size == max(1, (1 << n) >> 6)
+        assert oracles.table_to_int(got) == oracles.table_of(oracles.winning_masks(game, n))
+
+    # One word below six players, one whole word at six, one high row at
+    # eleven and two at twelve.
+    @pytest.mark.parametrize("n", [1, 5, 6, 11, 12])
+    @settings(max_examples=20, deadline=None)
+    @given(workers=worker_counts, rows=gather_rows, rng=rngs)
+    def test_row_boundaries(self, n, workers, rows, rng):
+        game = edge_game(rng, n)
+        got = oracles.table_to_int(gathered_table(game, workers, rows))
+        assert got == oracles.table_of(oracles.winning_masks(game, n))
+
+    @settings(max_examples=25, deadline=None)
+    @given(worker_counts, gather_rows, rngs)
+    def test_against_packbits_fill(self, workers, rows, rng):
+        game = edge_game(rng, LARGE_N)
+        got = gathered_table(game, workers, rows)
+        assert np.array_equal(got, bigint_engine.packbits_win_table(game))
+
+    @pytest.mark.parametrize(
+        "year, excluded", [("2014", []), ("2018", ["United Kingdom"])]
+    )
+    def test_builtin_rule_games(self, year, excluded):
+        rule = data.build_eu_rule(data.builtin_table(year), excluded)
+        for game in (rule.population_game, rule.veto_game, rule.count_game):
+            expected = bigint_engine.packbits_win_table(game)
+            for workers in (1, 3):
+                assert np.array_equal(sweep.win_table(game, workers), expected)
 
 
 def large_loser(rng: random.Random, expr, n: int) -> int:

@@ -4,6 +4,7 @@ import functools
 import gc
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,21 @@ class TestTables:
             for game in (veto, heavy):
                 grouped = sweep.expr_table(all_of(other, game))
                 assert grouped == sweep.win_table(other) & sweep.win_table(veto)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_win_table_needs_no_second_table(self, workers):
+        # numpy reports its buffers to tracemalloc.  Besides the table, the
+        # fill holds the 0.5 MB pattern block, one int64 per row and a rank
+        # buffer per task: 1.3x the table at n = 24.  A buffered np.take (its
+        # default mode="raise") or any other full-size temporary reads 2.3x.
+        game = oracles.random_game(random.Random(3), 24, max_weight=1000)
+        tracemalloc.start()
+        try:
+            table = sweep.win_table(game, workers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * table.nbytes
 
     @given(st.integers(1, 8), rngs)
     def test_closures(self, n, rng):
