@@ -5,7 +5,6 @@ error, 3 rewrite inapplicable (gap coalitions share no player).
 """
 
 import json
-import os
 import sys
 from typing import Optional
 
@@ -16,14 +15,6 @@ from .games import Coalition, WeightedGame, all_of
 
 EXIT_FAILURE = 1
 EXIT_INAPPLICABLE = 3
-
-
-def _workers(threads: Optional[int]) -> int:
-    if threads is not None:
-        if threads < 1:
-            raise click.UsageError("--threads must be >= 1")
-        return threads
-    return os.cpu_count() or 1
 
 
 def _load_table(data_ref: str) -> data.PopulationTable:
@@ -80,7 +71,6 @@ def _alternate_section(
     main_rule: data.EuRule,
     swap_roles: bool,
     gap_cap: int,
-    workers: int,
 ) -> Optional[dict]:
     """The retained-quota reading, reported whenever it differs.
 
@@ -98,7 +88,7 @@ def _alternate_section(
     quotas = (rule.member_quota, rule.veto_quota)
     if quotas == (main_rule.member_quota, main_rule.veto_quota):
         return None
-    result = decompose.analyze_rule(rule, swap_roles, gap_cap, workers)
+    result = decompose.analyze_rule(rule, swap_roles, gap_cap)
     return {
         "member_quota": rule.member_quota,
         "veto_quota": rule.veto_quota,
@@ -110,8 +100,8 @@ def _alternate_section(
     }
 
 
-def _analyze_or_exit(rule: data.EuRule, swap_roles: bool, gap_cap: int, workers: int):
-    result = decompose.analyze_rule(rule, swap_roles, gap_cap, workers)
+def _analyze_or_exit(rule: data.EuRule, swap_roles: bool, gap_cap: int):
+    result = decompose.analyze_rule(rule, swap_roles, gap_cap)
     if result.bound is None:
         click.echo(
             f"rewrite inapplicable: {result.gap.count} gap coalitions share no player",
@@ -192,9 +182,10 @@ _exclude_option = click.option(
 )
 _threads_option = click.option(
     "--threads",
-    type=int,
-    default=None,
-    help="Worker threads (default: available parallelism); results do not depend on it.",
+    type=click.IntRange(min=1),
+    expose_value=False,
+    help="Accepted for compatibility and ignored: the engine runs on one thread, "
+    "because a second one measured no faster.",
 )
 
 
@@ -210,7 +201,7 @@ _threads_option = click.option(
 )
 @click.option(
     "--gap-cap",
-    type=int,
+    type=click.IntRange(min=0),
     default=decompose.GAP_MEMBER_CAP,
     show_default=True,
     help="Materialize gap members only up to this count.",
@@ -218,17 +209,15 @@ _threads_option = click.option(
 def analyze(
     data_ref: str,
     exclude: str,
-    threads: Optional[int],
     as_json: bool,
     swap_roles: bool,
     gap_cap: int,
 ) -> None:
     """Rewrite the rule as an intersection and report the dimension bound."""
-    workers = _workers(threads)
     excluded = _parse_exclude(exclude)
     table = _load_table(data_ref)
     rule = _build_rule(table, excluded)
-    result = _analyze_or_exit(rule, swap_roles, gap_cap, workers)
+    result = _analyze_or_exit(rule, swap_roles, gap_cap)
     report = {
         "dataset": data_ref,
         "excluded": sorted(excluded),
@@ -252,7 +241,7 @@ def analyze(
         "games": [_game_row(g) for g in result.games],
         "bound": result.bound,
         "alternate_quota_reading": _alternate_section(
-            table, excluded, rule, swap_roles, gap_cap, workers
+            table, excluded, rule, swap_roles, gap_cap
         ),
         "verification": None,
     }
@@ -266,13 +255,12 @@ def analyze(
 @_data_option
 @_exclude_option
 @_threads_option
-def verify(data_ref: str, exclude: str, threads: Optional[int]) -> None:
+def verify(data_ref: str, exclude: str) -> None:
     """Exhaustively check the emitted intersection against the rule."""
-    workers = _workers(threads)
     excluded = _parse_exclude(exclude)
     rule = _build_rule(_load_table(data_ref), excluded)
-    games = _analyze_or_exit(rule, False, decompose.GAP_MEMBER_CAP, workers).games
-    check = sweep.equivalent(rule.expr, all_of(*games), workers)
+    games = _analyze_or_exit(rule, False, decompose.GAP_MEMBER_CAP).games
+    check = sweep.equivalent(rule.expr, all_of(*games))
     if check:
         click.echo(
             f"verification passed: the {len(games)} games match the rule "
@@ -350,7 +338,7 @@ def _echo_certificate_report(
 )
 @click.option(
     "--delta-cap",
-    type=int,
+    type=click.IntRange(min=1),
     default=lowerbound.DELTA_CAP,
     show_default=True,
     help="Skip pairs whose symmetric difference exceeds this many players.",
@@ -358,18 +346,14 @@ def _echo_certificate_report(
 def lower_bound_verify(
     data_ref: str,
     exclude: str,
-    threads: Optional[int],
     coalitions_path: str,
     delta_cap: int,
 ) -> None:
     """Check that a coalition set is losing and pairwise incompatible."""
-    workers = _workers(threads)
     rule = _build_rule(_load_table(data_ref), _parse_exclude(exclude))
     coalitions = _read_coalition_file(coalitions_path, rule)
     try:
-        report = lowerbound.verify_certificate_set(
-            rule.expr, coalitions, delta_cap, workers
-        )
+        report = lowerbound.verify_certificate_set(rule.expr, coalitions, delta_cap)
     except ValueError as e:
         raise click.UsageError(str(e))
     _echo_certificate_report(rule, report)
@@ -390,18 +374,18 @@ def lower_bound_verify(
     help="Maximum pair searches during the greedy pass.",
 )
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--delta-cap", type=int, default=lowerbound.DELTA_CAP, show_default=True)
+@click.option(
+    "--delta-cap", type=click.IntRange(min=1), default=lowerbound.DELTA_CAP, show_default=True
+)
 def lower_bound_search(
     data_ref: str,
     exclude: str,
-    threads: Optional[int],
     budget: int,
     pair_budget: int,
     seed: int,
     delta_cap: int,
 ) -> None:
     """Search for a pairwise-incompatible losing set (best effort)."""
-    workers = _workers(threads)
     rule = _build_rule(_load_table(data_ref), _parse_exclude(exclude))
     try:
         report = lowerbound.search_certificate_set(
@@ -410,7 +394,6 @@ def lower_bound_search(
             pair_budget=pair_budget,
             seed=seed,
             delta_cap=delta_cap,
-            workers=workers,
         )
     except ValueError as e:
         raise click.UsageError(str(e))

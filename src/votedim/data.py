@@ -106,7 +106,7 @@ class PopulationTable:
         rows = tuple(r for r in self.rows if r.country not in wanted)
         if not rows:
             raise ValueError("cannot exclude every member")
-        # The source table already passed (or waived) the order check.
+        # The source table already passed the order check.
         return PopulationTable(rows, self.label, enforce_order=False)
 
     def to_csv(self) -> str:
@@ -118,12 +118,8 @@ class PopulationTable:
         return out.getvalue()
 
 
-def load_table(text: str, label: str = "", allow_unordered: bool = False) -> PopulationTable:
-    """Parse a ``rank,country,population`` CSV into a validated table.
-
-    ``allow_unordered`` accepts tables whose populations increase somewhere
-    (the descending-order check is skipped; row order is kept as given).
-    """
+def load_table(text: str, label: str = "") -> PopulationTable:
+    """Parse a ``rank,country,population`` CSV into a validated table."""
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -148,7 +144,7 @@ def load_table(text: str, label: str = "", allow_unordered: bool = False) -> Pop
                 f"(no thousands separators), got {rank_s!r}, {population_s!r}"
             ) from None
         rows.append(CountryRow(rank, country, population))
-    return PopulationTable(tuple(rows), label, enforce_order=not allow_unordered)
+    return PopulationTable(tuple(rows), label)
 
 
 def builtin_table(year: str) -> PopulationTable:

@@ -175,13 +175,12 @@ def gap_summary(
     first: WeightedGame,
     second: WeightedGame,
     member_cap: int = GAP_MEMBER_CAP,
-    workers: int = 1,
 ) -> GapSummary:
     """Exact survey of the coalitions losing ``first`` but winning ``second``."""
     if first.n != second.n:
         raise ValueError(f"player counts differ: {first.n} vs {second.n}")
-    table = sweep.complement(sweep.win_table(first, workers), first.n)
-    table &= sweep.win_table(second, workers)
+    table = sweep.complement(sweep.win_table(first), first.n)
+    table &= sweep.win_table(second)
     return _summarize_gap(first, table, member_cap)
 
 
@@ -215,7 +214,6 @@ def union_as_intersection(
     first: WeightedGame,
     second: WeightedGame,
     member_cap: int = GAP_MEMBER_CAP,
-    workers: int = 1,
 ) -> Decomposition:
     """Rewrite ``first OR second`` as an intersection of weighted games.
 
@@ -237,8 +235,8 @@ def union_as_intersection(
     if first.n != second.n:
         raise ValueError(f"player counts differ: {first.n} vs {second.n}")
     n = first.n
-    sat = sweep.complement(sweep.win_table(first, workers), n)
-    gap_table = sweep.win_table(second, workers)
+    sat = sweep.complement(sweep.win_table(first), n)
+    gap_table = sweep.win_table(second)
     gap_table &= sat
     gap = _summarize_gap(first, gap_table, member_cap)
     if gap.count == 0:
@@ -256,7 +254,7 @@ def union_as_intersection(
     sat ^= gap_table
     del gap_table
     if first.quota > boost:
-        sat &= sweep.win_table(WeightedGame(first.weights, first.quota - boost), workers)
+        sat &= sweep.win_table(WeightedGame(first.weights, first.quota - boost))
     sweep.keep_supersets(sat, gap.common_core.mask)
     up = boosted[0] if len(boosted) == 1 else all_of(*boosted)
     frontier = sweep.checked_maximal(
@@ -288,23 +286,20 @@ def analyze_rule(
     rule: EuRule,
     swap_roles: bool = False,
     member_cap: int = GAP_MEMBER_CAP,
-    workers: int = 1,
 ) -> RuleAnalysis:
     """Rewrite ``count AND (population OR veto)``; ``swap_roles`` boosts the veto game."""
     first, second = rule.population_game, rule.veto_game
     if swap_roles:
         first, second = second, first
     try:
-        dec = union_as_intersection(first, second, member_cap, workers)
+        dec = union_as_intersection(first, second, member_cap)
     except EmptyCoreError as e:
         return RuleAnalysis(e.gap, (), (), METHOD_INAPPLICABLE)
     assert dec.gap is not None
     return RuleAnalysis(dec.gap, (rule.count_game,) + dec.games, dec.frontier, dec.method)
 
 
-def refine_by_vetoes(
-    target: ExprLike, candidate: ExprLike, workers: int = 1
-) -> Decomposition:
+def refine_by_vetoes(target: ExprLike, candidate: ExprLike) -> Decomposition:
     """Cut a winning-superset ``candidate`` down to ``target`` with veto games.
 
     ``candidate`` must be an intersection of weighted games (a single game
@@ -324,13 +319,11 @@ def refine_by_vetoes(
     if not _and_only(candidate):
         raise ValueError("candidate must be a single game or an AND-only tree")
     # W(target) is contained in W(candidate) iff target == target AND candidate.
-    check = sweep.equivalent(target, all_of(target, candidate), workers)
+    check = sweep.equivalent(target, all_of(target, candidate))
     if not check:
         assert check.counterexample is not None
         raise ContainmentError(check.counterexample)
-    frontier = sweep.maximal_satisfying(
-        sweep.IntervalPredicate(up=candidate, down=target), workers
-    )
+    frontier = sweep.maximal_satisfying(sweep.IntervalPredicate(up=candidate, down=target))
     games = tuple(candidate.leaves()) + tuple(veto_game(s) for s in frontier)
     return Decomposition(games, None, tuple(frontier), METHOD_VETO_FENCE)
 

@@ -193,14 +193,12 @@ def verify_certificate_set(
     game: ExprLike,
     coalitions: Sequence[Coalition],
     delta_cap: int = DELTA_CAP,
-    workers: int = 1,
 ) -> CertificateSetReport:
     """Check a coalition set: all losing and pairwise certified.
 
-    Pairs are searched independently (concurrently when ``workers`` > 1)
-    and reported in index order.  Pairs whose symmetric difference exceeds
-    the cap, or that involve a non-losing coalition, are reported as
-    not attempted.
+    Pairs are searched one at a time in index order.  Pairs whose symmetric
+    difference exceeds the cap, or that involve a non-losing coalition, are
+    reported as not attempted.
     """
     expr = as_expr(game)
     coalitions = tuple(coalitions)
@@ -214,12 +212,8 @@ def verify_certificate_set(
             raise ValueError(f"duplicate coalition {set(s.members()) or '{}'}")
         seen.add(s.mask)
     losing = tuple(not expr.evaluate(s) for s in coalitions)
-    index_pairs = [
-        (i, j) for i in range(len(coalitions)) for j in range(i + 1, len(coalitions))
-    ]
 
-    def attempt(pair: tuple[int, int]) -> PairOutcome:
-        i, j = pair
+    def attempt(i: int, j: int) -> PairOutcome:
         if not (losing[i] and losing[j]):
             return PairOutcome(i, j, STATUS_NOT_ATTEMPTED, None)
         try:
@@ -230,7 +224,8 @@ def verify_certificate_set(
             return PairOutcome(i, j, STATUS_NO_CERTIFICATE, None)
         return PairOutcome(i, j, STATUS_CERTIFIED, cert)
 
-    outcomes = tuple(sweep.map_threads(attempt, index_pairs, workers))
+    k = len(coalitions)
+    outcomes = tuple(attempt(i, j) for i in range(k) for j in range(i + 1, k))
     certified = all(losing) and all(o.status == STATUS_CERTIFIED for o in outcomes)
     return CertificateSetReport(
         coalitions=coalitions,
@@ -255,7 +250,6 @@ def search_certificate_set(
     pair_budget: int = 2000,
     seed: int = 0,
     delta_cap: int = DELTA_CAP,
-    workers: int = 1,
 ) -> CertificateSetReport:
     """Best-effort search for a large pairwise-incompatible losing set.
 
@@ -270,7 +264,7 @@ def search_certificate_set(
         raise ValueError("budgets must be positive")
     expr = as_expr(game)
     n = expr.n
-    losing_table = sweep.complement(sweep.expr_table(expr, workers), n)
+    losing_table = sweep.complement(sweep.expr_table(expr), n)
     maximal = sweep.maximal_elements(losing_table, n)
     del losing_table
     pool = _heaviest(maximal, n, pool_budget)
@@ -315,6 +309,4 @@ def search_certificate_set(
     if not clique:
         # A simple game always has a losing coalition: the empty one.
         clique = [int(maximal[0])]
-    return verify_certificate_set(
-        expr, [Coalition(m, n) for m in clique], delta_cap, workers
-    )
+    return verify_certificate_set(expr, [Coalition(m, n) for m in clique], delta_cap)

@@ -11,17 +11,12 @@ the bitset subset-sum (zeta) transform: halves of a ``reshape(-1, 2,
 2^(j-6))`` view for player j >= 6, in-word shifts under a constant mask for
 j < 6.  Batches of single coalitions (``evaluate_many``) read their weights
 off two partial-sum tables.
-
-Table construction is deterministic: workers gather disjoint chunks of rows,
-and each row depends only on its own high mask.  Every public result is
-therefore identical under any worker count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -38,7 +33,7 @@ from .games import (
 
 # Win table rows: 2^11 coalitions, whole words once n >= 6.
 _RANK_BITS = 11
-# Rows gathered per task: bounds the rank buffer (8 bytes per row).
+# Rows gathered per chunk: bounds the rank buffer (8 bytes per row).
 _GATHER_ROWS = 1 << 12
 # ``_weights_of``: the low-side partial-sum table covers this many players.
 _LO_BITS = 14
@@ -93,14 +88,6 @@ def subset_sums(weights: Iterable[int]) -> np.ndarray:
     return sums
 
 
-def map_threads(fn: Callable, items: Sequence, workers: int) -> list:
-    """``[fn(x) for x in items]``, on up to ``workers`` threads if there are several items."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _blocked_mask(game: WeightedGame) -> int:
     return sum(1 << j for j, w in enumerate(game.weights) if w == 0)
 
@@ -113,7 +100,7 @@ def _vetoed(blocked: Iterable[int], n: int) -> Table:
     return complement(down_closure(table, n), n)
 
 
-def win_table(game: WeightedGame, workers: int = 1) -> Table:
+def win_table(game: WeightedGame) -> Table:
     """The full win table of a weighted game."""
     n = game.n
     lo = min(n, _RANK_BITS)
@@ -129,15 +116,12 @@ def win_table(game: WeightedGame, workers: int = 1) -> Table:
     np.subtract(np.int64(game.quota), thresholds, out=thresholds)
     table = _empty(n)
     rows = table.view(np.ndarray).reshape(thresholds.size, -1)
-
-    def fill(start: int) -> None:
+    for start in range(0, thresholds.size, _GATHER_ROWS):
         chunk = slice(start, start + _GATHER_ROWS)
         # side="left": the first rank whose sum reaches the threshold, ties included.
         ranks = np.searchsorted(sorted_low, thresholds[chunk], side="left")
         # mode="clip" writes straight into the rows; "raise" would buffer a copy.
         np.take(patterns, ranks, axis=0, out=rows[chunk], mode="clip")
-
-    map_threads(fill, range(0, thresholds.size, _GATHER_ROWS), workers)
     return table
 
 
@@ -180,11 +164,11 @@ def keep_supersets(table: Table, mask: int) -> Table:
     return table
 
 
-def expr_table(expr: ExprLike, workers: int = 1) -> Table:
+def expr_table(expr: ExprLike) -> Table:
     """Win table of a boolean game expression (fold of the leaf tables)."""
     expr = as_expr(expr)
     if isinstance(expr, Leaf):
-        return win_table(expr.game, workers)
+        return win_table(expr.game)
     assert isinstance(expr, Node)
     n = expr.n
 
@@ -200,7 +184,7 @@ def expr_table(expr: ExprLike, workers: int = 1) -> Table:
             acc = _vetoed((_blocked_mask(c.game) for c in vetoes), n)
 
     for child in children:
-        t = expr_table(child, workers)
+        t = expr_table(child)
         if acc is None:
             acc = t
         elif expr.op == AND:
@@ -217,8 +201,8 @@ def _member_chunks(table: Table) -> Iterator[np.ndarray]:
     for start in range(0, nonzero.size, _MEMBER_WORDS):
         index = nonzero[start : start + _MEMBER_WORDS]
         bits = np.unpackbits(table[index].view(np.uint8), bitorder="little")
-        rows, cols = np.nonzero(bits.reshape(-1, 64))
-        yield (index[rows] << 6) | cols
+        pos = np.flatnonzero(bits)
+        yield (index[pos >> 6] << 6) | (pos & 63)
 
 
 def member_array(table: Table) -> np.ndarray:
@@ -319,13 +303,13 @@ class EquivalenceResult:
         return self.equal
 
 
-def satisfying_table(pred: IntervalPredicate, workers: int = 1) -> Table:
-    sat = expr_table(pred.up, workers)
-    sat &= complement(expr_table(pred.down, workers), pred.n)
+def satisfying_table(pred: IntervalPredicate) -> Table:
+    sat = expr_table(pred.up)
+    sat &= complement(expr_table(pred.down), pred.n)
     return sat
 
 
-def equivalent(a: ExprLike, b: ExprLike, workers: int = 1) -> EquivalenceResult:
+def equivalent(a: ExprLike, b: ExprLike) -> EquivalenceResult:
     """Exhaustively compare two expressions over all 2^n coalitions.
 
     Returns the smallest differing coalition mask (numeric order) if any.
@@ -333,8 +317,8 @@ def equivalent(a: ExprLike, b: ExprLike, workers: int = 1) -> EquivalenceResult:
     a, b = as_expr(a), as_expr(b)
     if a.n != b.n:
         raise ValueError(f"player universes differ: {a.n} vs {b.n}")
-    diff = expr_table(a, workers)
-    diff ^= expr_table(b, workers)
+    diff = expr_table(a)
+    diff ^= expr_table(b)
     first = int(np.argmax(diff != 0))
     word = int(diff[first])
     if word == 0:
@@ -387,6 +371,6 @@ def checked_maximal(pred: IntervalPredicate, sat: Table) -> list[Coalition]:
     return [Coalition(m, n) for m in arr.tolist()]
 
 
-def maximal_satisfying(pred: IntervalPredicate, workers: int = 1) -> list[Coalition]:
+def maximal_satisfying(pred: IntervalPredicate) -> list[Coalition]:
     """Inclusion-maximal coalitions satisfying the predicate, ascending by mask."""
-    return checked_maximal(pred, satisfying_table(pred, workers))
+    return checked_maximal(pred, satisfying_table(pred))

@@ -1,6 +1,7 @@
 """Command-line workflows: analyze, verify, lower-bound; exit-code contract."""
 
 import json
+import threading
 
 import pytest
 from click.testing import CliRunner
@@ -276,6 +277,19 @@ class TestInputErrors:
         assert result.exit_code == 2
         assert "--threads" in result.stderr
 
+    @pytest.mark.parametrize(
+        "args, option",
+        [
+            (("analyze", "--gap-cap", "-1"), "--gap-cap"),
+            (("lower-bound", "verify", "--coalitions", "c", "--delta-cap", "-1"), "--delta-cap"),
+            (("lower-bound", "search", "--delta-cap", "0"), "--delta-cap"),
+        ],
+    )
+    def test_cap_out_of_range(self, toys, args, option):
+        result = run(*args, "--data", toys["toy16"])
+        assert result.exit_code == 2
+        assert option in result.stderr
+
 
 class TestVerify:
     def test_toy16_passes(self, toys):
@@ -406,6 +420,25 @@ class TestLowerBound:
         result = run("lower-bound", "search", "--data", toys["toy16"], "--budget", "0")
         assert result.exit_code == 2
         assert "budgets must be positive" in result.stderr
+
+
+def test_no_command_starts_a_thread(toys, tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"thread started: {self!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    # Three losing coalitions: three pairs to search.
+    path = tmp_path / "coalitions.txt"
+    path.write_text("1,2,3,4,5,6,7,8\n1,2,3,4,5,6,7,9\n1,2,3,4,5,6,7,10\n", encoding="utf-8")
+    for args, code in (
+        (("analyze", "--json", "--data", toys["toy16"]), 0),
+        (("verify", "--data", toys["toy16"]), 0),
+        (("lower-bound", "verify", "--data", toys["toy16"], "--coalitions", str(path)), 1),
+    ):
+        result = run(*args, "--threads", "4")
+        # sys.exit(1) surfaces as SystemExit; a refused start as AssertionError.
+        assert isinstance(result.exception, (type(None), SystemExit)), result.exception
+        assert result.exit_code == code, args
 
 
 def test_help_lists_commands():

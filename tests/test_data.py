@@ -74,12 +74,10 @@ class TestLoadTable:
         with pytest.raises(ValueError, match="strictly increase"):
             data.load_table("rank,country,population\n2,X,10\n1,Y,9\n")
 
-    def test_population_order_enforced_unless_waived(self):
+    def test_population_order_enforced(self):
         text = "rank,country,population\n1,X,10\n2,Y,20\n"
         with pytest.raises(ValueError, match="must not increase"):
             data.load_table(text)
-        table = data.load_table(text, allow_unordered=True)
-        assert [r.population for r in table.rows] == [10, 20]
 
     def test_tie_warns_and_keeps_order(self):
         text = "rank,country,population\n1,X,10\n2,Y,10\n"

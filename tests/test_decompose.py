@@ -194,9 +194,9 @@ class TestUnionAsIntersection:
         built = []
         win_table = sweep.win_table
 
-        def counting(game, workers=1):
+        def counting(game):
             built.append(game)
-            return win_table(game, workers)
+            return win_table(game)
 
         monkeypatch.setattr(sweep, "win_table", counting)
         # Only supersets of {0..6} win the second game: a 7-player core.

@@ -24,8 +24,7 @@ from votedim.games import MAX_TOTAL_WEIGHT, Coalition, WeightedGame, all_of, any
 rngs = st.integers(0, 2**32 - 1).map(random.Random)
 small_n = st.integers(1, 12)
 LARGE_N = 20
-worker_counts = st.sampled_from((1, 2, 3))
-# Rows per gather task: 1 and 3 split 2^(n-11) rows unevenly among workers.
+# Rows per gather chunk: 1 and 3 leave a short last chunk of the 2^(n-11) rows.
 gather_rows = st.sampled_from((1, 3, sweep._GATHER_ROWS))
 
 
@@ -274,21 +273,21 @@ def edge_game(rng: random.Random, n: int) -> WeightedGame:
     return unchecked_game(weights, quota)
 
 
-def gathered_table(game: WeightedGame, workers: int, rows: int):
-    """``win_table`` with ``rows`` table rows per gather task."""
+def gathered_table(game: WeightedGame, rows: int):
+    """``win_table`` with ``rows`` table rows per gather chunk."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sweep, "_GATHER_ROWS", rows)
-        return sweep.win_table(game, workers)
+        return sweep.win_table(game)
 
 
 class TestRankTables:
     """The rank-gather win table against the oracles and the packbits fill."""
 
     @settings(max_examples=150, deadline=None)
-    @given(small_n, worker_counts, gather_rows, rngs)
-    def test_against_oracles(self, n, workers, rows, rng):
+    @given(small_n, gather_rows, rngs)
+    def test_against_oracles(self, n, rows, rng):
         game = edge_game(rng, n)
-        got = gathered_table(game, workers, rows)
+        got = gathered_table(game, rows)
         assert got.size == max(1, (1 << n) >> 6)
         assert oracles.table_to_int(got) == oracles.table_of(oracles.winning_masks(game, n))
 
@@ -296,17 +295,17 @@ class TestRankTables:
     # eleven and two at twelve.
     @pytest.mark.parametrize("n", [1, 5, 6, 11, 12])
     @settings(max_examples=20, deadline=None)
-    @given(workers=worker_counts, rows=gather_rows, rng=rngs)
-    def test_row_boundaries(self, n, workers, rows, rng):
+    @given(rows=gather_rows, rng=rngs)
+    def test_row_boundaries(self, n, rows, rng):
         game = edge_game(rng, n)
-        got = oracles.table_to_int(gathered_table(game, workers, rows))
+        got = oracles.table_to_int(gathered_table(game, rows))
         assert got == oracles.table_of(oracles.winning_masks(game, n))
 
     @settings(max_examples=25, deadline=None)
-    @given(worker_counts, gather_rows, rngs)
-    def test_against_packbits_fill(self, workers, rows, rng):
+    @given(gather_rows, rngs)
+    def test_against_packbits_fill(self, rows, rng):
         game = edge_game(rng, LARGE_N)
-        got = gathered_table(game, workers, rows)
+        got = gathered_table(game, rows)
         assert np.array_equal(got, bigint_engine.packbits_win_table(game))
 
     @pytest.mark.parametrize(
@@ -316,8 +315,7 @@ class TestRankTables:
         rule = data.build_eu_rule(data.builtin_table(year), excluded)
         for game in (rule.population_game, rule.veto_game, rule.count_game):
             expected = bigint_engine.packbits_win_table(game)
-            for workers in (1, 3):
-                assert np.array_equal(sweep.win_table(game, workers), expected)
+            assert np.array_equal(sweep.win_table(game), expected)
 
 
 def large_loser(rng: random.Random, expr, n: int) -> int:

@@ -188,16 +188,15 @@ class TestVerifyCertificateSet:
         with pytest.raises(ValueError, match="player universe"):
             verify_certificate_set(unit_game(2, 3), [Coalition(0b01, 2)])
 
-    def test_workers_do_not_change_the_report(self):
+    def test_pairs_are_reported_in_index_order(self):
         game = two_chamber_game()
         coalitions = [
             Coalition(0b0011, 4),
             Coalition(0b1100, 4),
             Coalition(0b0001, 4),
         ]
-        assert verify_certificate_set(game, coalitions) == verify_certificate_set(
-            game, coalitions, workers=4
-        )
+        report = verify_certificate_set(game, coalitions)
+        assert [(p.i, p.j) for p in report.pairs] == [(0, 1), (0, 2), (1, 2)]
 
 
 class TestSearchCertificateSet:

@@ -73,16 +73,15 @@ class TestTables:
                 grouped = sweep.expr_table(all_of(other, game))
                 assert grouped == sweep.win_table(other) & sweep.win_table(veto)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_win_table_needs_no_second_table(self, workers):
+    def test_win_table_needs_no_second_table(self):
         # numpy reports its buffers to tracemalloc.  Besides the table, the
-        # fill holds the 0.5 MB pattern block, one int64 per row and a rank
-        # buffer per task: 1.3x the table at n = 24.  A buffered np.take (its
+        # fill holds the 0.5 MB pattern block, one int64 per row and one
+        # chunk's rank buffer: 1.3x the table at n = 24.  A buffered np.take (its
         # default mode="raise") or any other full-size temporary reads 2.3x.
         game = oracles.random_game(random.Random(3), 24, max_weight=1000)
         tracemalloc.start()
         try:
-            table = sweep.win_table(game, workers)
+            table = sweep.win_table(game)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -228,18 +227,6 @@ class TestPredicates:
 
 
 class TestDeterminism:
-    def test_worker_count_does_not_change_tables(self):
-        rng = random.Random(11)
-        game = oracles.random_game(rng, 14, max_weight=50)
-        expr = any_of(game, unit_game(9, 14))
-        baseline_game = oracles.table_to_int(sweep.win_table(game, workers=1))
-        baseline_expr = oracles.table_to_int(sweep.expr_table(expr, workers=1))
-        for workers in (2, 5):
-            got_game = sweep.win_table(game, workers=workers)
-            got_expr = sweep.expr_table(expr, workers=workers)
-            assert oracles.table_to_int(got_game) == baseline_game
-            assert oracles.table_to_int(got_expr) == baseline_expr
-
     @settings(deadline=None)
     @given(st.integers(1, 28), rngs)
     def test_evaluate_many_matches_single_evaluation(self, n, rng):
