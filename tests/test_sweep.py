@@ -73,12 +73,16 @@ class TestTables:
                 grouped = sweep.expr_table(all_of(other, game))
                 assert grouped == sweep.win_table(other) & sweep.win_table(veto)
 
-    def test_win_table_needs_no_second_table(self):
+    @pytest.mark.parametrize("chunks", [1, 2])
+    def test_win_table_needs_no_second_table(self, chunks, monkeypatch):
         # numpy reports its buffers to tracemalloc.  Besides the table, the
         # fill holds the 0.5 MB pattern block, one int64 per row and one
         # chunk's rank buffer: 1.3x the table at n = 24.  A buffered np.take (its
         # default mode="raise") or any other full-size temporary reads 2.3x.
+        # The bound holds whether the rows are gathered in one chunk or several.
         game = oracles.random_game(random.Random(3), 24, max_weight=1000)
+        rows = 1 << (game.n - sweep._RANK_BITS)
+        monkeypatch.setattr(sweep, "_GATHER_ROWS", rows // chunks)
         tracemalloc.start()
         try:
             table = sweep.win_table(game)
