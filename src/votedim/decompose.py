@@ -223,8 +223,8 @@ def union_as_intersection(
     admits every union winner, and its excess winners (the frontier) are
     removed by one veto game each.
 
-    The frontier comes from the closed form of the boosted intersection
-    (module docstring) and is re-checked against the unfused games.
+    The over-admitted table comes from the closed form (module docstring);
+    one probe of its members against the unfused games picks the frontier.
 
     Raises
     ------

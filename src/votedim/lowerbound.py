@@ -104,7 +104,6 @@ class CertificateSetReport:
     coalitions: tuple[Coalition, ...]
     losing: tuple[bool, ...]
     pairs: tuple[PairOutcome, ...]
-    lower_bound: Optional[int]
 
     @property
     def all_losing(self) -> bool:
@@ -115,6 +114,10 @@ class CertificateSetReport:
         return self.all_losing and all(
             p.status == STATUS_CERTIFIED for p in self.pairs
         )
+
+    @property
+    def lower_bound(self) -> Optional[int]:
+        return len(self.coalitions) if self.fully_certified else None
 
 
 def find_certificate(
@@ -226,13 +229,7 @@ def verify_certificate_set(
 
     k = len(coalitions)
     outcomes = tuple(attempt(i, j) for i in range(k) for j in range(i + 1, k))
-    certified = all(losing) and all(o.status == STATUS_CERTIFIED for o in outcomes)
-    return CertificateSetReport(
-        coalitions=coalitions,
-        losing=losing,
-        pairs=outcomes,
-        lower_bound=len(coalitions) if certified else None,
-    )
+    return CertificateSetReport(coalitions=coalitions, losing=losing, pairs=outcomes)
 
 
 def _heaviest(masks: np.ndarray, n: int, k: int) -> list[int]:

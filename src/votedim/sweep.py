@@ -6,11 +6,11 @@ coalition with bit-mask m wins (for n < 6 one word, unused high bits zero).
 A weighted game's table is gathered in rows (Horowitz & Sahni's sorted
 halves): the low 11 players' sums are sorted once into 2^11 + 1 patterns
 "sorted rank >= r" (0.5 MB), and a binary search picks each row's pattern.
-Every later operation works in place.  Closures and the maximality test are
-the bitset subset-sum (zeta) transform: halves of a ``reshape(-1, 2,
-2^(j-6))`` view for player j >= 6, in-word shifts under a constant mask for
-j < 6.  Batches of single coalitions (``evaluate_many``) read their weights
-off two partial-sum tables.
+Every later operation works in place.  Closures and the whole-table
+maximality test are the bitset subset-sum (zeta) transform: halves of a
+``reshape(-1, 2, 2^(j-6))`` view for player j >= 6, in-word shifts under a
+constant mask for j < 6.  Batches of single coalitions (``evaluate_many``,
+as in ``checked_maximal``) read their weights off two partial-sum tables.
 """
 
 from __future__ import annotations
@@ -290,9 +290,6 @@ class IntervalPredicate:
     def n(self) -> int:
         return self.up.n
 
-    def satisfied(self, s: Coalition) -> bool:
-        return self.up.evaluate(s) and not self.down.evaluate(s)
-
 
 @dataclass(frozen=True)
 class EquivalenceResult:
@@ -332,6 +329,7 @@ def _maximal_bits(sat: Table, n: int) -> Table:
     # one-element extension does.  For interval predicates one step suffices:
     # an extension stays winning in the up part, so it can only fail by newly
     # winning the down part, which every further superset inherits.  In place.
+    # Only for tables too big to list (``maximal_elements``, ``maximal_satisfying``).
     bad = np.zeros_like(sat)
     scratch = np.empty_like(sat)
     for j in range(n):
@@ -354,23 +352,27 @@ def maximal_elements(table: Table, n: int) -> np.ndarray:
 
 
 def checked_maximal(pred: IntervalPredicate, sat: Table) -> list[Coalition]:
-    """Maximal members of ``sat``, a satisfying table of ``pred`` (consumed).
+    """Maximal members of ``sat``, ascending: those with no satisfying extension.
 
-    However ``sat`` was built, each candidate is re-checked against ``pred``
-    itself: it must satisfy it and no one-player extension may.
+    One probe checks that every member satisfies ``pred`` and that no
+    one-player extension outside ``sat`` does (``sat`` may be the whole
+    satisfying set or just its maximal members).
     """
     n = pred.n
-    arr = member_array(_maximal_bits(sat, n))
-    ext = (arr[:, None] | (np.int64(1) << np.arange(n, dtype=np.int64))).ravel()
-    probe = np.concatenate([arr, ext[ext != np.repeat(arr, n)]])
+    arr = member_array(sat)
+    ext = arr[:, None] | (np.int64(1) << np.arange(n, dtype=np.int64))
+    grows = ext != arr[:, None]
+    probe = np.concatenate([arr, ext[grows]])
     ok = evaluate_many(pred.up, probe) & ~evaluate_many(pred.down, probe)
     if not ok[: arr.size].all():
-        raise AssertionError("maximal candidate failed the predicate re-check")
-    if ok[arr.size :].any():
-        raise AssertionError("a one-player extension of a maximal candidate satisfies the predicate")
-    return [Coalition(m, n) for m in arr.tolist()]
+        raise AssertionError("a table member failed the predicate re-check")
+    fits = np.zeros_like(grows)
+    fits[grows] = ok[arr.size :]
+    if not np.isin(ext[fits], arr).all():
+        raise AssertionError("a satisfying one-player extension is missing from the table")
+    return [Coalition(m, n) for m in arr[~fits.any(axis=1)].tolist()]
 
 
 def maximal_satisfying(pred: IntervalPredicate) -> list[Coalition]:
     """Inclusion-maximal coalitions satisfying the predicate, ascending by mask."""
-    return checked_maximal(pred, satisfying_table(pred))
+    return checked_maximal(pred, _maximal_bits(satisfying_table(pred), pred.n))

@@ -1,13 +1,14 @@
 """Union-to-intersection rewriting and veto-based refinement."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from votedim.games import Coalition, WeightedGame, all_of, any_of, unit_game
-from votedim import decompose, sweep
+from votedim import data, decompose, sweep
 from votedim.decompose import (
     ContainmentError,
     Decomposition,
@@ -206,6 +207,22 @@ class TestUnionAsIntersection:
         assert dec.method == METHOD_CORE_BOOST
         assert dec.common_core_players() == tuple(range(7))
         assert len(built) <= 3
+
+    def test_frontier_needs_no_whole_table_pass(self):
+        # 2018 without the UK, n = 27: 8,890 over-admitted coalitions, 1,351
+        # of them maximal.  numpy reports its buffers to tracemalloc.  The
+        # rewrite holds the over-admitted table, the table it is cut with and
+        # the probe of its members: 2.1 tables.  A whole-table maximality
+        # pass adds two more full-size tables and reads 3.0.
+        rule = data.build_eu_rule(data.builtin_table("2018"), exclude=["United Kingdom"])
+        tracemalloc.start()
+        try:
+            dec = union_as_intersection(rule.population_game, rule.veto_game)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(dec.frontier) == 1351
+        assert peak < 2.5 * (1 << rule.n) / 8
 
     @settings(deadline=None)
     @given(st.integers(2, 8), rngs)

@@ -190,6 +190,9 @@ class TestPredicates:
         got = sweep.maximal_satisfying(pred)
         assert {s.mask for s in got} == expected
         assert [s.mask for s in got] == sorted(s.mask for s in got)
+        # The member-list test decides the unthinned table the same way.
+        unthinned = sweep.checked_maximal(pred, sweep.satisfying_table(pred))
+        assert [s.mask for s in unthinned] == sorted(expected)
 
     def test_checked_maximal_rejects_wrong_tables(self):
         # Satisfied by every coalition except the empty and the grand one:
@@ -200,6 +203,10 @@ class TestPredicates:
         # {0} is maximal in a table that holds only it, but {0, 1} satisfies.
         with pytest.raises(AssertionError, match="extension"):
             sweep.checked_maximal(pred, oracles.int_to_table(1 << 0b001, 3))
+        # {0, 1} is maximal, but {0} has the satisfying extension {0, 2},
+        # which the table is missing.
+        with pytest.raises(AssertionError, match="extension"):
+            sweep.checked_maximal(pred, oracles.int_to_table(1 << 0b001 | 1 << 0b011, 3))
         # The grand coalition does not satisfy the predicate at all.
         with pytest.raises(AssertionError, match="re-check"):
             sweep.checked_maximal(pred, oracles.int_to_table(1 << 0b111, 3))
@@ -227,7 +234,9 @@ class TestPredicates:
         assert oracles.table_to_int(table) >> (1 << n) == 0
         masks = [s.mask for s in seen]
         assert masks == sorted(masks)
-        assert all(pred.satisfied(s) for s in seen)
+        assert all(
+            oracles.wins(pred.up, m) and not oracles.wins(pred.down, m) for m in masks
+        )
 
 
 class TestDeterminism:
