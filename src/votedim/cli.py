@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 verification or certification failure, 2 input
 error, 3 rewrite inapplicable (gap coalitions share no player).
 """
 
+import itertools
 import json
 import sys
 from typing import Optional
@@ -180,6 +181,13 @@ _exclude_option = click.option(
     default="",
     help="Comma-separated country names to drop from the table.",
 )
+_delta_cap_option = click.option(
+    "--delta-cap",
+    type=click.IntRange(min=1),
+    default=lowerbound.DELTA_CAP,
+    show_default=True,
+    help="Skip pairs whose symmetric difference exceeds this many players.",
+)
 _threads_option = click.option(
     "--threads",
     type=click.IntRange(min=1),
@@ -246,7 +254,11 @@ def analyze(
         "verification": None,
     }
     if as_json:
-        click.echo(json.dumps(report, indent=2, sort_keys=True))
+        # Streamed in batches: a large frontier never sits in one string.
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
+        while batch := "".join(itertools.islice(chunks, 1 << 16)):
+            click.echo(batch, nl=False)
+        click.echo()
     else:
         click.echo(_render_text(report), nl=False)
 
@@ -305,7 +317,7 @@ def _read_coalition_file(path: str, rule: data.EuRule) -> list[Coalition]:
     return coalitions
 
 
-def _echo_certificate_report(
+def _echo_certificates_or_exit(
     rule: data.EuRule, report: lowerbound.CertificateSetReport
 ) -> None:
     for idx, (s, losing) in enumerate(zip(report.coalitions, report.losing), start=1):
@@ -324,6 +336,7 @@ def _echo_certificate_report(
         click.echo(f"certified lower bound: {report.lower_bound}")
     else:
         click.echo("set not fully certified: no lower bound claimed")
+        sys.exit(EXIT_FAILURE)
 
 
 @lower_bound.command(name="verify")
@@ -336,13 +349,7 @@ def _echo_certificate_report(
     required=True,
     help="File with one coalition per line: comma-separated 1-based ranks, # comments.",
 )
-@click.option(
-    "--delta-cap",
-    type=click.IntRange(min=1),
-    default=lowerbound.DELTA_CAP,
-    show_default=True,
-    help="Skip pairs whose symmetric difference exceeds this many players.",
-)
+@_delta_cap_option
 def lower_bound_verify(
     data_ref: str,
     exclude: str,
@@ -356,9 +363,7 @@ def lower_bound_verify(
         report = lowerbound.verify_certificate_set(rule.expr, coalitions, delta_cap)
     except ValueError as e:
         raise click.UsageError(str(e))
-    _echo_certificate_report(rule, report)
-    if report.lower_bound is None:
-        sys.exit(EXIT_FAILURE)
+    _echo_certificates_or_exit(rule, report)
 
 
 @lower_bound.command(name="search")
@@ -374,9 +379,7 @@ def lower_bound_verify(
     help="Maximum pair searches during the greedy pass.",
 )
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option(
-    "--delta-cap", type=click.IntRange(min=1), default=lowerbound.DELTA_CAP, show_default=True
-)
+@_delta_cap_option
 def lower_bound_search(
     data_ref: str,
     exclude: str,
@@ -397,9 +400,7 @@ def lower_bound_search(
         )
     except ValueError as e:
         raise click.UsageError(str(e))
-    _echo_certificate_report(rule, report)
-    if report.lower_bound is None:
-        sys.exit(EXIT_FAILURE)
+    _echo_certificates_or_exit(rule, report)
 
 
 if __name__ == "__main__":

@@ -93,9 +93,6 @@ class PopulationTable:
     def member_count(self) -> int:
         return len(self.rows)
 
-    def country_names(self) -> tuple[str, ...]:
-        return tuple(r.country for r in self.rows)
-
     def exclude(self, names: Iterable[str]) -> "PopulationTable":
         """The table without the named members, original ranks retained."""
         wanted = set(names)
@@ -200,9 +197,9 @@ class EuRule:
     """The qualified-majority rule over one table, with its components.
 
     ``expr`` is ``count AND (population OR veto)``.  Player index ``j``
-    corresponds to ``labels[j]`` (the 1-based rank in the source table) and
-    ``countries[j]``.  The population game carries weights scaled by
-    ``scale`` so that the fractional threshold is an exact integer quota.
+    corresponds to ``labels[j]`` (the 1-based rank in the source table).  The
+    population game carries weights scaled by ``scale`` so that the
+    fractional threshold is an exact integer quota.
     """
 
     expr: GameExpr = field(repr=False)
@@ -210,7 +207,6 @@ class EuRule:
     population_game: WeightedGame
     veto_game: WeightedGame
     labels: tuple[int, ...]
-    countries: tuple[str, ...]
     member_quota: int
     veto_quota: int
     scale: int
@@ -278,7 +274,6 @@ def build_eu_rule(
         population_game=population_game,
         veto_game=veto,
         labels=tuple(r.rank for r in table.rows),
-        countries=table.country_names(),
         member_quota=member_quota,
         veto_quota=veto_quota,
         scale=scale,

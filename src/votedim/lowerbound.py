@@ -233,12 +233,15 @@ def verify_certificate_set(
 
 
 def _heaviest(masks: np.ndarray, n: int, k: int) -> list[int]:
-    """The first ``k`` of the non-empty ``masks`` by (-popcount, mask)."""
+    """The first ``k`` of ``masks`` (not empty) by (-popcount, mask)."""
     # Big coalitions first; ascending mask breaks ties deterministically.
-    # One int64 key per mask orders by both and stays below 2^38.
-    key = (n - np.bitwise_count(masks).astype(np.int64)) << n | masks
-    top = np.sort(np.partition(key, min(k, key.size) - 1)[:k])
-    return (top & ((1 << n) - 1)).tolist()
+    # One int64 key per mask orders by both and stays below 2^38, in one buffer.
+    key = np.bitwise_count(masks, out=np.empty_like(masks))
+    np.subtract(n, key, out=key)
+    key <<= n
+    key |= masks
+    key.partition(min(k, key.size) - 1)
+    return (np.sort(key[:k]) & ((1 << n) - 1)).tolist()
 
 
 def search_certificate_set(
@@ -262,6 +265,7 @@ def search_certificate_set(
     expr = as_expr(game)
     n = expr.n
     losing_table = sweep.complement(sweep.expr_table(expr), n)
+    # Never empty: every quota is >= 1, so the empty coalition loses.
     maximal = sweep.maximal_elements(losing_table, n)
     del losing_table
     pool = _heaviest(maximal, n, pool_budget)
@@ -303,7 +307,4 @@ def search_certificate_set(
             clique.append(cand)
         if searches >= pair_budget:
             break
-    if not clique:
-        # A simple game always has a losing coalition: the empty one.
-        clique = [int(maximal[0])]
     return verify_certificate_set(expr, [Coalition(m, n) for m in clique], delta_cap)

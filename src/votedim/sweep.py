@@ -195,9 +195,8 @@ def expr_table(expr: ExprLike) -> Table:
     return acc
 
 
-def _member_chunks(table: Table) -> Iterator[np.ndarray]:
-    """Member coalition masks of a table, ascending, a bounded chunk at a time."""
-    nonzero = np.flatnonzero(table)
+def _member_chunks(table: Table, nonzero: np.ndarray) -> Iterator[np.ndarray]:
+    """Member masks in the ``nonzero`` words of a table, ascending, a chunk at a time."""
     for start in range(0, nonzero.size, _MEMBER_WORDS):
         index = nonzero[start : start + _MEMBER_WORDS]
         bits = np.unpackbits(table[index].view(np.uint8), bitorder="little")
@@ -206,8 +205,14 @@ def _member_chunks(table: Table) -> Iterator[np.ndarray]:
 
 
 def member_array(table: Table) -> np.ndarray:
-    """Set-bit indices (coalition masks) of a table, ascending, as ``int64``."""
-    return np.concatenate([np.empty(0, np.int64), *_member_chunks(table)])
+    """Set-bit indices (coalition masks) of a table, ascending, in one ``int64`` buffer."""
+    nonzero = np.flatnonzero(table)
+    members = np.empty(int(np.bitwise_count(table[nonzero]).sum(dtype=np.int64)), np.int64)
+    end = 0
+    for chunk in _member_chunks(table, nonzero):
+        members[end : end + chunk.size] = chunk
+        end += chunk.size
+    return members
 
 
 def table_members(table: Table) -> list[int]:
@@ -242,9 +247,8 @@ def _weights_of(game: WeightedGame, masks: np.ndarray) -> np.ndarray:
 
 def min_member_weight(game: WeightedGame, table: Table) -> Optional[int]:
     """Minimum weight (under ``game``) over the coalitions in the table."""
-    return min(
-        (int(_weights_of(game, m).min()) for m in _member_chunks(table)), default=None
-    )
+    chunks = _member_chunks(table, np.flatnonzero(table))
+    return min((int(_weights_of(game, m).min()) for m in chunks), default=None)
 
 
 def evaluate_leaves(
@@ -345,10 +349,8 @@ def _maximal_bits(sat: Table, n: int) -> Table:
 
 
 def maximal_elements(table: Table, n: int) -> np.ndarray:
-    """Masks with no strict superset in the table, ascending (closes it in place)."""
-    # The one-step test is only sound on down-closed tables; closing first is
-    # harmless because a down-closure has the same maximal elements.
-    return member_array(_maximal_bits(down_closure(table, n), n))
+    """Masks with no strict superset in a down-closed table (in place), ascending."""
+    return member_array(_maximal_bits(table, n))
 
 
 def checked_maximal(pred: IntervalPredicate, sat: Table) -> list[Coalition]:

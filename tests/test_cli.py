@@ -446,3 +446,11 @@ def test_help_lists_commands():
     assert result.exit_code == 0
     for command in ("analyze", "verify", "lower-bound"):
         assert command in result.stdout
+
+
+@pytest.mark.parametrize("command", ["search", "verify"])
+def test_delta_cap_help_is_shown(command):
+    result = run("lower-bound", command, "--help")
+    assert result.exit_code == 0
+    text = " ".join(result.stdout.split())
+    assert "Skip pairs whose symmetric difference exceeds this many players." in text

@@ -96,7 +96,7 @@ class TestExclude:
         reduced = table.exclude(["United Kingdom"])
         assert reduced.member_count == 27
         assert [r.rank for r in reduced.rows][:4] == [1, 2, 4, 5]
-        assert "United Kingdom" not in reduced.country_names()
+        assert "United Kingdom" not in {r.country for r in reduced.rows}
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown countries: Atlantis"):

@@ -125,7 +125,9 @@ class TestAgainstOracles:
         bits = random_bits(rng, n)
         members = {m for m in range(1 << n) if bits >> m & 1}
         expected = oracles.maximal_masks(members, n)
-        assert sweep.maximal_elements(table(bits, n), n).tolist() == sorted(expected)
+        # maximal_elements expects a down-closed table; closing keeps the maximal elements.
+        closed_table = sweep.down_closure(table(bits, n), n)
+        assert sweep.maximal_elements(closed_table, n).tolist() == sorted(expected)
         # _maximal_bits alone is exact on down-closed tables.
         closed = oracles.table_of(oracles.down_set(members))
         got = sweep._maximal_bits(table(closed, n), n)
@@ -201,7 +203,9 @@ class TestAgainstBigIntEngine:
             )
             got = sweep._maximal_bits(table(bits, n), n)
             assert oracles.table_to_int(got) == bigint_engine.maximal_bits(bits, n)
-            assert sweep.maximal_elements(t, n).tolist() == bigint_engine.maximal_elements(
+            # bigint_engine.maximal_elements closes its input first.
+            closed = sweep.down_closure(t, n)
+            assert sweep.maximal_elements(closed, n).tolist() == bigint_engine.maximal_elements(
                 bits, n
             )
 

@@ -1,13 +1,14 @@
 """Pairwise-incompatibility certificates and lower-bound sets."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from votedim import lowerbound
+from votedim import data, lowerbound
 from votedim.games import Coalition, WeightedGame, all_of, unit_game
 from votedim.lowerbound import (
     DELTA_CAP,
@@ -208,6 +209,27 @@ class TestSearchCertificateSet:
     def test_weighted_game_with_more_players(self):
         report = search_certificate_set(unit_game(2, 4))
         assert report.lower_bound == 1
+
+    def test_only_the_empty_coalition_loses(self):
+        # The pool is never empty: the empty coalition always loses.
+        report = search_certificate_set(WeightedGame((1, 1, 1), 1), pool_budget=4)
+        assert [s.mask for s in report.coalitions] == [0]
+        assert report.lower_bound == 1
+
+    def test_search_memory_peak_on_2018_without_uk(self):
+        # n = 27, 3.57 M maximal losers.  numpy reports its buffers to
+        # tracemalloc.  Listing them into one buffer and keying them in one
+        # more reads 3.6 tables; a chunk list plus its concatenation, or
+        # extra full-size key temporaries, read 5.1.
+        rule = data.build_eu_rule(data.builtin_table("2018"), exclude=["United Kingdom"])
+        tracemalloc.start()
+        try:
+            report = search_certificate_set(rule.expr, pool_budget=32, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.lower_bound == 2
+        assert peak < 4.0 * (1 << rule.n) / 8
 
     def test_two_chamber_game_reaches_two(self):
         report = search_certificate_set(two_chamber_game())
