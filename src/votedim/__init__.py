@@ -22,7 +22,6 @@ from .data import (
     BUILTIN_YEARS,
     EuRule,
     PopulationTable,
-    RuleConfig,
     build_eu_rule,
     builtin_table,
     load_table,
@@ -62,7 +61,6 @@ __all__ = [
     "IncompatibilityCertificate",
     "PopulationTable",
     "RuleAnalysis",
-    "RuleConfig",
     "UniverseMismatchError",
     "WeightedGame",
     "all_of",

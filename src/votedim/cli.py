@@ -89,7 +89,10 @@ def _alternate_section(
     quotas = (rule.member_quota, rule.veto_quota)
     if quotas == (main_rule.member_quota, main_rule.veto_quota):
         return None
-    result = decompose.analyze_rule(rule, swap_roles, gap_cap)
+    try:
+        result = decompose.analyze_rule(rule, swap_roles, gap_cap)
+    except ValueError as e:
+        return {"error": str(e)}
     return {
         "member_quota": rule.member_quota,
         "veto_quota": rule.veto_quota,
@@ -102,7 +105,11 @@ def _alternate_section(
 
 
 def _analyze_or_exit(rule: data.EuRule, swap_roles: bool, gap_cap: int):
-    result = decompose.analyze_rule(rule, swap_roles, gap_cap)
+    try:
+        # A boosted copy can leave the exact-integer envelope of games.py.
+        result = decompose.analyze_rule(rule, swap_roles, gap_cap)
+    except ValueError as e:
+        raise click.UsageError(str(e))
     if result.bound is None:
         click.echo(
             f"rewrite inapplicable: {result.gap.count} gap coalitions share no player",
@@ -237,9 +244,9 @@ def analyze(
             "population_quota_scaled": rule.population_game.quota,
             "scale": rule.scale,
             "total_population": rule.total_population,
-            "member_fraction": str(rule.config.member_fraction),
-            "population_fraction": str(rule.config.population_fraction),
-            "blocking_minority": rule.config.blocking_minority,
+            "member_fraction": str(data.MEMBER_FRACTION),
+            "population_fraction": str(data.POPULATION_FRACTION),
+            "blocking_minority": data.BLOCKING_MINORITY,
         },
         "swap_roles": swap_roles,
         "gap": _gap_section(rule, result.gap),
@@ -371,20 +378,12 @@ def lower_bound_verify(
 @_exclude_option
 @_threads_option
 @click.option("--budget", type=int, default=64, show_default=True, help="Candidate pool size.")
-@click.option(
-    "--pair-budget",
-    type=int,
-    default=2000,
-    show_default=True,
-    help="Maximum pair searches during the greedy pass.",
-)
 @click.option("--seed", type=int, default=0, show_default=True)
 @_delta_cap_option
 def lower_bound_search(
     data_ref: str,
     exclude: str,
     budget: int,
-    pair_budget: int,
     seed: int,
     delta_cap: int,
 ) -> None:
@@ -394,7 +393,6 @@ def lower_bound_search(
         report = lowerbound.search_certificate_set(
             rule.expr,
             pool_budget=budget,
-            pair_budget=pair_budget,
             seed=seed,
             delta_cap=delta_cap,
         )

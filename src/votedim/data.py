@@ -106,14 +106,6 @@ class PopulationTable:
         # The source table already passed the order check.
         return PopulationTable(rows, self.label, enforce_order=False)
 
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(_CSV_HEADER)
-        for r in self.rows:
-            writer.writerow((r.rank, r.country, r.population))
-        return out.getvalue()
-
 
 def load_table(text: str, label: str = "") -> PopulationTable:
     """Parse a ``rank,country,population`` CSV into a validated table."""
@@ -152,44 +144,26 @@ def builtin_table(year: str) -> PopulationTable:
     return load_table(text, label=f"builtin:{year}")
 
 
-@dataclass(frozen=True)
-class RuleConfig:
-    """The three thresholds of the qualified-majority rule.
-
-    ``member_fraction`` of the members must approve (quota by ceiling);
-    ``population_fraction`` of the total population must approve (exact
-    rational comparison); a blocking minority needs at least
-    ``blocking_minority`` states, so a proposal with fewer than that many
-    rejectors passes regardless of population.
-    """
-
-    member_fraction: Fraction = Fraction(11, 20)
-    population_fraction: Fraction = Fraction(13, 20)
-    blocking_minority: int = 4
-
-    def __post_init__(self) -> None:
-        for name in ("member_fraction", "population_fraction"):
-            f = getattr(self, name)
-            if not 0 < f <= 1:
-                raise ValueError(f"{name} must lie in (0, 1], got {f}")
-        if self.blocking_minority < 1:
-            raise ValueError(
-                f"blocking_minority must be >= 1, got {self.blocking_minority}"
-            )
-
-    def member_quota(self, m: int) -> int:
-        return -(-self.member_fraction.numerator * m // self.member_fraction.denominator)
-
-    def veto_quota(self, m: int) -> int:
-        # Fewer than blocking_minority rejectors cannot block, so any
-        # coalition of at least m - (blocking_minority - 1) supporters wins.
-        # With m <= blocking_minority no blocking side can ever form; quota 1
-        # is the closest valid game (it differs only on the empty coalition,
-        # which the member-count game rejects anyway).
-        return max(1, m - (self.blocking_minority - 1))
+# The Lisbon thresholds: 55% of the members (quota by ceiling) holding 65%
+# of the population (exact rational comparison) approve; a blocking minority
+# needs at least BLOCKING_MINORITY states, so a proposal with fewer
+# rejectors passes regardless of population.
+MEMBER_FRACTION = Fraction(11, 20)
+POPULATION_FRACTION = Fraction(13, 20)
+BLOCKING_MINORITY = 4
 
 
-DEFAULT_RULE = RuleConfig()
+def member_quota(m: int) -> int:
+    return -(-MEMBER_FRACTION.numerator * m // MEMBER_FRACTION.denominator)
+
+
+def veto_quota(m: int) -> int:
+    # Fewer than BLOCKING_MINORITY rejectors cannot block, so any coalition
+    # of at least m - (BLOCKING_MINORITY - 1) supporters wins.  With
+    # m <= BLOCKING_MINORITY no blocking side can ever form; quota 1 is the
+    # closest valid game (it differs only on the empty coalition, which the
+    # member-count game rejects anyway).
+    return max(1, m - (BLOCKING_MINORITY - 1))
 
 
 @dataclass(frozen=True)
@@ -211,7 +185,6 @@ class EuRule:
     veto_quota: int
     scale: int
     total_population: int
-    config: RuleConfig
 
     @property
     def n(self) -> int:
@@ -234,7 +207,6 @@ class EuRule:
 def build_eu_rule(
     table: PopulationTable,
     exclude: Iterable[str] = (),
-    config: RuleConfig = DEFAULT_RULE,
     quota_member_count: Optional[int] = None,
 ) -> EuRule:
     """Build the rule for a table, optionally excluding members.
@@ -252,21 +224,21 @@ def build_eu_rule(
     if m < 2:
         raise ValueError(f"need at least 2 members, got {m}")
     quota_base = m if quota_member_count is None else quota_member_count
-    member_quota = config.member_quota(quota_base)
-    veto_quota = config.veto_quota(quota_base)
-    for name, q in (("member", member_quota), ("veto", veto_quota)):
+    member_q = member_quota(quota_base)
+    veto_q = veto_quota(quota_base)
+    for name, q in (("member", member_q), ("veto", veto_q)):
         if not 1 <= q <= m:
             raise ValueError(
                 f"{name} quota {q} is not satisfiable by {m} members"
             )
-    scale = config.population_fraction.denominator
+    scale = POPULATION_FRACTION.denominator
     weights = tuple(scale * r.population for r in table.rows)
     total = table.total
     population_game = WeightedGame(
-        weights, config.population_fraction.numerator * total
+        weights, POPULATION_FRACTION.numerator * total
     )
-    count_game = unit_game(member_quota, m)
-    veto = unit_game(veto_quota, m)
+    count_game = unit_game(member_q, m)
+    veto = unit_game(veto_q, m)
     expr = all_of(count_game, any_of(population_game, veto))
     return EuRule(
         expr=expr,
@@ -274,9 +246,8 @@ def build_eu_rule(
         population_game=population_game,
         veto_game=veto,
         labels=tuple(r.rank for r in table.rows),
-        member_quota=member_quota,
-        veto_quota=veto_quota,
+        member_quota=member_q,
+        veto_quota=veto_q,
         scale=scale,
         total_population=total,
-        config=config,
     )

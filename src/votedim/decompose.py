@@ -83,12 +83,13 @@ class GapSummary:
         Intersection of all gap coalitions.  By convention the full player
         set when the gap is empty (the core is then never used).
     min_weight:
-        Smallest ``first``-weight among gap coalitions, None when empty.
+        Smallest ``first``-weight among gap coalitions; None when the gap
+        or its core is empty (no boost can then be used).
     boost:
         ``first.quota - min_weight``: the weight increment that makes the
         heaviest-missing gap coalition win ``first``'s quota.  At least 1
-        whenever the gap is non-empty, because gap members sit strictly
-        below the quota.  None when empty.
+        whenever the gap has a non-empty core, because gap members sit
+        strictly below the quota.  None when ``min_weight`` is.
     members:
         The gap coalitions themselves, ascending by mask, or None when
         ``count`` exceeded the materialization cap.
@@ -104,9 +105,9 @@ class GapSummary:
         if self.count < 0:
             raise ValueError(f"gap count must be >= 0, got {self.count}")
         if self.count > 0:
-            if self.boost is None or self.boost < 1:
+            if self.common_core.mask and (self.boost is None or self.boost < 1):
                 raise ValueError(
-                    f"a non-empty gap must carry a boost >= 1, got {self.boost}"
+                    f"a gap with a non-empty core must carry a boost >= 1, got {self.boost}"
                 )
             if self.members is not None:
                 core = self.common_core.mask
@@ -191,12 +192,16 @@ def _summarize_gap(first: WeightedGame, table: sweep.Table, member_cap: int) -> 
     core = Coalition(sweep.players_in_all(table, n), n)
     if count == 0:
         return GapSummary(0, core, None, None, ())
-    min_weight = sweep.min_member_weight(first, table)
-    assert min_weight is not None
+    min_weight = boost = None
+    if core.mask:
+        # An empty core makes the rewrite inapplicable: no boost is priced.
+        min_weight = sweep.min_member_weight(first, table)
+        assert min_weight is not None
+        boost = first.quota - min_weight
     members: Optional[tuple[Coalition, ...]] = None
     if count <= member_cap:
         members = tuple(Coalition(m, n) for m in sweep.table_members(table))
-    return GapSummary(count, core, min_weight, first.quota - min_weight, members)
+    return GapSummary(count, core, min_weight, boost, members)
 
 
 def _boosted_games(

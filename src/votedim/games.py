@@ -91,22 +91,6 @@ class Coalition:
         self._binary(other)
         return Coalition(self.mask & ~other.mask, self.n)
 
-    def symmetric_difference(self, other: "Coalition") -> "Coalition":
-        self._binary(other)
-        return Coalition(self.mask ^ other.mask, self.n)
-
-    def complement(self) -> "Coalition":
-        return Coalition(~self.mask & ((1 << self.n) - 1), self.n)
-
-    def issubset(self, other: "Coalition") -> bool:
-        self._binary(other)
-        return self.mask & ~other.mask == 0
-
-    def add(self, j: int) -> "Coalition":
-        if not 0 <= j < self.n:
-            raise ValueError(f"player index {j} outside 0..{self.n - 1}")
-        return Coalition(self.mask | (1 << j), self.n)
-
     def __repr__(self) -> str:
         return f"Coalition({{{', '.join(map(str, self.members()))}}}, n={self.n})"
 

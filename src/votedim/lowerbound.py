@@ -247,7 +247,6 @@ def _heaviest(masks: np.ndarray, n: int, k: int) -> list[int]:
 def search_certificate_set(
     game: ExprLike,
     pool_budget: int = 64,
-    pair_budget: int = 2000,
     seed: int = 0,
     delta_cap: int = DELTA_CAP,
 ) -> CertificateSetReport:
@@ -256,11 +255,12 @@ def search_certificate_set(
     The candidate pool starts from the inclusion-maximal losing coalitions
     (the heaviest losers certify most easily) topped up with random
     subsets of them, which stay losing by monotonicity.  A greedy pass
-    grows a clique in the incompatibility graph, spending at most
-    ``pair_budget`` pair searches, and the final set is re-verified so the
-    returned report carries full pair evidence.  No optimality claim.
+    grows a clique in the incompatibility graph, testing each candidate
+    against the clique kept so far (at most k(k-1)/2 pair searches for a
+    pool of k), and the final set is re-verified so the returned report
+    carries full pair evidence.  No optimality claim.
     """
-    if pool_budget < 1 or pair_budget < 1:
+    if pool_budget < 1:
         raise ValueError("budgets must be positive")
     expr = as_expr(game)
     n = expr.n
@@ -286,14 +286,9 @@ def search_certificate_set(
             members.add(candidate)
             pool.append(candidate)
     clique: list[int] = []
-    searches = 0
     for cand in pool:
-        compatible = True
+        # A candidate joins once it certifies against every kept member.
         for kept in clique:
-            if searches >= pair_budget:
-                compatible = False
-                break
-            searches += 1
             try:
                 cert = find_certificate(
                     expr, Coalition(cand, n), Coalition(kept, n), delta_cap
@@ -301,10 +296,7 @@ def search_certificate_set(
             except DeltaTooLarge:
                 cert = None
             if cert is None:
-                compatible = False
                 break
-        if compatible:
+        else:
             clique.append(cand)
-        if searches >= pair_budget:
-            break
     return verify_certificate_set(expr, [Coalition(m, n) for m in clique], delta_cap)

@@ -64,6 +64,15 @@ TEN = "rank,country,population\n" + "".join(
     f"{i},C{i},{p}\n" for i, p in enumerate((55, 54, 52, 48, 43, 24, 11, 7, 6, 4), 1)
 )
 
+# TOY16 scaled up: the table and its rule are valid, but the rewrite's
+# boosted copies would leave the 2^61 exact-integer envelope.
+HUGE16 = "rank,country,population\n" + "".join(
+    f"{rank},{country},{int(population) * 447_910_452_450_212}\n"
+    for rank, country, population in (
+        line.split(",") for line in TOY16.splitlines()[1:]
+    )
+)
+
 UNORDERED = """\
 rank,country,population
 1,Pine,2
@@ -82,6 +91,7 @@ def toys(tmp_path_factory):
         ("five", FIVE),
         ("ten", TEN),
         ("unordered", UNORDERED),
+        ("huge16", HUGE16),
     ):
         p = root / f"{name}.csv"
         p.write_text(text, encoding="utf-8")
@@ -233,6 +243,22 @@ class TestAnalyze:
         )
         assert "None" not in result.stdout
 
+    def test_alternate_reading_beyond_the_weight_envelope(self, toys, monkeypatch):
+        # The retained reading (veto quota 13) fails as an oversized boost would.
+        analyze_rule = decompose.analyze_rule
+
+        def analyze(rule, *args):
+            if rule.veto_quota == 13:
+                raise ValueError("weights too large for the exact integer engine")
+            return analyze_rule(rule, *args)
+
+        monkeypatch.setattr(decompose, "analyze_rule", analyze)
+        report = analyze_json("--data", toys["toy16"], "--exclude", "Light12")
+        assert report["bound"] is not None
+        assert report["alternate_quota_reading"] == {
+            "error": "weights too large for the exact integer engine"
+        }
+
     def test_duplicate_exclusions_are_reported_once(self, toys):
         report = analyze_json("--data", toys["five"], "--exclude", "C,D,E,E")
         assert report["excluded"] == ["C", "D", "E"]
@@ -271,6 +297,14 @@ class TestInputErrors:
         assert "must not increase" in result.stderr
         assert "sort the rows by descending population" in result.stderr
         assert "allow_unordered" not in result.stderr
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_boost_beyond_the_weight_envelope(self, toys, command):
+        result = run(command, "--data", toys["huge16"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "total weight + quota must stay below 2^61" in result.stderr
+        assert "Traceback" not in result.output
 
     def test_thread_count_must_be_positive(self, toys):
         result = run("analyze", "--data", toys["toy16"], "--threads", "0")
@@ -404,7 +438,7 @@ class TestLowerBound:
     def test_search_smoke(self, toys):
         result = run(
             "lower-bound", "search", "--data", toys["toy16"], "--budget", "8",
-            "--pair-budget", "50", "--threads", "1",
+            "--threads", "1",
         )
         assert result.exit_code == 0
         assert "certified lower bound:" in result.stdout
@@ -412,7 +446,7 @@ class TestLowerBound:
     def test_search_is_deterministic(self, toys):
         args = (
             "lower-bound", "search", "--data", toys["toy16"], "--budget", "8",
-            "--pair-budget", "50", "--seed", "3", "--threads", "1",
+            "--seed", "3", "--threads", "1",
         )
         assert run(*args).stdout == run(*args).stdout
 
@@ -420,6 +454,13 @@ class TestLowerBound:
         result = run("lower-bound", "search", "--data", toys["toy16"], "--budget", "0")
         assert result.exit_code == 2
         assert "budgets must be positive" in result.stderr
+
+    def test_search_has_no_pair_budget(self, toys):
+        # The pool budget alone bounds the greedy pass.
+        args = ("lower-bound", "search", "--data", toys["toy16"], "--pair-budget", "5")
+        result = run(*args)
+        assert result.exit_code == 2
+        assert "No such option" in result.stderr and "--pair-budget" in result.stderr
 
 
 def test_no_command_starts_a_thread(toys, tmp_path, monkeypatch):

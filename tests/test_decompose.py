@@ -68,6 +68,10 @@ class TestGapSummary:
             for m in masks:
                 core &= m
             assert gap.common_core.mask == core
+            if core == 0:
+                # The rewrite is inapplicable, so no boost is priced.
+                assert gap.min_weight is None and gap.boost is None
+                return
             assert gap.min_weight == min(
                 oracles.weight_of(first.weights, m) for m in masks
             )
@@ -166,6 +170,17 @@ class TestUnionAsIntersection:
         except EmptyCoreError as e:
             assert e.gap.count == 2
             assert e.gap.common_core.mask == 0
+
+    def test_empty_core_prices_no_boost(self, monkeypatch):
+        # Gap: every coalition but the empty and the grand one; no common player.
+        def refuse(game, table):
+            raise AssertionError("min_member_weight called for an empty core")
+
+        monkeypatch.setattr(sweep, "min_member_weight", refuse)
+        with pytest.raises(EmptyCoreError) as info:
+            union_as_intersection(unit_game(8, 8), unit_game(1, 8))
+        assert info.value.gap.count == 254
+        assert info.value.gap.min_weight is None and info.value.gap.boost is None
 
     def test_boost_offset_breaks_equivalence(self):
         first = WeightedGame((2, 2, 2, 0), 4)

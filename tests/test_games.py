@@ -57,13 +57,6 @@ class TestCoalition:
         assert set(a.union(b).members()) == xs | ys
         assert set(a.intersection(b).members()) == xs & ys
         assert set(a.difference(b).members()) == xs - ys
-        assert set(a.symmetric_difference(b).members()) == xs ^ ys
-        assert set(a.complement().members()) == set(range(n)) - xs
-        assert a.issubset(b) == (xs <= ys)
-
-    def test_add(self):
-        s = Coalition.empty(3).add(1).add(2)
-        assert s.members() == (1, 2)
 
     def test_universe_mismatch(self):
         with pytest.raises(UniverseMismatchError):

@@ -253,8 +253,6 @@ class TestSearchCertificateSet:
     def test_budget_validation(self):
         with pytest.raises(ValueError, match="budgets"):
             search_certificate_set(unit_game(2, 2), pool_budget=0)
-        with pytest.raises(ValueError, match="budgets"):
-            search_certificate_set(unit_game(2, 2), pair_budget=0)
 
     def test_status_strings_are_frozen(self):
         assert STATUS_CERTIFIED == "certified"
