@@ -377,7 +377,7 @@ def lower_bound_verify(
 @_data_option
 @_exclude_option
 @_threads_option
-@click.option("--budget", type=int, default=64, show_default=True, help="Candidate pool size.")
+@click.option("--budget", type=int, default=64, show_default=True, help="Maximal losers to draw.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @_delta_cap_option
 def lower_bound_search(
@@ -387,15 +387,10 @@ def lower_bound_search(
     seed: int,
     delta_cap: int,
 ) -> None:
-    """Search for a pairwise-incompatible losing set (best effort)."""
+    """Find a largest pairwise-incompatible set in a seeded pool of maximal losers."""
     rule = _build_rule(_load_table(data_ref), _parse_exclude(exclude))
     try:
-        report = lowerbound.search_certificate_set(
-            rule.expr,
-            pool_budget=budget,
-            seed=seed,
-            delta_cap=delta_cap,
-        )
+        report = lowerbound.search_certificate_set(rule.expr, budget, seed, delta_cap)
     except ValueError as e:
         raise click.UsageError(str(e))
     _echo_certificates_or_exit(rule, report)

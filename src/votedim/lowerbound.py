@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .games import Coalition, ExprLike, WeightedGame, as_expr
+from .games import Coalition, ExprLike, GameExpr, WeightedGame, as_expr
 from . import sweep
 
 # Symmetric differences beyond this size are not searched (2^(size-1)
@@ -232,71 +232,80 @@ def verify_certificate_set(
     return CertificateSetReport(coalitions=coalitions, losing=losing, pairs=outcomes)
 
 
-def _heaviest(masks: np.ndarray, n: int, k: int) -> list[int]:
-    """The first ``k`` of ``masks`` (not empty) by (-popcount, mask)."""
-    # Big coalitions first; ascending mask breaks ties deterministically.
-    # One int64 key per mask orders by both and stays below 2^38, in one buffer.
-    key = np.bitwise_count(masks, out=np.empty_like(masks))
-    np.subtract(n, key, out=key)
-    key <<= n
-    key |= masks
-    key.partition(min(k, key.size) - 1)
-    return (np.sort(key[:k]) & ((1 << n) - 1)).tolist()
+def _loser_pool(expr: GameExpr, k: int, seed: int) -> list[int]:
+    """Up to ``k`` distinct maximal losing masks, in draw order, without a table.
+
+    Each candidate starts empty and tries the players in its own seeded order,
+    keeping a player while it still loses.  A refused player stays refused
+    (every superset wins too), so each candidate ends as a maximal loser.
+    """
+    rng = random.Random(seed)
+    order = np.array([rng.sample(range(expr.n), expr.n) for _ in range(k)])
+    masks = np.zeros(k, dtype=np.int64)
+    for step in order.T:
+        grown = masks | np.left_shift(1, step)
+        np.copyto(masks, grown, where=~sweep.evaluate_many(expr, grown))
+    return list(dict.fromkeys(masks.tolist()))
+
+
+def _max_clique(adjacent: Sequence[int]) -> int:
+    """A maximum clique (vertex bitset) of the graph with neighbour bitsets ``adjacent``.
+
+    Branch and bound under Tomita's greedy-colouring bound: a branch is cut
+    once its clique plus the colours of its candidates cannot beat the best.
+    """
+    best = 0
+
+    def expand(clique: int, candidates: int) -> None:
+        nonlocal best
+        coloured, uncoloured, colour = [], candidates, 0
+        while uncoloured:
+            colour, free = colour + 1, uncoloured
+            while free:
+                v = (free & -free).bit_length() - 1
+                free &= ~(adjacent[v] | 1 << v)
+                uncoloured &= ~(1 << v)
+                coloured.append((v, colour))
+        # A vertex of colour c > 1 has a neighbour of every lower colour, still
+        # a candidate when it is expanded, so only colour 1 can end a clique.
+        for v, c in reversed(coloured):
+            if clique.bit_count() + c <= best.bit_count():
+                return
+            if candidates & adjacent[v]:
+                expand(clique | 1 << v, candidates & adjacent[v])
+            else:
+                best = clique | 1 << v
+            candidates &= ~(1 << v)
+
+    expand(0, (1 << len(adjacent)) - 1)
+    return best
 
 
 def search_certificate_set(
-    game: ExprLike,
-    pool_budget: int = 64,
-    seed: int = 0,
-    delta_cap: int = DELTA_CAP,
+    game: ExprLike, pool_budget: int = 64, seed: int = 0, delta_cap: int = DELTA_CAP
 ) -> CertificateSetReport:
-    """Best-effort search for a large pairwise-incompatible losing set.
+    """A largest pairwise-incompatible set within a seeded pool of maximal losers.
 
-    The candidate pool starts from the inclusion-maximal losing coalitions
-    (the heaviest losers certify most easily) topped up with random
-    subsets of them, which stay losing by monotonicity.  A greedy pass
-    grows a clique in the incompatibility graph, testing each candidate
-    against the clique kept so far (at most k(k-1)/2 pair searches for a
-    pool of k), and the final set is re-verified so the returned report
-    carries full pair evidence.  No optimality claim.
+    The pool holds at most ``pool_budget`` maximal losers (``_loser_pool``).
+    Each of its k(k-1)/2 pairs is searched once, and the report is that of a
+    maximum clique of the certified pairs, re-indexed.  Exact over the pool
+    only: no claim about the losers outside it.
     """
     if pool_budget < 1:
-        raise ValueError("budgets must be positive")
+        raise ValueError("budget must be positive")
     expr = as_expr(game)
-    n = expr.n
-    losing_table = sweep.complement(sweep.expr_table(expr), n)
-    # Never empty: every quota is >= 1, so the empty coalition loses.
-    maximal = sweep.maximal_elements(losing_table, n)
-    del losing_table
-    pool = _heaviest(maximal, n, pool_budget)
-    rng = random.Random(seed)
-    members = set(pool)
-    attempts = 0
-    while len(pool) < pool_budget and attempts < 8 * pool_budget:
-        attempts += 1
-        source = int(rng.choice(maximal))
-        drop = rng.sample(
-            [j for j in range(n) if source >> j & 1],
-            k=min(rng.randint(1, 2), source.bit_count()),
-        )
-        candidate = source
-        for j in drop:
-            candidate &= ~(1 << j)
-        if candidate and candidate not in members:
-            members.add(candidate)
-            pool.append(candidate)
-    clique: list[int] = []
-    for cand in pool:
-        # A candidate joins once it certifies against every kept member.
-        for kept in clique:
-            try:
-                cert = find_certificate(
-                    expr, Coalition(cand, n), Coalition(kept, n), delta_cap
-                )
-            except DeltaTooLarge:
-                cert = None
-            if cert is None:
-                break
-        else:
-            clique.append(cand)
-    return verify_certificate_set(expr, [Coalition(m, n) for m in clique], delta_cap)
+    pool = [Coalition(m, expr.n) for m in _loser_pool(expr, pool_budget, seed)]
+    graph = verify_certificate_set(expr, pool, delta_cap)
+    adjacent = [0] * len(pool)
+    for p in graph.pairs:
+        if p.status == STATUS_CERTIFIED:
+            adjacent[p.i] |= 1 << p.j
+            adjacent[p.j] |= 1 << p.i
+    clique = _max_clique(adjacent)
+    keep = {old: new for new, old in enumerate(i for i in range(len(pool)) if clique >> i & 1)}
+    pairs = [p for p in graph.pairs if p.i in keep and p.j in keep]
+    return CertificateSetReport(
+        tuple(pool[i] for i in keep),
+        tuple(graph.losing[i] for i in keep),
+        tuple(PairOutcome(keep[p.i], keep[p.j], p.status, p.certificate) for p in pairs),
+    )

@@ -7,10 +7,11 @@ A weighted game's table is gathered in rows (Horowitz & Sahni's sorted
 halves): the low 11 players' sums are sorted once into 2^11 + 1 patterns
 "sorted rank >= r" (0.5 MB), and a binary search picks each row's pattern.
 Every later operation works in place.  Closures and the whole-table
-maximality test are the bitset subset-sum (zeta) transform: halves of a
-``reshape(-1, 2, 2^(j-6))`` view for player j >= 6, in-word shifts under a
-constant mask for j < 6.  Batches of single coalitions (``evaluate_many``,
-as in ``checked_maximal``) read their weights off two partial-sum tables.
+maximality test of ``maximal_satisfying`` are the bitset subset-sum (zeta)
+transform: halves of a ``reshape(-1, 2, 2^(j-6))`` view for player j >= 6,
+in-word shifts under a constant mask for j < 6.  Batches of single
+coalitions (``evaluate_many``, as in ``checked_maximal`` and the lower-bound
+search's loser pool) read their weights off two partial-sum tables.
 """
 
 from __future__ import annotations
@@ -333,7 +334,7 @@ def _maximal_bits(sat: Table, n: int) -> Table:
     # one-element extension does.  For interval predicates one step suffices:
     # an extension stays winning in the up part, so it can only fail by newly
     # winning the down part, which every further superset inherits.  In place.
-    # Only for tables too big to list (``maximal_elements``, ``maximal_satisfying``).
+    # Only for tables too big to list: ``maximal_satisfying`` (veto refinement).
     bad = np.zeros_like(sat)
     scratch = np.empty_like(sat)
     for j in range(n):
@@ -346,11 +347,6 @@ def _maximal_bits(sat: Table, n: int) -> Table:
     np.invert(bad, out=bad)
     sat &= bad
     return sat
-
-
-def maximal_elements(table: Table, n: int) -> np.ndarray:
-    """Masks with no strict superset in a down-closed table (in place), ascending."""
-    return member_array(_maximal_bits(table, n))
 
 
 def checked_maximal(pred: IntervalPredicate, sat: Table) -> list[Coalition]:

@@ -1,0 +1,32 @@
+"""The greedy pass of the earlier lower-bound search, frozen as a reference.
+
+That search grew its set in pool order: a candidate joined once it certified
+against every coalition kept so far, and was dropped at its first failure.
+The package replaced it with an exact maximum clique over the same pool; it
+is kept only so that the tests can check that the exact clique is never
+smaller.  Do not improve it.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from votedim.games import Coalition, ExprLike
+from votedim.lowerbound import DELTA_CAP, DeltaTooLarge, find_certificate
+
+
+def greedy_clique(
+    expr: ExprLike, pool: Sequence[Coalition], delta_cap: int = DELTA_CAP
+) -> list[Coalition]:
+    clique: list[Coalition] = []
+    for cand in pool:
+        for kept in clique:
+            try:
+                cert = find_certificate(expr, cand, kept, delta_cap)
+            except DeltaTooLarge:
+                cert = None
+            if cert is None:
+                break
+        else:
+            clique.append(cand)
+    return clique

@@ -2,6 +2,8 @@
 
 import json
 import threading
+import time
+from importlib import resources
 
 import pytest
 from click.testing import CliRunner
@@ -453,10 +455,20 @@ class TestLowerBound:
     def test_search_budget_validation(self, toys):
         result = run("lower-bound", "search", "--data", toys["toy16"], "--budget", "0")
         assert result.exit_code == 2
-        assert "budgets must be positive" in result.stderr
+        assert "budget must be positive" in result.stderr
+
+    def test_bundled_2014_certificate(self):
+        path = resources.files("votedim").joinpath("certs/eu2014_7.txt")
+        start = time.perf_counter()
+        result = run("lower-bound", "verify", "--data", "builtin:2014", "--coalitions", str(path))
+        elapsed = time.perf_counter() - start
+        assert result.exit_code == 0, result.output
+        assert result.stdout.count(": certified  p=") == 21
+        assert result.stdout.endswith("certified lower bound: 7\n")
+        assert elapsed < 1.0
 
     def test_search_has_no_pair_budget(self, toys):
-        # The pool budget alone bounds the greedy pass.
+        # The pool budget alone bounds the pair searches.
         args = ("lower-bound", "search", "--data", toys["toy16"], "--pair-budget", "5")
         result = run(*args)
         assert result.exit_code == 2

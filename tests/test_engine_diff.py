@@ -125,10 +125,11 @@ class TestAgainstOracles:
         bits = random_bits(rng, n)
         members = {m for m in range(1 << n) if bits >> m & 1}
         expected = oracles.maximal_masks(members, n)
-        # maximal_elements expects a down-closed table; closing keeps the maximal elements.
+        # _maximal_bits expects a down-closed table; closing keeps the maximal elements.
         closed_table = sweep.down_closure(table(bits, n), n)
-        assert sweep.maximal_elements(closed_table, n).tolist() == sorted(expected)
-        # _maximal_bits alone is exact on down-closed tables.
+        listed = sweep.member_array(sweep._maximal_bits(closed_table, n))
+        assert listed.tolist() == sorted(expected)
+        # The same, bit for bit, on a table closed by the oracle.
         closed = oracles.table_of(oracles.down_set(members))
         got = sweep._maximal_bits(table(closed, n), n)
         assert oracles.table_to_int(got) == oracles.table_of(expected)
@@ -204,10 +205,8 @@ class TestAgainstBigIntEngine:
             got = sweep._maximal_bits(table(bits, n), n)
             assert oracles.table_to_int(got) == bigint_engine.maximal_bits(bits, n)
             # bigint_engine.maximal_elements closes its input first.
-            closed = sweep.down_closure(t, n)
-            assert sweep.maximal_elements(closed, n).tolist() == bigint_engine.maximal_elements(
-                bits, n
-            )
+            maximal = sweep._maximal_bits(sweep.down_closure(t, n), n)
+            assert sweep.member_array(maximal).tolist() == bigint_engine.maximal_elements(bits, n)
 
     @settings(max_examples=10, deadline=None)
     @given(rngs)

@@ -3,12 +3,12 @@
 import random
 import tracemalloc
 
-import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
-from votedim import data, lowerbound
+from greedy_clique import greedy_clique
+from votedim import data, lowerbound, sweep
 from votedim.games import Coalition, WeightedGame, all_of, unit_game
 from votedim.lowerbound import (
     DELTA_CAP,
@@ -217,10 +217,9 @@ class TestSearchCertificateSet:
         assert report.lower_bound == 1
 
     def test_search_memory_peak_on_2018_without_uk(self):
-        # n = 27, 3.57 M maximal losers.  numpy reports its buffers to
-        # tracemalloc.  Listing them into one buffer and keying them in one
-        # more reads 3.6 tables; a chunk list plus its concatenation, or
-        # extra full-size key temporaries, read 5.1.
+        # n = 27.  numpy reports its buffers to tracemalloc.  The pool is drawn
+        # without a table, so the peak is the split search's partial sums:
+        # 0.31 tables.  Building and listing the 2^n loser table read 3.6.
         rule = data.build_eu_rule(data.builtin_table("2018"), exclude=["United Kingdom"])
         tracemalloc.start()
         try:
@@ -228,8 +227,40 @@ class TestSearchCertificateSet:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert report.lower_bound == 2
-        assert peak < 4.0 * (1 << rule.n) / 8
+        assert report.lower_bound == 7
+        assert peak < 0.5 * (1 << rule.n) / 8
+
+    def test_search_builds_no_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a 2^n table was built")
+
+        monkeypatch.setattr(sweep, "win_table", refuse)
+        monkeypatch.setattr(sweep, "expr_table", refuse)
+        rule = data.build_eu_rule(data.builtin_table("2014"))
+        report = search_certificate_set(rule.expr, pool_budget=8, seed=1)
+        assert report.fully_certified
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_pool_holds_distinct_maximal_losers(self, n, k, seed):
+        expr = oracles.random_expr(random.Random(seed), n)
+        losers = {m for m in range(1 << n) if not oracles.wins(expr, m)}
+        pool = lowerbound._loser_pool(expr, k, seed)
+        assert 1 <= len(pool) <= k
+        assert len(set(pool)) == len(pool)
+        assert set(pool) <= oracles.maximal_masks(losers, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 8), st.integers(1, 24), st.integers(0, 2**32 - 1))
+    def test_exact_clique_is_never_smaller_than_the_greedy(self, n, k, seed):
+        expr = oracles.random_expr(random.Random(seed), n)
+        pool = [Coalition(m, n) for m in lowerbound._loser_pool(expr, k, seed)]
+        report = search_certificate_set(expr, pool_budget=k, seed=seed)
+        assert report.fully_certified
+        assert set(report.coalitions) <= set(pool)
+        assert report.lower_bound >= len(greedy_clique(expr, pool))
+        # The pairs come from the pool's graph, re-indexed, not a second search.
+        assert report == verify_certificate_set(expr, report.coalitions)
 
     def test_two_chamber_game_reaches_two(self):
         report = search_certificate_set(two_chamber_game())
@@ -242,19 +273,39 @@ class TestSearchCertificateSet:
         first = search_certificate_set(game, seed=7)
         second = search_certificate_set(game, seed=7)
         assert first == second
-
-    @given(st.integers(1, 32), st.integers(1, 40), st.integers(0, 2**32 - 1))
-    def test_pool_takes_the_heaviest_masks_first(self, n, k, seed):
-        rng = random.Random(seed)
-        masks = sorted({rng.getrandbits(n) for _ in range(rng.randint(1, 60))})
-        expected = sorted(masks, key=lambda m: (-m.bit_count(), m))[:k]
-        assert lowerbound._heaviest(np.array(masks, dtype=np.int64), n, k) == expected
+        # Any integer seeds the pool, negative ones included.
+        assert search_certificate_set(game, seed=-7) == search_certificate_set(game, seed=-7)
 
     def test_budget_validation(self):
-        with pytest.raises(ValueError, match="budgets"):
+        with pytest.raises(ValueError, match="budget must be positive"):
             search_certificate_set(unit_game(2, 2), pool_budget=0)
 
     def test_status_strings_are_frozen(self):
         assert STATUS_CERTIFIED == "certified"
         assert STATUS_NO_CERTIFICATE == "no-certificate"
         assert STATUS_NOT_ATTEMPTED == "not-attempted"
+
+
+class TestMaxClique:
+    @given(st.integers(0, 12), st.integers(0, 2**32 - 1))
+    def test_matches_brute_force(self, k, seed):
+        rng = random.Random(seed)
+        density = rng.random()
+        adjacent = [0] * k
+        for i in range(k):
+            for j in range(i + 1, k):
+                if rng.random() < density:
+                    adjacent[i] |= 1 << j
+                    adjacent[j] |= 1 << i
+        got = lowerbound._max_clique(adjacent)
+        vertices = [v for v in range(k) if got >> v & 1]
+        assert all(adjacent[u] >> v & 1 for u in vertices for v in vertices if u != v)
+        best = max(
+            (
+                s.bit_count()
+                for s in range(1 << k)
+                if all(s & ~(adjacent[v] | 1 << v) == 0 for v in range(k) if s >> v & 1)
+            ),
+            default=0,
+        )
+        assert len(vertices) == best

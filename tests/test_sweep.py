@@ -171,9 +171,10 @@ class TestTableQueries:
     def test_maximal_elements(self, n, rng):
         table = rng.getrandbits(1 << n)
         members = {m for m in range(1 << n) if table >> m & 1}
-        # maximal_elements expects a down-closed table; closing keeps the maximal elements.
-        got = sweep.maximal_elements(sweep.down_closure(oracles.int_to_table(table, n), n), n)
-        assert set(got) == oracles.maximal_masks(members, n)
+        # _maximal_bits expects a down-closed table; closing keeps the maximal elements.
+        closed = sweep.down_closure(oracles.int_to_table(table, n), n)
+        got = sweep.member_array(sweep._maximal_bits(closed, n))
+        assert set(got.tolist()) == oracles.maximal_masks(members, n)
 
 
 class TestPredicates:
