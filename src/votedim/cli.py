@@ -18,6 +18,16 @@ EXIT_FAILURE = 1
 EXIT_INAPPLICABLE = 3
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except OSError as e:
+        raise click.UsageError(f"cannot read {path}: {e.strerror}")
+    except UnicodeDecodeError as e:
+        raise click.UsageError(f"cannot read {path}: not UTF-8 text ({e.reason})")
+
+
 def _load_table(data_ref: str) -> data.PopulationTable:
     if data_ref.startswith("builtin:"):
         year = data_ref[len("builtin:") :]
@@ -26,12 +36,7 @@ def _load_table(data_ref: str) -> data.PopulationTable:
         except KeyError as e:
             raise click.UsageError(str(e.args[0]))
     try:
-        with open(data_ref, "r", encoding="utf-8") as f:
-            text = f.read()
-    except OSError as e:
-        raise click.UsageError(f"cannot read {data_ref}: {e.strerror}")
-    try:
-        return data.load_table(text, label=data_ref)
+        return data.load_table(_read_text(data_ref))
     except ValueError as e:
         raise click.UsageError(f"{data_ref}: {e}")
 
@@ -71,7 +76,6 @@ def _alternate_section(
     excluded: tuple[str, ...],
     main_rule: data.EuRule,
     swap_roles: bool,
-    gap_cap: int,
 ) -> Optional[dict]:
     """The retained-quota reading, reported whenever it differs.
 
@@ -90,7 +94,7 @@ def _alternate_section(
     if quotas == (main_rule.member_quota, main_rule.veto_quota):
         return None
     try:
-        result = decompose.analyze_rule(rule, swap_roles, gap_cap)
+        result = decompose.analyze_rule(rule, swap_roles)
     except ValueError as e:
         return {"error": str(e)}
     return {
@@ -104,10 +108,10 @@ def _alternate_section(
     }
 
 
-def _analyze_or_exit(rule: data.EuRule, swap_roles: bool, gap_cap: int):
+def _analyze_or_exit(rule: data.EuRule, swap_roles: bool):
     try:
         # A boosted copy can leave the exact-integer envelope of games.py.
-        result = decompose.analyze_rule(rule, swap_roles, gap_cap)
+        result = decompose.analyze_rule(rule, swap_roles)
     except ValueError as e:
         raise click.UsageError(str(e))
     if result.bound is None:
@@ -188,13 +192,6 @@ _exclude_option = click.option(
     default="",
     help="Comma-separated country names to drop from the table.",
 )
-_delta_cap_option = click.option(
-    "--delta-cap",
-    type=click.IntRange(min=1),
-    default=lowerbound.DELTA_CAP,
-    show_default=True,
-    help="Skip pairs whose symmetric difference exceeds this many players.",
-)
 _threads_option = click.option(
     "--threads",
     type=click.IntRange(min=1),
@@ -214,25 +211,12 @@ _threads_option = click.option(
     is_flag=True,
     help="Boost the veto game instead of the population game.",
 )
-@click.option(
-    "--gap-cap",
-    type=click.IntRange(min=0),
-    default=decompose.GAP_MEMBER_CAP,
-    show_default=True,
-    help="Materialize gap members only up to this count.",
-)
-def analyze(
-    data_ref: str,
-    exclude: str,
-    as_json: bool,
-    swap_roles: bool,
-    gap_cap: int,
-) -> None:
+def analyze(data_ref: str, exclude: str, as_json: bool, swap_roles: bool) -> None:
     """Rewrite the rule as an intersection and report the dimension bound."""
     excluded = _parse_exclude(exclude)
     table = _load_table(data_ref)
     rule = _build_rule(table, excluded)
-    result = _analyze_or_exit(rule, swap_roles, gap_cap)
+    result = _analyze_or_exit(rule, swap_roles)
     report = {
         "dataset": data_ref,
         "excluded": sorted(excluded),
@@ -255,9 +239,7 @@ def analyze(
         "method": result.method,
         "games": [_game_row(g) for g in result.games],
         "bound": result.bound,
-        "alternate_quota_reading": _alternate_section(
-            table, excluded, rule, swap_roles, gap_cap
-        ),
+        "alternate_quota_reading": _alternate_section(table, excluded, rule, swap_roles),
         "verification": None,
     }
     if as_json:
@@ -278,7 +260,7 @@ def verify(data_ref: str, exclude: str) -> None:
     """Exhaustively check the emitted intersection against the rule."""
     excluded = _parse_exclude(exclude)
     rule = _build_rule(_load_table(data_ref), excluded)
-    games = _analyze_or_exit(rule, False, decompose.GAP_MEMBER_CAP).games
+    games = _analyze_or_exit(rule, False).games
     check = sweep.equivalent(rule.expr, all_of(*games))
     if check:
         click.echo(
@@ -303,13 +285,8 @@ def lower_bound() -> None:
 
 
 def _read_coalition_file(path: str, rule: data.EuRule) -> list[Coalition]:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            raw = f.read()
-    except OSError as e:
-        raise click.UsageError(f"cannot read {path}: {e.strerror}")
     coalitions = []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
@@ -356,18 +333,12 @@ def _echo_certificates_or_exit(
     required=True,
     help="File with one coalition per line: comma-separated 1-based ranks, # comments.",
 )
-@_delta_cap_option
-def lower_bound_verify(
-    data_ref: str,
-    exclude: str,
-    coalitions_path: str,
-    delta_cap: int,
-) -> None:
+def lower_bound_verify(data_ref: str, exclude: str, coalitions_path: str) -> None:
     """Check that a coalition set is losing and pairwise incompatible."""
     rule = _build_rule(_load_table(data_ref), _parse_exclude(exclude))
     coalitions = _read_coalition_file(coalitions_path, rule)
     try:
-        report = lowerbound.verify_certificate_set(rule.expr, coalitions, delta_cap)
+        report = lowerbound.verify_certificate_set(rule.expr, coalitions)
     except ValueError as e:
         raise click.UsageError(str(e))
     _echo_certificates_or_exit(rule, report)
@@ -379,18 +350,11 @@ def lower_bound_verify(
 @_threads_option
 @click.option("--budget", type=int, default=64, show_default=True, help="Maximal losers to draw.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@_delta_cap_option
-def lower_bound_search(
-    data_ref: str,
-    exclude: str,
-    budget: int,
-    seed: int,
-    delta_cap: int,
-) -> None:
+def lower_bound_search(data_ref: str, exclude: str, budget: int, seed: int) -> None:
     """Find a largest pairwise-incompatible set in a seeded pool of maximal losers."""
     rule = _build_rule(_load_table(data_ref), _parse_exclude(exclude))
     try:
-        report = lowerbound.search_certificate_set(rule.expr, budget, seed, delta_cap)
+        report = lowerbound.search_certificate_set(rule.expr, budget, seed)
     except ValueError as e:
         raise click.UsageError(str(e))
     _echo_certificates_or_exit(rule, report)

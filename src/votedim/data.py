@@ -53,7 +53,6 @@ class PopulationTable:
     """
 
     rows: tuple[CountryRow, ...]
-    label: str = ""
     enforce_order: InitVar[bool] = True
 
     def __post_init__(self, enforce_order: bool) -> None:
@@ -104,10 +103,10 @@ class PopulationTable:
         if not rows:
             raise ValueError("cannot exclude every member")
         # The source table already passed the order check.
-        return PopulationTable(rows, self.label, enforce_order=False)
+        return PopulationTable(rows, enforce_order=False)
 
 
-def load_table(text: str, label: str = "") -> PopulationTable:
+def load_table(text: str) -> PopulationTable:
     """Parse a ``rank,country,population`` CSV into a validated table."""
     reader = csv.reader(io.StringIO(text))
     try:
@@ -133,7 +132,7 @@ def load_table(text: str, label: str = "") -> PopulationTable:
                 f"(no thousands separators), got {rank_s!r}, {population_s!r}"
             ) from None
         rows.append(CountryRow(rank, country, population))
-    return PopulationTable(tuple(rows), label)
+    return PopulationTable(tuple(rows))
 
 
 def builtin_table(year: str) -> PopulationTable:
@@ -141,7 +140,7 @@ def builtin_table(year: str) -> PopulationTable:
     if year not in BUILTIN_YEARS:
         raise KeyError(f"no builtin table {year!r}; choose from {', '.join(BUILTIN_YEARS)}")
     text = resources.files(__package__).joinpath(f"data/eu{year}.csv").read_text("utf-8")
-    return load_table(text, label=f"builtin:{year}")
+    return load_table(text)
 
 
 # The Lisbon thresholds: 55% of the members (quota by ceiling) holding 65%

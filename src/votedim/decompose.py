@@ -172,20 +172,16 @@ def veto_game(blocked: Coalition) -> WeightedGame:
     return WeightedGame(weights, 1)
 
 
-def gap_summary(
-    first: WeightedGame,
-    second: WeightedGame,
-    member_cap: int = GAP_MEMBER_CAP,
-) -> GapSummary:
+def gap_summary(first: WeightedGame, second: WeightedGame) -> GapSummary:
     """Exact survey of the coalitions losing ``first`` but winning ``second``."""
     if first.n != second.n:
         raise ValueError(f"player counts differ: {first.n} vs {second.n}")
     table = sweep.complement(sweep.win_table(first), first.n)
     table &= sweep.win_table(second)
-    return _summarize_gap(first, table, member_cap)
+    return _summarize_gap(first, table)
 
 
-def _summarize_gap(first: WeightedGame, table: sweep.Table, member_cap: int) -> GapSummary:
+def _summarize_gap(first: WeightedGame, table: sweep.Table) -> GapSummary:
     """Gap statistics read from the gap table, which is left unchanged."""
     n = first.n
     count = table.bit_count()
@@ -199,7 +195,7 @@ def _summarize_gap(first: WeightedGame, table: sweep.Table, member_cap: int) -> 
         assert min_weight is not None
         boost = first.quota - min_weight
     members: Optional[tuple[Coalition, ...]] = None
-    if count <= member_cap:
+    if count <= GAP_MEMBER_CAP:
         members = tuple(Coalition(m, n) for m in sweep.table_members(table))
     return GapSummary(count, core, min_weight, boost, members)
 
@@ -215,11 +211,7 @@ def _boosted_games(
     return tuple(games)
 
 
-def union_as_intersection(
-    first: WeightedGame,
-    second: WeightedGame,
-    member_cap: int = GAP_MEMBER_CAP,
-) -> Decomposition:
+def union_as_intersection(first: WeightedGame, second: WeightedGame) -> Decomposition:
     """Rewrite ``first OR second`` as an intersection of weighted games.
 
     When the gap set is empty the union already equals ``first`` and is
@@ -243,7 +235,7 @@ def union_as_intersection(
     sat = sweep.complement(sweep.win_table(first), n)
     gap_table = sweep.win_table(second)
     gap_table &= sat
-    gap = _summarize_gap(first, gap_table, member_cap)
+    gap = _summarize_gap(first, gap_table)
     if gap.count == 0:
         return Decomposition((first,), gap, (), METHOD_FIRST_GAME)
     if gap.common_core.mask == 0:
@@ -287,17 +279,13 @@ class RuleAnalysis:
         return None if self.method == METHOD_INAPPLICABLE else len(self.games)
 
 
-def analyze_rule(
-    rule: EuRule,
-    swap_roles: bool = False,
-    member_cap: int = GAP_MEMBER_CAP,
-) -> RuleAnalysis:
+def analyze_rule(rule: EuRule, swap_roles: bool = False) -> RuleAnalysis:
     """Rewrite ``count AND (population OR veto)``; ``swap_roles`` boosts the veto game."""
     first, second = rule.population_game, rule.veto_game
     if swap_roles:
         first, second = second, first
     try:
-        dec = union_as_intersection(first, second, member_cap)
+        dec = union_as_intersection(first, second)
     except EmptyCoreError as e:
         return RuleAnalysis(e.gap, (), (), METHOD_INAPPLICABLE)
     assert dec.gap is not None

@@ -25,7 +25,7 @@ from .games import Coalition, ExprLike, GameExpr, WeightedGame, as_expr
 from . import sweep
 
 # Symmetric differences beyond this size are not searched (2^(size-1)
-# candidate splits); callers may widen the cap explicitly.
+# candidate splits).
 DELTA_CAP = 30
 
 # Selector bits searched per chunk: the low partial-sum table of each leaf
@@ -121,7 +121,7 @@ class CertificateSetReport:
 
 
 def find_certificate(
-    game: ExprLike, a: Coalition, b: Coalition, delta_cap: int = DELTA_CAP
+    game: ExprLike, a: Coalition, b: Coalition
 ) -> Optional[IncompatibilityCertificate]:
     """Search the canonical splits of the symmetric difference of (a, b).
 
@@ -135,7 +135,7 @@ def find_certificate(
     yields the same pair), so the first hit is deterministic.
 
     Returns None when no split certifies; raises DeltaTooLarge when the
-    difference exceeds ``delta_cap`` players.
+    difference exceeds ``DELTA_CAP`` players.
     """
     expr = as_expr(game)
     if a.n != expr.n or b.n != expr.n:
@@ -151,8 +151,8 @@ def find_certificate(
     t = delta.bit_count()
     if t == 0:
         return None
-    if t > delta_cap:
-        raise DeltaTooLarge(t, delta_cap)
+    if t > DELTA_CAP:
+        raise DeltaTooLarge(t, DELTA_CAP)
     free = [j for j in range(expr.n) if delta >> j & 1][:-1]
     lo = min(len(free), _CHUNK_BITS)
     # Selector r = h * 2^lo + l is the split x = low_x[l] | high_x[h].
@@ -193,9 +193,7 @@ def find_certificate(
 
 
 def verify_certificate_set(
-    game: ExprLike,
-    coalitions: Sequence[Coalition],
-    delta_cap: int = DELTA_CAP,
+    game: ExprLike, coalitions: Sequence[Coalition]
 ) -> CertificateSetReport:
     """Check a coalition set: all losing and pairwise certified.
 
@@ -220,7 +218,7 @@ def verify_certificate_set(
         if not (losing[i] and losing[j]):
             return PairOutcome(i, j, STATUS_NOT_ATTEMPTED, None)
         try:
-            cert = find_certificate(expr, coalitions[i], coalitions[j], delta_cap)
+            cert = find_certificate(expr, coalitions[i], coalitions[j])
         except DeltaTooLarge:
             return PairOutcome(i, j, STATUS_NOT_ATTEMPTED, None)
         if cert is None:
@@ -282,7 +280,7 @@ def _max_clique(adjacent: Sequence[int]) -> int:
 
 
 def search_certificate_set(
-    game: ExprLike, pool_budget: int = 64, seed: int = 0, delta_cap: int = DELTA_CAP
+    game: ExprLike, pool_budget: int = 64, seed: int = 0
 ) -> CertificateSetReport:
     """A largest pairwise-incompatible set within a seeded pool of maximal losers.
 
@@ -295,7 +293,7 @@ def search_certificate_set(
         raise ValueError("budget must be positive")
     expr = as_expr(game)
     pool = [Coalition(m, expr.n) for m in _loser_pool(expr, pool_budget, seed)]
-    graph = verify_certificate_set(expr, pool, delta_cap)
+    graph = verify_certificate_set(expr, pool)
     adjacent = [0] * len(pool)
     for p in graph.pairs:
         if p.status == STATUS_CERTIFIED:

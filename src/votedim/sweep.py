@@ -173,16 +173,19 @@ def expr_table(expr: ExprLike) -> Table:
     assert isinstance(expr, Node)
     n = expr.n
 
-    children = list(expr.children)
+    # A quota-1 leaf wins iff the coalition holds a positive-weight player,
+    # so it loses exactly on the subsets of its zero-weight players.  All
+    # such leaves under one AND share a single down-closure.
+    children: list[GameExpr] = []
+    vetoes: list[Leaf] = []
+    for c in expr.children:
+        if expr.op == AND and isinstance(c, Leaf) and c.game.quota == 1:
+            vetoes.append(c)
+        else:
+            children.append(c)
     acc: Optional[Table] = None
-    if expr.op == AND:
-        # A quota-1 leaf wins iff the coalition holds a positive-weight player,
-        # so it loses exactly on the subsets of its zero-weight players.  All
-        # such leaves under one AND share a single down-closure.
-        vetoes = [c for c in children if isinstance(c, Leaf) and c.game.quota == 1]
-        if vetoes:
-            children = [c for c in children if c not in vetoes]
-            acc = _vetoed((_blocked_mask(c.game) for c in vetoes), n)
+    if vetoes:
+        acc = _vetoed((_blocked_mask(c.game) for c in vetoes), n)
 
     for child in children:
         t = expr_table(child)

@@ -12,17 +12,15 @@ from __future__ import annotations
 from typing import Sequence
 
 from votedim.games import Coalition, ExprLike
-from votedim.lowerbound import DELTA_CAP, DeltaTooLarge, find_certificate
+from votedim.lowerbound import DeltaTooLarge, find_certificate
 
 
-def greedy_clique(
-    expr: ExprLike, pool: Sequence[Coalition], delta_cap: int = DELTA_CAP
-) -> list[Coalition]:
+def greedy_clique(expr: ExprLike, pool: Sequence[Coalition]) -> list[Coalition]:
     clique: list[Coalition] = []
     for cand in pool:
         for kept in clique:
             try:
-                cert = find_certificate(expr, cand, kept, delta_cap)
+                cert = find_certificate(expr, cand, kept)
             except DeltaTooLarge:
                 cert = None
             if cert is None:

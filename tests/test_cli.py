@@ -195,10 +195,9 @@ class TestAnalyze:
         assert report["gap"]["members"] == [[2]]
         assert report["bound"] == 2
 
-    def test_gap_cap_suppresses_member_listing(self, toys):
-        report = analyze_json(
-            "--data", toys["toy16"], "--threads", "1", "--gap-cap", "2"
-        )
+    def test_gap_cap_suppresses_member_listing(self, toys, monkeypatch):
+        monkeypatch.setattr(decompose, "GAP_MEMBER_CAP", 2)
+        report = analyze_json("--data", toys["toy16"], "--threads", "1")
         assert report["gap"]["count"] == 4
         assert report["gap"]["members"] is None
         assert report["bound"] == 13
@@ -288,6 +287,14 @@ class TestInputErrors:
         assert result.exit_code == 2
         assert "bad.csv" in result.stderr
 
+    def test_data_not_utf8(self, tmp_path):
+        latin = tmp_path / "latin1.csv"
+        latin.write_bytes("rank,country,population\n1,Françe,10\n".encode("latin-1"))
+        result = run("analyze", "--data", str(latin))
+        assert result.exit_code == 2
+        assert f"cannot read {latin}: not UTF-8 text" in result.stderr
+        assert "Traceback" not in result.output
+
     def test_unknown_excluded_country(self, toys):
         result = run("analyze", "--data", toys["toy16"], "--exclude", "Atlantis")
         assert result.exit_code == 2
@@ -319,9 +326,13 @@ class TestInputErrors:
             (("analyze", "--gap-cap", "-1"), "--gap-cap"),
             (("lower-bound", "verify", "--coalitions", "c", "--delta-cap", "-1"), "--delta-cap"),
             (("lower-bound", "search", "--delta-cap", "0"), "--delta-cap"),
+            (("analyze", "--gap-cap", "5"), "--gap-cap"),
+            (("lower-bound", "verify", "--coalitions", "c", "--delta-cap", "5"), "--delta-cap"),
+            (("lower-bound", "search", "--delta-cap", "5"), "--delta-cap"),
         ],
     )
     def test_cap_out_of_range(self, toys, args, option):
+        # The caps are fixed constants: any value is an unknown option.
         result = run(*args, "--data", toys["toy16"])
         assert result.exit_code == 2
         assert option in result.stderr
@@ -416,6 +427,14 @@ class TestLowerBound:
         assert result.exit_code == 2
         assert "duplicate" in result.stderr
 
+    def test_coalitions_not_utf8(self, toys, tmp_path):
+        path = tmp_path / "coalitions.txt"
+        path.write_bytes(b"1,2,3 # \xff\n")
+        result = run("lower-bound", "verify", "--data", toys["toy16"], "--coalitions", str(path))
+        assert result.exit_code == 2
+        assert f"cannot read {path}: not UTF-8 text" in result.stderr
+        assert "Traceback" not in result.output
+
     def test_comments_only_file(self, toys, tmp_path):
         path = self.write(tmp_path, "# nothing here\n\n")
         result = run("lower-bound", "verify", "--data", toys["toy16"], "--coalitions", path)
@@ -500,10 +519,3 @@ def test_help_lists_commands():
     for command in ("analyze", "verify", "lower-bound"):
         assert command in result.stdout
 
-
-@pytest.mark.parametrize("command", ["search", "verify"])
-def test_delta_cap_help_is_shown(command):
-    result = run("lower-bound", command, "--help")
-    assert result.exit_code == 0
-    text = " ".join(result.stdout.split())
-    assert "Skip pairs whose symmetric difference exceeds this many players." in text

@@ -61,7 +61,7 @@ class TestLoadTable:
     def test_round_trip(self):
         for year in data.BUILTIN_YEARS:
             table = data.builtin_table(year)
-            again = data.load_table(to_csv(table), label=table.label)
+            again = data.load_table(to_csv(table))
             assert again == table
 
     def test_bad_header(self):
@@ -119,7 +119,7 @@ class TestExclude:
 
     def test_round_trip_with_rank_gap(self):
         reduced = data.builtin_table("2018").exclude(["United Kingdom"])
-        assert data.load_table(to_csv(reduced), label=reduced.label) == reduced
+        assert data.load_table(to_csv(reduced)) == reduced
 
 
 class TestRuleConfig:

@@ -90,12 +90,13 @@ class TestGapSummary:
         assert gap.boost is None
         assert gap.members == ()
 
-    def test_member_cap_suppresses_listing_only(self):
+    def test_member_cap_suppresses_listing_only(self, monkeypatch):
         # Gap: every coalition that is neither empty nor grand (254 of them).
         first = unit_game(8, 8)
         second = unit_game(1, 8)
-        capped = gap_summary(first, second, member_cap=10)
         full = gap_summary(first, second)
+        monkeypatch.setattr(decompose, "GAP_MEMBER_CAP", 10)
+        capped = gap_summary(first, second)
         assert capped.count == full.count == 254
         assert capped.members is None
         assert full.members is not None and len(full.members) == 254

@@ -85,7 +85,7 @@ def collapsed_and_unfused(rng: random.Random, n: int, unfused_frontier):
     """The rewrite's frontier and ``unfused_frontier(up, down)``, or None."""
     first, second = union_pair(rng, n)
     try:
-        dec = union_as_intersection(first, second, member_cap=0)
+        dec = union_as_intersection(first, second)
     except EmptyCoreError:
         return None
     if dec.method != METHOD_CORE_BOOST:

@@ -31,6 +31,11 @@ def two_chamber_game():
     )
 
 
+def wide_pair():
+    """Two losers of ``unit_game(32, 32)`` whose symmetric difference has 31 players."""
+    return Coalition.from_members(range(16), 32), Coalition.from_members(range(16, 31), 32)
+
+
 class TestCertificateValidation:
     def test_valid_certificate(self):
         a = Coalition(0b0011, 4)
@@ -112,14 +117,11 @@ class TestFindCertificate:
             find_certificate(unit_game(2, 3), Coalition(0b1, 2), Coalition(0b10, 2))
 
     def test_delta_cap(self):
-        game = two_chamber_game()
+        a, b = wide_pair()
         with pytest.raises(DeltaTooLarge) as excinfo:
-            find_certificate(
-                game, Coalition(0b0011, 4), Coalition(0b1100, 4), delta_cap=2
-            )
-        assert excinfo.value.size == 4
-        assert excinfo.value.cap == 2
-        assert DELTA_CAP == 30
+            find_certificate(unit_game(32, 32), a, b)
+        assert excinfo.value.size == 31
+        assert excinfo.value.cap == DELTA_CAP == 30
 
     def test_certificate_contradicts_grid_oracle(self):
         # Where a certificate exists, the exhaustive weight grid agrees that
@@ -167,11 +169,8 @@ class TestVerifyCertificateSet:
         assert report.lower_bound is None
 
     def test_delta_cap_marks_pair_not_attempted(self):
-        report = verify_certificate_set(
-            two_chamber_game(),
-            [Coalition(0b0011, 4), Coalition(0b1100, 4)],
-            delta_cap=2,
-        )
+        report = verify_certificate_set(unit_game(32, 32), wide_pair())
+        assert report.losing == (True, True)
         assert report.pairs[0].status == STATUS_NOT_ATTEMPTED
         assert report.lower_bound is None
 
