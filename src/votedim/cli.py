@@ -285,7 +285,7 @@ def lower_bound() -> None:
 
 
 def _read_coalition_file(path: str, rule: data.EuRule) -> list[Coalition]:
-    coalitions = []
+    first_line: dict[int, int] = {}
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -295,10 +295,15 @@ def _read_coalition_file(path: str, rule: data.EuRule) -> list[Coalition]:
             mask = rule.mask_from_labels(ranks)
         except ValueError as e:
             raise click.UsageError(f"{path}:{lineno}: {e}")
-        coalitions.append(Coalition(mask, rule.n))
-    if not coalitions:
+        if mask in first_line:
+            raise click.UsageError(
+                f"{path}:{lineno}: duplicate coalition {{{_join(rule.label_members(mask))}}} "
+                f"(same as line {first_line[mask]})"
+            )
+        first_line[mask] = lineno
+    if not first_line:
         raise click.UsageError(f"{path}: no coalitions found")
-    return coalitions
+    return [Coalition(mask, rule.n) for mask in first_line]
 
 
 def _echo_certificates_or_exit(

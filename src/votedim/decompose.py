@@ -8,16 +8,22 @@ players, boosting each core player's weight by a fixed amount yields games
 that admit all gap coalitions; the coalitions the boosted intersection
 over-admits are then fenced off one veto game apiece.
 
-With boost u >= 0, quota q and weights w, the boosted intersection wins
-exactly ``[w(S) >= q] or ([w(S) >= q - u] and core ⊆ S)``.  So the frontier
-is read off three tables whatever the core size: the gap survey's two and
-one at quota q - u, cut to supersets of the core in place.  The shortcut
-only finds the frontier: the emitted games are still the boosted copies and
-the vetoes, and ``verify`` folds every one of them leaf by leaf.
+No 2^n-bit table is built.  The gap survey streams ``~first & second`` a
+chunk of rows at a time and folds its count, core, minimum weight and
+members.  With boost u >= 0, quota q and weights w, the boosted
+intersection wins exactly ``[w(S) >= q] or ([w(S) >= q - u] and core ⊆ S)``,
+so the over-admitted coalitions are ``core ∪ T`` for the T over the
+r = n - |core| other players with ``w1(T) >= q1 - u - w1(core)``,
+``w1(T) < q1 - w1(core)`` and ``w2(T) < q2 - w2(core)``: three win tables
+of 2^r bits.  The shortcut only finds the frontier: the emitted games are
+still the boosted copies and the vetoes, and ``verify`` folds every one of
+them leaf by leaf over all 2^n coalitions.
 """
 
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .games import (
     AND,
@@ -173,31 +179,59 @@ def veto_game(blocked: Coalition) -> WeightedGame:
 
 
 def gap_summary(first: WeightedGame, second: WeightedGame) -> GapSummary:
-    """Exact survey of the coalitions losing ``first`` but winning ``second``."""
+    """Exact survey of the coalitions losing ``first`` but winning ``second``.
+
+    The gap table ``~first & second`` is streamed a chunk of rows at a time
+    and never held whole.  The fold counts it, intersects its members into
+    the core, weighs them while the core is non-empty and lists them up to
+    ``GAP_MEMBER_CAP``; once the core (which only shrinks) is empty and the
+    listing is past the cap, a chunk is only counted.
+    """
     if first.n != second.n:
         raise ValueError(f"player counts differ: {first.n} vs {second.n}")
-    table = sweep.complement(sweep.win_table(first), first.n)
-    table &= sweep.win_table(second)
-    return _summarize_gap(first, table)
-
-
-def _summarize_gap(first: WeightedGame, table: sweep.Table) -> GapSummary:
-    """Gap statistics read from the gap table, which is left unchanged."""
     n = first.n
-    count = table.bit_count()
-    core = Coalition(sweep.players_in_all(table, n), n)
+    count, core, base = 0, (1 << n) - 1, 0
+    lightest: list[int] = []
+    listed: Optional[list[np.ndarray]] = []
+    for gap, wins in zip(sweep.win_rows(first), sweep.win_rows(second)):
+        gap = np.bitwise_and(np.invert(gap, out=gap), wins, out=gap).ravel()
+        nonzero = np.flatnonzero(gap)
+        count += int(np.bitwise_count(gap[nonzero]).sum(dtype=np.int64))
+        if count > GAP_MEMBER_CAP:
+            listed = None
+        if core or listed is not None:
+            for masks in sweep.member_chunks(gap, nonzero, base):
+                core &= int(np.bitwise_and.reduce(masks))
+                if core:
+                    # An empty core makes the rewrite inapplicable: no boost is priced.
+                    lightest.append(int(sweep.weights_of(first, masks).min()))
+                if listed is not None:
+                    listed.append(masks)
+                elif not core:
+                    break
+        base += gap.size
     if count == 0:
-        return GapSummary(0, core, None, None, ())
-    min_weight = boost = None
-    if core.mask:
-        # An empty core makes the rewrite inapplicable: no boost is priced.
-        min_weight = sweep.min_member_weight(first, table)
-        assert min_weight is not None
+        return GapSummary(0, Coalition(core, n), None, None, ())
+    min_weight = boost = members = None
+    if core:
+        min_weight = min(lightest)
         boost = first.quota - min_weight
-    members: Optional[tuple[Coalition, ...]] = None
-    if count <= GAP_MEMBER_CAP:
-        members = tuple(Coalition(m, n) for m in sweep.table_members(table))
-    return GapSummary(count, core, min_weight, boost, members)
+    if listed is not None:
+        members = tuple(Coalition(m, n) for m in np.concatenate(listed).tolist())
+    return GapSummary(count, Coalition(core, n), min_weight, boost, members)
+
+
+def _sub_cube_winners(game: WeightedGame, quota: int, rest: list[int]) -> sweep.Table:
+    """Win table, over the players in ``rest``, of the T with w(core ∪ T) >= quota.
+
+    The core is every player outside ``rest``; bit i of T is player ``rest[i]``.
+    """
+    weights = tuple(game.weights[j] for j in rest)
+    quota -= game.total_weight - sum(weights)
+    if 0 < quota <= sum(weights):
+        return sweep.win_table(WeightedGame(weights, quota))
+    table = sweep.full_table(len(rest))
+    return table if quota <= 0 else sweep.complement(table, len(rest))
 
 
 def _boosted_games(
@@ -220,8 +254,9 @@ def union_as_intersection(first: WeightedGame, second: WeightedGame) -> Decompos
     admits every union winner, and its excess winners (the frontier) are
     removed by one veto game each.
 
-    The over-admitted table comes from the closed form (module docstring);
-    one probe of its members against the unfused games picks the frontier.
+    The over-admitted set comes from the closed form (module docstring) on
+    the sub-cube of the non-core players; one probe of its members against
+    the unfused games picks the frontier.
 
     Raises
     ------
@@ -232,10 +267,7 @@ def union_as_intersection(first: WeightedGame, second: WeightedGame) -> Decompos
     if first.n != second.n:
         raise ValueError(f"player counts differ: {first.n} vs {second.n}")
     n = first.n
-    sat = sweep.complement(sweep.win_table(first), n)
-    gap_table = sweep.win_table(second)
-    gap_table &= sat
-    gap = _summarize_gap(first, gap_table)
+    gap = gap_summary(first, second)
     if gap.count == 0:
         return Decomposition((first,), gap, (), METHOD_FIRST_GAME)
     if gap.common_core.mask == 0:
@@ -246,16 +278,19 @@ def union_as_intersection(first: WeightedGame, second: WeightedGame) -> Decompos
     boost = boosted[0].total_weight - first.total_weight
     assert boost >= 0
 
-    # Over-admitted: lose first and second (not first, minus the gap), reach
-    # q - u (always, when q - u <= 0), and contain the core.
-    sat ^= gap_table
-    del gap_table
-    if first.quota > boost:
-        sat &= sweep.win_table(WeightedGame(first.weights, first.quota - boost))
-    sweep.keep_supersets(sat, gap.common_core.mask)
+    # Over-admitted: core ∪ T reaching q - u but losing first and second.
+    rest = [j for j in range(n) if j not in gap.common_core]
+    sub = _sub_cube_winners(first, first.quota - boost, rest)
+    sub &= sweep.complement(_sub_cube_winners(first, first.quota, rest), len(rest))
+    sub &= sweep.complement(_sub_cube_winners(second, second.quota, rest), len(rest))
+    # Scatter T back to full masks; rest is ascending, so the order is kept.
+    over_bits = sweep.member_array(sub)
+    over = np.full(over_bits.size, gap.common_core.mask, dtype=np.int64)
+    for i, j in enumerate(rest):
+        over |= (over_bits >> i & 1) << j
     up = boosted[0] if len(boosted) == 1 else all_of(*boosted)
     frontier = sweep.checked_maximal(
-        sweep.IntervalPredicate(up=up, down=any_of(first, second)), sat
+        sweep.IntervalPredicate(up=up, down=any_of(first, second)), over
     )
     for s in frontier:
         # A frontier member loses the union, so it cannot be the grand

@@ -6,12 +6,15 @@ coalition with bit-mask m wins (for n < 6 one word, unused high bits zero).
 A weighted game's table is gathered in rows (Horowitz & Sahni's sorted
 halves): the low 11 players' sums are sorted once into 2^11 + 1 patterns
 "sorted rank >= r" (0.5 MB), and a binary search picks each row's pattern.
-Every later operation works in place.  Closures and the whole-table
-maximality test of ``maximal_satisfying`` are the bitset subset-sum (zeta)
-transform: halves of a ``reshape(-1, 2, 2^(j-6))`` view for player j >= 6,
-in-word shifts under a constant mask for j < 6.  Batches of single
-coalitions (``evaluate_many``, as in ``checked_maximal`` and the lower-bound
-search's loser pool) read their weights off two partial-sum tables.
+``win_rows`` also streams the rows a chunk at a time, so the rewrite's gap
+survey reads two games without holding either table.  Every later
+operation works in place.  Closures and the whole-table maximality test
+of ``maximal_satisfying`` are the bitset subset-sum (zeta) transform:
+halves of a ``reshape(-1, 2, 2^(j-6))`` view for player j >= 6, in-word
+shifts under a constant mask for j < 6.  Batches of single coalitions
+(``evaluate_many`` in ``checked_maximal`` and the lower-bound search's
+loser pool, ``weights_of`` in the gap survey) read their weights off two
+partial-sum tables.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .games import (
 _RANK_BITS = 11
 # Rows gathered per chunk: bounds the rank buffer (8 bytes per row).
 _GATHER_ROWS = 1 << 12
-# ``_weights_of``: the low-side partial-sum table covers this many players.
+# ``weights_of``: the low-side partial-sum table covers this many players.
 _LO_BITS = 14
 # Table words unpacked at a time when listing members.
 _MEMBER_WORDS = 1 << 15
@@ -101,10 +104,15 @@ def _vetoed(blocked: Iterable[int], n: int) -> Table:
     return complement(down_closure(table, n), n)
 
 
-def win_table(game: WeightedGame) -> Table:
-    """The full win table of a weighted game."""
-    n = game.n
-    lo = min(n, _RANK_BITS)
+def win_rows(game: WeightedGame, rows: Optional[np.ndarray] = None) -> Iterator[np.ndarray]:
+    """The game's win-table rows in table order, ``_GATHER_ROWS`` rows at a time.
+
+    A row holds the 2^min(n, 11) coalitions that share their high players,
+    as whole words (one word for n < 6).  Each chunk is gathered straight
+    into its slice of ``rows`` when given, else into one reused buffer: a
+    chunk is then valid only until the next one is drawn.
+    """
+    lo = min(game.n, _RANK_BITS)
     low_sums = subset_sums(game.weights[:lo])
     order = np.argsort(low_sums, kind="stable")
     sorted_low = low_sums[order]
@@ -115,14 +123,24 @@ def win_table(game: WeightedGame) -> Table:
     np.bitwise_or.accumulate(patterns[::-1], axis=0, out=patterns[::-1])
     thresholds = subset_sums(game.weights[lo:])
     np.subtract(np.int64(game.quota), thresholds, out=thresholds)
-    table = _empty(n)
-    rows = table.view(np.ndarray).reshape(thresholds.size, -1)
+    buffer = None
+    if rows is None:
+        buffer = np.empty((min(thresholds.size, _GATHER_ROWS), patterns.shape[1]), "<u8")
     for start in range(0, thresholds.size, _GATHER_ROWS):
         chunk = slice(start, start + _GATHER_ROWS)
         # side="left": the first rank whose sum reaches the threshold, ties included.
         ranks = np.searchsorted(sorted_low, thresholds[chunk], side="left")
-        # mode="clip" writes straight into the rows; "raise" would buffer a copy.
-        np.take(patterns, ranks, axis=0, out=rows[chunk], mode="clip")
+        out = rows[chunk] if buffer is None else buffer[: ranks.size]
+        # mode="clip" writes straight into ``out``; "raise" would buffer a copy.
+        yield np.take(patterns, ranks, axis=0, out=out, mode="clip")
+
+
+def win_table(game: WeightedGame) -> Table:
+    """The full win table of a weighted game."""
+    table = _empty(game.n)
+    rows = table.view(np.ndarray).reshape(1 << max(0, game.n - _RANK_BITS), -1)
+    for _ in win_rows(game, rows):
+        pass
     return table
 
 
@@ -151,17 +169,6 @@ def up_closure(table: Table, n: int) -> Table:
         else:
             pairs = _pairs(table, j)
             pairs[:, 1] |= pairs[:, 0]
-    return table
-
-
-def keep_supersets(table: Table, mask: int) -> Table:
-    """Clear every coalition that misses a player of ``mask``, in place."""
-    for j in range(mask.bit_length()):
-        if mask >> j & 1:
-            if j < 6:
-                table &= _pattern(j, True)
-            else:
-                _pairs(table, j)[:, 0] = 0
     return table
 
 
@@ -199,13 +206,18 @@ def expr_table(expr: ExprLike) -> Table:
     return acc
 
 
-def _member_chunks(table: Table, nonzero: np.ndarray) -> Iterator[np.ndarray]:
-    """Member masks in the ``nonzero`` words of a table, ascending, a chunk at a time."""
+def member_chunks(
+    words: np.ndarray, nonzero: np.ndarray, base: int = 0
+) -> Iterator[np.ndarray]:
+    """Member masks in the ``nonzero`` words, ascending, a chunk at a time.
+
+    ``words`` is a table or a run of its words starting at word ``base``.
+    """
     for start in range(0, nonzero.size, _MEMBER_WORDS):
         index = nonzero[start : start + _MEMBER_WORDS]
-        bits = np.unpackbits(table[index].view(np.uint8), bitorder="little")
+        bits = np.unpackbits(words[index].view(np.uint8), bitorder="little")
         pos = np.flatnonzero(bits)
-        yield (index[pos >> 6] << 6) | (pos & 63)
+        yield ((index[pos >> 6] + base) << 6) | (pos & 63)
 
 
 def member_array(table: Table) -> np.ndarray:
@@ -213,7 +225,7 @@ def member_array(table: Table) -> np.ndarray:
     nonzero = np.flatnonzero(table)
     members = np.empty(int(np.bitwise_count(table[nonzero]).sum(dtype=np.int64)), np.int64)
     end = 0
-    for chunk in _member_chunks(table, nonzero):
+    for chunk in member_chunks(table, nonzero):
         members[end : end + chunk.size] = chunk
         end += chunk.size
     return members
@@ -242,7 +254,7 @@ def players_in_all(table: Table, n: int) -> int:
     return mask
 
 
-def _weights_of(game: WeightedGame, masks: np.ndarray) -> np.ndarray:
+def weights_of(game: WeightedGame, masks: np.ndarray) -> np.ndarray:
     """Weight of each coalition mask, read off the two half-universe partial sums."""
     lo = min(game.n, _LO_BITS)
     low = subset_sums(game.weights[:lo])[masks & ((1 << lo) - 1)]
@@ -251,8 +263,8 @@ def _weights_of(game: WeightedGame, masks: np.ndarray) -> np.ndarray:
 
 def min_member_weight(game: WeightedGame, table: Table) -> Optional[int]:
     """Minimum weight (under ``game``) over the coalitions in the table."""
-    chunks = _member_chunks(table, np.flatnonzero(table))
-    return min((int(_weights_of(game, m).min()) for m in chunks), default=None)
+    chunks = member_chunks(table, np.flatnonzero(table))
+    return min((int(weights_of(game, m).min()) for m in chunks), default=None)
 
 
 def evaluate_leaves(
@@ -269,7 +281,7 @@ def evaluate_leaves(
 def evaluate_many(expr: ExprLike, masks: np.ndarray) -> np.ndarray:
     """Vectorized evaluation of an expression on an array of coalition masks."""
     masks = np.asarray(masks, dtype=np.int64)
-    return evaluate_leaves(as_expr(expr), lambda g: _weights_of(g, masks) >= g.quota)
+    return evaluate_leaves(as_expr(expr), lambda g: weights_of(g, masks) >= g.quota)
 
 
 # --- predicates and public sweep operations --------------------------------
@@ -352,28 +364,27 @@ def _maximal_bits(sat: Table, n: int) -> Table:
     return sat
 
 
-def checked_maximal(pred: IntervalPredicate, sat: Table) -> list[Coalition]:
-    """Maximal members of ``sat``, ascending: those with no satisfying extension.
+def checked_maximal(pred: IntervalPredicate, arr: np.ndarray) -> list[Coalition]:
+    """Maximal masks of the ascending array ``arr``: those with no satisfying extension.
 
-    One probe checks that every member satisfies ``pred`` and that no
-    one-player extension outside ``sat`` does (``sat`` may be the whole
+    One probe checks that every mask satisfies ``pred`` and that no
+    one-player extension outside ``arr`` does (``arr`` may list the whole
     satisfying set or just its maximal members).
     """
     n = pred.n
-    arr = member_array(sat)
     ext = arr[:, None] | (np.int64(1) << np.arange(n, dtype=np.int64))
     grows = ext != arr[:, None]
     probe = np.concatenate([arr, ext[grows]])
     ok = evaluate_many(pred.up, probe) & ~evaluate_many(pred.down, probe)
     if not ok[: arr.size].all():
-        raise AssertionError("a table member failed the predicate re-check")
+        raise AssertionError("a listed mask failed the predicate re-check")
     fits = np.zeros_like(grows)
     fits[grows] = ok[arr.size :]
     if not np.isin(ext[fits], arr).all():
-        raise AssertionError("a satisfying one-player extension is missing from the table")
+        raise AssertionError("a satisfying one-player extension is missing from the list")
     return [Coalition(m, n) for m in arr[~fits.any(axis=1)].tolist()]
 
 
 def maximal_satisfying(pred: IntervalPredicate) -> list[Coalition]:
     """Inclusion-maximal coalitions satisfying the predicate, ascending by mask."""
-    return checked_maximal(pred, _maximal_bits(satisfying_table(pred), pred.n))
+    return checked_maximal(pred, member_array(_maximal_bits(satisfying_table(pred), pred.n)))

@@ -427,6 +427,16 @@ class TestLowerBound:
         assert result.exit_code == 2
         assert "duplicate" in result.stderr
 
+    @pytest.mark.parametrize(
+        "text, line, shown, first",
+        [("1\n# again\n1\n", 3, "{1}", 1), ("5,6\n1,2\n2,1\n", 3, "{1,2}", 2)],
+    )
+    def test_duplicate_names_ranks_and_lines(self, toys, tmp_path, text, line, shown, first):
+        path = self.write(tmp_path, text)
+        result = run("lower-bound", "verify", "--data", toys["toy16"], "--coalitions", path)
+        assert result.exit_code == 2
+        assert f"{path}:{line}: duplicate coalition {shown} (same as line {first})" in result.stderr
+
     def test_coalitions_not_utf8(self, toys, tmp_path):
         path = tmp_path / "coalitions.txt"
         path.write_bytes(b"1,2,3 # \xff\n")

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,18 @@ from votedim.decompose import (
 )
 
 rngs = st.integers(0, 2**32 - 1).map(random.Random)
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def traced_rewrite(rule):
+    """The rule's union rewrite and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        dec = union_as_intersection(rule.population_game, rule.veto_game)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return dec, peak
 
 
 class TestVetoGame:
@@ -103,6 +116,26 @@ class TestGapSummary:
         assert capped.min_weight == full.min_weight
         assert capped.boost == full.boost
 
+    def test_fold_stops_unpacking_once_done(self, monkeypatch):
+        # 2014 with swapped roles: 45,535,773 gap coalitions and no core.
+        # Once the core is empty and the count is past the listing cap, a
+        # chunk is only counted: the fold unpacks 321,706 members.  Unpacking
+        # and weighing them all took ten times as long.
+        unpacked = []
+        member_chunks = sweep.member_chunks
+
+        def counting(*args):
+            for masks in member_chunks(*args):
+                unpacked.append(masks.size)
+                yield masks
+
+        monkeypatch.setattr(sweep, "member_chunks", counting)
+        rule = data.build_eu_rule(data.builtin_table("2014"))
+        gap = gap_summary(rule.veto_game, rule.population_game)
+        assert gap.count == 45_535_773
+        assert gap.common_core.mask == 0 and gap.members is None
+        assert sum(unpacked) < gap.count // 100
+
     def test_player_count_mismatch(self):
         with pytest.raises(ValueError, match="player counts differ"):
             gap_summary(unit_game(1, 3), unit_game(1, 4))
@@ -174,10 +207,10 @@ class TestUnionAsIntersection:
 
     def test_empty_core_prices_no_boost(self, monkeypatch):
         # Gap: every coalition but the empty and the grand one; no common player.
-        def refuse(game, table):
-            raise AssertionError("min_member_weight called for an empty core")
+        def refuse(game, masks):
+            raise AssertionError("gap members weighed for an empty core")
 
-        monkeypatch.setattr(sweep, "min_member_weight", refuse)
+        monkeypatch.setattr(sweep, "weights_of", refuse)
         with pytest.raises(EmptyCoreError) as info:
             union_as_intersection(unit_game(8, 8), unit_game(1, 8))
         assert info.value.gap.count == 254
@@ -225,20 +258,42 @@ class TestUnionAsIntersection:
         assert len(built) <= 3
 
     def test_frontier_needs_no_whole_table_pass(self):
-        # 2018 without the UK, n = 27: 8,890 over-admitted coalitions, 1,351
-        # of them maximal.  numpy reports its buffers to tracemalloc.  The
-        # rewrite holds the over-admitted table, the table it is cut with and
-        # the probe of its members: 2.1 tables.  A whole-table maximality
-        # pass adds two more full-size tables and reads 3.0.
+        # 2018 without the UK, n = 27: 20 gap coalitions, 8,890 over-admitted
+        # coalitions, 1,351 of them maximal.  numpy reports its buffers to
+        # tracemalloc.  The rewrite holds one chunk of gap rows per game, the
+        # 2^15-bit sub-cube tables and the probe of the over-admitted masks:
+        # 0.33 tables.  The whole-table rewrite held 2.13.
         rule = data.build_eu_rule(data.builtin_table("2018"), exclude=["United Kingdom"])
+        dec, peak = traced_rewrite(rule)
+        assert len(dec.frontier) == 1351
+        assert peak < 0.5 * (1 << rule.n) / 8
+
+    def test_gap_survey_needs_no_whole_table(self):
+        # 2014, n = 28: 10 gap coalitions, a 22-player core and one
+        # over-admitted coalition.  The streamed survey reads 0.17 tables;
+        # the whole-table rewrite held 2.13.
+        rule = data.build_eu_rule(data.builtin_table("2014"))
+        dec, peak = traced_rewrite(rule)
+        assert len(dec.common_core_players()) == 22 and len(dec.frontier) == 1
+        assert peak < 0.5 * (1 << rule.n) / 8
+
+    def test_synthetic_30_player_table(self):
+        # The 2018 rows plus two synthetic members, n = 30: one 2^30-bit
+        # table would take 128 MB.
+        table = data.load_table((DATA / "synthetic30.csv").read_text(encoding="utf-8"))
+        rule = data.build_eu_rule(table)
         tracemalloc.start()
         try:
-            dec = union_as_intersection(rule.population_game, rule.veto_game)
+            result = decompose.analyze_rule(rule)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(dec.frontier) == 1351
-        assert peak < 2.5 * (1 << rule.n) / 8
+        assert rule.n == 30
+        assert result.bound == 27
+        assert result.gap.count == 11
+        assert len(result.gap.common_core.members()) == 24
+        assert len(result.frontier) == 2
+        assert peak < 32 * 2**20
 
     @settings(deadline=None)
     @given(st.integers(2, 8), rngs)

@@ -5,8 +5,9 @@ table is smaller than one word) and bit for bit against the frozen big-integer
 engine in ``bigint_engine.py`` at n = 20, where the oracles are too slow.
 The rewrite's closed-form frontier is compared with both engines' folds of
 the boosted games it emits, the rank-gather win tables with the packbits
-fill they replaced, and the two-table certificate split search with the
-bit-matrix search it replaced.
+fill they replaced, the two-table certificate split search with the
+bit-matrix search it replaced, and the streamed union rewrite with the
+whole-table rewrite frozen in ``table_rewrite.py``.
 """
 
 import random
@@ -17,9 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 import bigint_engine
 import oracles
-from votedim import data, lowerbound, sweep
+import table_rewrite
+from votedim import data, decompose, lowerbound, sweep
 from votedim.decompose import METHOD_CORE_BOOST, EmptyCoreError, union_as_intersection
-from votedim.games import MAX_TOTAL_WEIGHT, Coalition, WeightedGame, all_of, any_of
+from votedim.games import MAX_TOTAL_WEIGHT, Coalition, WeightedGame, all_of, any_of, unit_game
 
 rngs = st.integers(0, 2**32 - 1).map(random.Random)
 small_n = st.integers(1, 12)
@@ -434,3 +436,86 @@ class TestSplitSearch:
         assert lowerbound._CHUNK_BITS == 18
         got, expected = split_search(expr, a, b, n)
         assert got == expected == (1 << 0) | (1 << 18)
+
+
+def rewrite_outcome(rewrite, first: WeightedGame, second: WeightedGame):
+    """The rewrite's ``Decomposition``, or the gap of its ``EmptyCoreError``."""
+    try:
+        return rewrite(first, second)
+    except EmptyCoreError as e:
+        return e.gap
+
+
+def assert_same_rewrite(first: WeightedGame, second: WeightedGame, rows=None):
+    """The streamed rewrite (``rows`` per gather chunk) and the table rewrite agree."""
+    expected = rewrite_outcome(table_rewrite.union_as_intersection, first, second)
+    with pytest.MonkeyPatch.context() as patch:
+        if rows is not None:
+            patch.setattr(sweep, "_GATHER_ROWS", rows)
+        got = rewrite_outcome(union_as_intersection, first, second)
+    assert got == expected
+    return got
+
+
+class TestAgainstTableRewrite:
+    """The streamed gap survey and sub-cube frontier against the whole-table rewrite."""
+
+    @pytest.mark.parametrize("swap_roles", [False, True])
+    @pytest.mark.parametrize("year", ["2014", "2016", "2017", "2018"])
+    def test_bundled_years(self, year, swap_roles):
+        rule = data.build_eu_rule(data.builtin_table(year))
+        pair = (rule.population_game, rule.veto_game)
+        assert_same_rewrite(*(pair[::-1] if swap_roles else pair))
+
+    @pytest.mark.parametrize("retained", [False, True])
+    def test_without_uk(self, retained):
+        table = data.builtin_table("2018")
+        members = table.member_count if retained else None
+        rule = data.build_eu_rule(table, ["United Kingdom"], quota_member_count=members)
+        got = assert_same_rewrite(rule.population_game, rule.veto_game)
+        assert len(got.frontier if retained else got.games) == (0 if retained else 1363)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_n, gather_rows, rngs)
+    def test_random_pairs(self, n, rows, rng):
+        if rng.random() < 0.5:
+            first, second = oracles.random_game(rng, n), oracles.random_game(rng, n)
+        else:
+            first, second = union_pair(rng, n)
+        assert_same_rewrite(first, second, rows)
+
+    @pytest.mark.parametrize("n", [2, 7, 12])
+    def test_core_of_all_but_one_player(self, n):
+        # The grand coalition wins every valid game, so no gap holds it and
+        # no core holds every player: r = 1 is the smallest sub-cube.  Here
+        # the gap is {0..n-2} alone.
+        second = WeightedGame((1,) * (n - 1) + (0,), n - 1)
+        dec = assert_same_rewrite(unit_game(n, n), second)
+        assert dec.common_core_players() == tuple(range(n - 1))
+        assert dec.frontier == ()
+
+    def test_lowered_quota_at_most_zero(self):
+        # test_decompose's zero-minimum-weight pair: q - u = 0.
+        dec = assert_same_rewrite(WeightedGame((0, 0, 0, 1), 1), WeightedGame((2, 1, 1, 0), 3))
+        assert dec.gap.boost == dec.games[0].quota == 1
+
+    @pytest.mark.parametrize("cap", [10, 3000])
+    @pytest.mark.parametrize("core", [False, True])
+    def test_gap_above_the_member_cap(self, cap, core, monkeypatch):
+        # n = 13 has four table rows.  With one row per chunk and one word per
+        # member chunk the count crosses the cap mid-stream.  Players 0-5 and
+        # 11 are heavy, so the lightest gap coalition, {6, 12}, sits in the
+        # second word of its row, and the first word of every row is heavier.
+        n = 13
+        first = WeightedGame((5,) * 6 + (1,) * 5 + (5, 1), 41)
+        second = unit_game(1, n)
+        if core:
+            # Wins with player 12 and one more: 4,094 gap coalitions, core {12}.
+            second = WeightedGame((1,) * (n - 1) + (n - 1,), n)
+        monkeypatch.setattr(decompose, "GAP_MEMBER_CAP", cap)
+        monkeypatch.setattr(sweep, "_MEMBER_WORDS", 1)
+        got = assert_same_rewrite(first, second, rows=1)
+        gap = got.gap if core else got
+        assert gap.members is None
+        assert gap.count == (4094 if core else 8190)
+        assert gap.min_weight == (2 if core else None)

@@ -193,25 +193,25 @@ class TestPredicates:
         assert {s.mask for s in got} == expected
         assert [s.mask for s in got] == sorted(s.mask for s in got)
         # The member-list test decides the unthinned table the same way.
-        unthinned = sweep.checked_maximal(pred, sweep.satisfying_table(pred))
+        unthinned = sweep.checked_maximal(pred, sweep.member_array(sweep.satisfying_table(pred)))
         assert [s.mask for s in unthinned] == sorted(expected)
 
     def test_checked_maximal_rejects_wrong_tables(self):
         # Satisfied by every coalition except the empty and the grand one:
         # the maximal members are the three pairs.
         pred = sweep.IntervalPredicate(up=unit_game(1, 3), down=unit_game(3, 3))
-        got = sweep.checked_maximal(pred, sweep.satisfying_table(pred))
+        got = sweep.checked_maximal(pred, sweep.member_array(sweep.satisfying_table(pred)))
         assert [s.mask for s in got] == [0b011, 0b101, 0b110]
-        # {0} is maximal in a table that holds only it, but {0, 1} satisfies.
+        # {0} is maximal in a list that holds only it, but {0, 1} satisfies.
         with pytest.raises(AssertionError, match="extension"):
-            sweep.checked_maximal(pred, oracles.int_to_table(1 << 0b001, 3))
+            sweep.checked_maximal(pred, np.array([0b001]))
         # {0, 1} is maximal, but {0} has the satisfying extension {0, 2},
-        # which the table is missing.
+        # which the list is missing.
         with pytest.raises(AssertionError, match="extension"):
-            sweep.checked_maximal(pred, oracles.int_to_table(1 << 0b001 | 1 << 0b011, 3))
+            sweep.checked_maximal(pred, np.array([0b001, 0b011]))
         # The grand coalition does not satisfy the predicate at all.
         with pytest.raises(AssertionError, match="re-check"):
-            sweep.checked_maximal(pred, oracles.int_to_table(1 << 0b111, 3))
+            sweep.checked_maximal(pred, np.array([0b111]))
 
     def test_equivalent_reports_smallest_difference(self):
         a = WeightedGame((1, 1, 0), 2)
