@@ -25,18 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .games import (
-    AND,
-    Coalition,
-    ExprLike,
-    GameExpr,
-    Leaf,
-    Node,
-    WeightedGame,
-    all_of,
-    any_of,
-    as_expr,
-)
+from .games import AND, Coalition, GameExpr, Node, WeightedGame, all_of, any_of
 from . import sweep
 from .data import EuRule
 
@@ -161,7 +150,7 @@ class Decomposition:
     def intersection(self) -> GameExpr:
         """The emitted games as a single AND expression."""
         if len(self.games) == 1:
-            return as_expr(self.games[0])
+            return self.games[0]
         return all_of(*self.games)
 
 
@@ -174,7 +163,7 @@ def veto_game(blocked: Coalition) -> WeightedGame:
     """
     if blocked.mask == Coalition.grand(blocked.n).mask:
         raise ValueError("cannot veto the grand coalition: no player would carry weight")
-    weights = tuple(0 if j in blocked else 1 for j in range(blocked.n))
+    weights = tuple(1 - (blocked.mask >> j & 1) for j in range(blocked.n))
     return WeightedGame(weights, 1)
 
 
@@ -274,13 +263,10 @@ def union_as_intersection(first: WeightedGame, second: WeightedGame) -> Decompos
         raise EmptyCoreError(gap)
     assert gap.boost is not None
     boosted = _boosted_games(first, gap.common_core, gap.boost)
-    # The boost as emitted: the frontier must fence exactly these games.
-    boost = boosted[0].total_weight - first.total_weight
-    assert boost >= 0
 
     # Over-admitted: core ∪ T reaching q - u but losing first and second.
     rest = [j for j in range(n) if j not in gap.common_core]
-    sub = _sub_cube_winners(first, first.quota - boost, rest)
+    sub = _sub_cube_winners(first, first.quota - gap.boost, rest)
     sub &= sweep.complement(_sub_cube_winners(first, first.quota, rest), len(rest))
     sub &= sweep.complement(_sub_cube_winners(second, second.quota, rest), len(rest))
     # Scatter T back to full masks; rest is ascending, so the order is kept.
@@ -327,7 +313,7 @@ def analyze_rule(rule: EuRule, swap_roles: bool = False) -> RuleAnalysis:
     return RuleAnalysis(dec.gap, (rule.count_game,) + dec.games, dec.frontier, dec.method)
 
 
-def refine_by_vetoes(target: ExprLike, candidate: ExprLike) -> Decomposition:
+def refine_by_vetoes(target: GameExpr, candidate: GameExpr) -> Decomposition:
     """Cut a winning-superset ``candidate`` down to ``target`` with veto games.
 
     ``candidate`` must be an intersection of weighted games (a single game
@@ -342,8 +328,6 @@ def refine_by_vetoes(target: ExprLike, candidate: ExprLike) -> Decomposition:
     ValueError
         When ``candidate`` contains a union node.
     """
-    target = as_expr(target)
-    candidate = as_expr(candidate)
     if not _and_only(candidate):
         raise ValueError("candidate must be a single game or an AND-only tree")
     # W(target) is contained in W(candidate) iff target == target AND candidate.
@@ -357,7 +341,7 @@ def refine_by_vetoes(target: ExprLike, candidate: ExprLike) -> Decomposition:
 
 
 def _and_only(expr: GameExpr) -> bool:
-    if isinstance(expr, Leaf):
+    if isinstance(expr, WeightedGame):
         return True
     assert isinstance(expr, Node)
     return expr.op == AND and all(_and_only(c) for c in expr.children)

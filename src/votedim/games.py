@@ -9,8 +9,8 @@ engine's ``uint64`` word-array win tables (bit m % 64 of word m // 64).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Union
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 MAX_PLAYERS = 32
 
@@ -95,14 +95,40 @@ class Coalition:
         return f"Coalition({{{', '.join(map(str, self.members()))}}}, n={self.n})"
 
 
+# --- boolean combinations -------------------------------------------------
+
+AND = "and"
+OR = "or"
+
+
+class GameExpr:
+    """A boolean combination of weighted games: leaves joined by AND / OR.
+
+    A weighted game is itself a leaf.  Every expression over ``n`` players
+    is a simple game: evaluation is monotone (leaves are monotone and both
+    connectives preserve monotonicity), the empty coalition loses and the
+    grand coalition wins.  ``WeightedGame`` validates this for a leaf and
+    ``Node`` asserts it at construction.
+    """
+
+    __slots__ = ()
+
+    def evaluate(self, s: Coalition) -> bool:
+        raise NotImplementedError
+
+    def leaves(self) -> Iterator[WeightedGame]:
+        raise NotImplementedError
+
+
 @dataclass(frozen=True)
-class WeightedGame:
+class WeightedGame(GameExpr):
     """A weighted majority game [quota; w_1, ..., w_n] over integer weights.
 
-    A coalition wins iff its weight sum meets the quota (>=, no tie layer).
-    Quotas that arise as a fraction of the total weight must be rescaled to
-    exact integers by the caller (see ``votedim.data``); this type never
-    touches floating point.
+    A coalition wins iff its weight sum meets the quota (>=, no tie layer),
+    and the game is a leaf expression in its own right.  Quotas that arise
+    as a fraction of the total weight must be rescaled to exact integers by
+    the caller (see ``votedim.data``); this type never touches floating
+    point.
     """
 
     weights: tuple[int, ...]
@@ -147,8 +173,11 @@ class WeightedGame:
             m ^= low
         return total
 
-    def wins(self, s: Coalition) -> bool:
+    def evaluate(self, s: Coalition) -> bool:
         return self.weight_sum(s) >= self.quota
+
+    def leaves(self) -> Iterator[WeightedGame]:
+        yield self
 
     def __repr__(self) -> str:
         ws = ",".join(map(str, self.weights))
@@ -160,56 +189,8 @@ def unit_game(quota: int, n: int) -> WeightedGame:
     return WeightedGame((1,) * n, quota)
 
 
-# --- boolean combinations -------------------------------------------------
-
-AND = "and"
-OR = "or"
-
-
-class GameExpr:
-    """A boolean combination of weighted games: leaves joined by AND / OR.
-
-    Every expression is a simple game: evaluation is monotone (leaves are
-    monotone and both connectives preserve monotonicity), the empty coalition
-    loses and the grand coalition wins.  The boundary condition is asserted
-    at construction of every node.
-    """
-
-    __slots__ = ("n",)
-
-    def evaluate(self, s: Coalition) -> bool:
-        raise NotImplementedError
-
-    def leaves(self) -> Iterator[WeightedGame]:
-        raise NotImplementedError
-
-    def _assert_boundary(self) -> None:
-        if self.evaluate(Coalition.empty(self.n)):
-            raise ValueError("empty coalition must lose")
-        if not self.evaluate(Coalition.grand(self.n)):
-            raise ValueError("grand coalition must win")
-
-
-class Leaf(GameExpr):
-    __slots__ = ("game",)
-
-    def __init__(self, game: WeightedGame):
-        self.game = game
-        self.n = game.n
-        self._assert_boundary()
-
-    def evaluate(self, s: Coalition) -> bool:
-        return self.game.wins(s)
-
-    def leaves(self) -> Iterator[WeightedGame]:
-        yield self.game
-
-    def __repr__(self) -> str:
-        return f"leaf({self.game!r})"
-
-
 class Node(GameExpr):
-    __slots__ = ("op", "children")
+    __slots__ = ("op", "children", "n")
 
     def __init__(self, op: str, children: tuple[GameExpr, ...]):
         if op not in (AND, OR):
@@ -222,7 +203,10 @@ class Node(GameExpr):
         self.op = op
         self.children = children
         self.n = n
-        self._assert_boundary()
+        if self.evaluate(Coalition.empty(n)):
+            raise ValueError("empty coalition must lose")
+        if not self.evaluate(Coalition.grand(n)):
+            raise ValueError("grand coalition must win")
 
     def evaluate(self, s: Coalition) -> bool:
         _check_universe(self.n, s.n)
@@ -239,23 +223,18 @@ class Node(GameExpr):
         return "(" + sep.join(repr(c) for c in self.children) + ")"
 
 
-ExprLike = Union[GameExpr, WeightedGame]
-
-
-def as_expr(x: ExprLike) -> GameExpr:
-    """Wrap a bare WeightedGame as a leaf; pass expressions through."""
+def as_expr(x: GameExpr) -> GameExpr:
+    """Pass a game expression through; reject anything else with TypeError."""
     if isinstance(x, GameExpr):
         return x
-    if isinstance(x, WeightedGame):
-        return Leaf(x)
     raise TypeError(f"expected GameExpr or WeightedGame, got {type(x).__name__}")
 
 
-def all_of(*exprs: ExprLike) -> GameExpr:
+def all_of(*exprs: GameExpr) -> GameExpr:
     """Intersection: wins iff every child wins."""
     return Node(AND, tuple(as_expr(e) for e in exprs))
 
 
-def any_of(*exprs: ExprLike) -> GameExpr:
+def any_of(*exprs: GameExpr) -> GameExpr:
     """Union: wins iff at least one child wins."""
     return Node(OR, tuple(as_expr(e) for e in exprs))

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .games import Coalition, ExprLike, GameExpr, WeightedGame, as_expr
+from .games import Coalition, GameExpr, WeightedGame
 from . import sweep
 
 # Symmetric differences beyond this size are not searched (2^(size-1)
@@ -121,7 +121,7 @@ class CertificateSetReport:
 
 
 def find_certificate(
-    game: ExprLike, a: Coalition, b: Coalition
+    expr: GameExpr, a: Coalition, b: Coalition
 ) -> Optional[IncompatibilityCertificate]:
     """Search the canonical splits of the symmetric difference of (a, b).
 
@@ -137,7 +137,6 @@ def find_certificate(
     Returns None when no split certifies; raises DeltaTooLarge when the
     difference exceeds ``DELTA_CAP`` players.
     """
-    expr = as_expr(game)
     if a.n != expr.n or b.n != expr.n:
         raise ValueError("coalitions must live in the game's player universe")
     if expr.evaluate(a):
@@ -193,7 +192,7 @@ def find_certificate(
 
 
 def verify_certificate_set(
-    game: ExprLike, coalitions: Sequence[Coalition]
+    expr: GameExpr, coalitions: Sequence[Coalition]
 ) -> CertificateSetReport:
     """Check a coalition set: all losing and pairwise certified.
 
@@ -201,7 +200,6 @@ def verify_certificate_set(
     difference exceeds the cap, or that involve a non-losing coalition, are
     reported as not attempted.
     """
-    expr = as_expr(game)
     coalitions = tuple(coalitions)
     if not coalitions:
         raise ValueError("coalition set must be non-empty")
@@ -280,7 +278,7 @@ def _max_clique(adjacent: Sequence[int]) -> int:
 
 
 def search_certificate_set(
-    game: ExprLike, pool_budget: int = 64, seed: int = 0
+    expr: GameExpr, pool_budget: int = 64, seed: int = 0
 ) -> CertificateSetReport:
     """A largest pairwise-incompatible set within a seeded pool of maximal losers.
 
@@ -291,7 +289,6 @@ def search_certificate_set(
     """
     if pool_budget < 1:
         raise ValueError("budget must be positive")
-    expr = as_expr(game)
     pool = [Coalition(m, expr.n) for m in _loser_pool(expr, pool_budget, seed)]
     graph = verify_certificate_set(expr, pool)
     adjacent = [0] * len(pool)

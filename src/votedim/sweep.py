@@ -24,16 +24,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .games import (
-    AND,
-    Coalition,
-    ExprLike,
-    GameExpr,
-    Leaf,
-    Node,
-    WeightedGame,
-    as_expr,
-)
+from .games import AND, Coalition, GameExpr, Node, WeightedGame
 
 # Win table rows: 2^11 coalitions, whole words once n >= 6.
 _RANK_BITS = 11
@@ -144,39 +135,38 @@ def win_table(game: WeightedGame) -> Table:
     return table
 
 
-def down_closure(table: Table, n: int) -> Table:
-    """Add every subset of every member, in place."""
-    scratch = np.empty_like(table)
+def _spread(src: Table, dst: Table, n: int, down: bool) -> Table:
+    """OR into ``dst`` each member of ``src`` with one player dropped (or added).
+
+    With ``dst is src`` each player's step sees the earlier ones, which
+    compounds into the whole down (or up) closure.
+    """
+    scratch = np.empty_like(src)
+    shift = np.right_shift if down else np.left_shift
     for j in range(n):
         if j < 6:
-            np.bitwise_and(table, _pattern(j, True), out=scratch)
-            scratch >>= 1 << j
-            table |= scratch
+            np.bitwise_and(src, _pattern(j, down), out=scratch)
+            dst |= shift(scratch, 1 << j, out=scratch)
         else:
-            pairs = _pairs(table, j)
-            pairs[:, 0] |= pairs[:, 1]
-    return table
+            to = 0 if down else 1
+            _pairs(dst, j)[:, to] |= _pairs(src, j)[:, 1 - to]
+    return dst
+
+
+def down_closure(table: Table, n: int) -> Table:
+    """Add every subset of every member, in place."""
+    return _spread(table, table, n, down=True)
 
 
 def up_closure(table: Table, n: int) -> Table:
     """Add every superset of every member, in place."""
-    scratch = np.empty_like(table)
-    for j in range(n):
-        if j < 6:
-            np.bitwise_and(table, _pattern(j, False), out=scratch)
-            scratch <<= 1 << j
-            table |= scratch
-        else:
-            pairs = _pairs(table, j)
-            pairs[:, 1] |= pairs[:, 0]
-    return table
+    return _spread(table, table, n, down=False)
 
 
-def expr_table(expr: ExprLike) -> Table:
+def expr_table(expr: GameExpr) -> Table:
     """Win table of a boolean game expression (fold of the leaf tables)."""
-    expr = as_expr(expr)
-    if isinstance(expr, Leaf):
-        return win_table(expr.game)
+    if isinstance(expr, WeightedGame):
+        return win_table(expr)
     assert isinstance(expr, Node)
     n = expr.n
 
@@ -184,15 +174,15 @@ def expr_table(expr: ExprLike) -> Table:
     # so it loses exactly on the subsets of its zero-weight players.  All
     # such leaves under one AND share a single down-closure.
     children: list[GameExpr] = []
-    vetoes: list[Leaf] = []
+    vetoes: list[WeightedGame] = []
     for c in expr.children:
-        if expr.op == AND and isinstance(c, Leaf) and c.game.quota == 1:
+        if expr.op == AND and isinstance(c, WeightedGame) and c.quota == 1:
             vetoes.append(c)
         else:
             children.append(c)
     acc: Optional[Table] = None
     if vetoes:
-        acc = _vetoed((_blocked_mask(c.game) for c in vetoes), n)
+        acc = _vetoed((_blocked_mask(c) for c in vetoes), n)
 
     for child in children:
         t = expr_table(child)
@@ -271,17 +261,17 @@ def evaluate_leaves(
     expr: GameExpr, leaf_wins: Callable[[WeightedGame], np.ndarray]
 ) -> np.ndarray:
     """Fold the AND/OR tree over per-leaf boolean arrays, one entry per candidate."""
-    if isinstance(expr, Leaf):
-        return leaf_wins(expr.game)
+    if isinstance(expr, WeightedGame):
+        return leaf_wins(expr)
     assert isinstance(expr, Node)
     parts = [evaluate_leaves(c, leaf_wins) for c in expr.children]
     return (np.logical_and if expr.op == AND else np.logical_or).reduce(parts)
 
 
-def evaluate_many(expr: ExprLike, masks: np.ndarray) -> np.ndarray:
+def evaluate_many(expr: GameExpr, masks: np.ndarray) -> np.ndarray:
     """Vectorized evaluation of an expression on an array of coalition masks."""
     masks = np.asarray(masks, dtype=np.int64)
-    return evaluate_leaves(as_expr(expr), lambda g: weights_of(g, masks) >= g.quota)
+    return evaluate_leaves(expr, lambda g: weights_of(g, masks) >= g.quota)
 
 
 # --- predicates and public sweep operations --------------------------------
@@ -299,8 +289,6 @@ class IntervalPredicate:
     down: GameExpr
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "up", as_expr(self.up))
-        object.__setattr__(self, "down", as_expr(self.down))
         if self.up.n != self.down.n:
             raise ValueError(
                 f"predicate parts live in different universes: {self.up.n} vs {self.down.n}"
@@ -326,12 +314,11 @@ def satisfying_table(pred: IntervalPredicate) -> Table:
     return sat
 
 
-def equivalent(a: ExprLike, b: ExprLike) -> EquivalenceResult:
+def equivalent(a: GameExpr, b: GameExpr) -> EquivalenceResult:
     """Exhaustively compare two expressions over all 2^n coalitions.
 
     Returns the smallest differing coalition mask (numeric order) if any.
     """
-    a, b = as_expr(a), as_expr(b)
     if a.n != b.n:
         raise ValueError(f"player universes differ: {a.n} vs {b.n}")
     diff = expr_table(a)
@@ -350,15 +337,7 @@ def _maximal_bits(sat: Table, n: int) -> Table:
     # an extension stays winning in the up part, so it can only fail by newly
     # winning the down part, which every further superset inherits.  In place.
     # Only for tables too big to list: ``maximal_satisfying`` (veto refinement).
-    bad = np.zeros_like(sat)
-    scratch = np.empty_like(sat)
-    for j in range(n):
-        if j < 6:
-            np.right_shift(sat, 1 << j, out=scratch)
-            scratch &= _pattern(j, False)
-            bad |= scratch
-        else:
-            _pairs(bad, j)[:, 0] |= _pairs(sat, j)[:, 1]
+    bad = _spread(sat, np.zeros_like(sat), n, down=True)
     np.invert(bad, out=bad)
     sat &= bad
     return sat

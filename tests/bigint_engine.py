@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from votedim.games import AND, ExprLike, Leaf, Node, WeightedGame, as_expr
+from votedim.games import AND, GameExpr, Node, WeightedGame
 
 _LO_BITS = 14
 _CHUNK_ELEMS = 1 << 21
@@ -118,24 +118,23 @@ def up_closure(table: int, n: int) -> int:
     return table
 
 
-def expr_table(expr: ExprLike) -> int:
-    expr = as_expr(expr)
-    if isinstance(expr, Leaf):
-        return win_table(expr.game)
+def expr_table(expr: GameExpr) -> int:
+    if isinstance(expr, WeightedGame):
+        return win_table(expr)
     assert isinstance(expr, Node)
     n = expr.n
     children = list(expr.children)
     acc: Optional[int] = None
     if expr.op == AND:
         vetoes = [
-            c for c in children if isinstance(c, Leaf) and _is_indicator_veto(c.game)
+            c for c in children if isinstance(c, WeightedGame) and _is_indicator_veto(c)
         ]
         if len(vetoes) >= _INDICATOR_GROUP_MIN:
             children = [c for c in children if c not in vetoes]
             blocked_bits = 0
             for c in vetoes:
                 blocked_bits |= 1 << sum(
-                    1 << j for j, w in enumerate(c.game.weights) if w == 0
+                    1 << j for j, w in enumerate(c.weights) if w == 0
                 )
             acc = full_table(n) ^ down_closure(blocked_bits, n)
     for child in children:
@@ -191,7 +190,7 @@ def min_member_weight(game: WeightedGame, table: int) -> Optional[int]:
     return best
 
 
-def first_difference(a: ExprLike, b: ExprLike) -> Optional[int]:
+def first_difference(a: GameExpr, b: GameExpr) -> Optional[int]:
     """Smallest coalition mask on which the two expressions differ."""
     diff = expr_table(a) ^ expr_table(b)
     if diff == 0:
@@ -221,8 +220,8 @@ def _expand_selector(r: np.ndarray, positions) -> np.ndarray:
 
 
 def _evaluate_bits(e, bits: np.ndarray) -> np.ndarray:
-    if isinstance(e, Leaf):
-        return bits @ np.array(e.game.weights, dtype=np.int64) >= e.game.quota
+    if isinstance(e, WeightedGame):
+        return bits @ np.array(e.weights, dtype=np.int64) >= e.quota
     parts = [_evaluate_bits(c, bits) for c in e.children]
     out = parts[0].copy()
     for p in parts[1:]:
@@ -233,18 +232,16 @@ def _evaluate_bits(e, bits: np.ndarray) -> np.ndarray:
     return out
 
 
-def evaluate_many(expr: ExprLike, masks: np.ndarray) -> np.ndarray:
-    expr = as_expr(expr)
+def evaluate_many(expr: GameExpr, masks: np.ndarray) -> np.ndarray:
     masks = np.asarray(masks, dtype=np.int64)
     bits = (masks[:, None] >> np.arange(expr.n, dtype=np.int64)[None, :]) & 1
     return _evaluate_bits(expr, bits)
 
 
 def certificate_split(
-    expr: ExprLike, a: int, b: int, chunk: int = 1 << 18
+    expr: GameExpr, a: int, b: int, chunk: int = 1 << 18
 ) -> Optional[int]:
     """x of the first certifying split of two losing masks, or None."""
-    expr = as_expr(expr)
     base = a & b
     delta = (a | b) ^ base
     free = [j for j in range(expr.n) if delta >> j & 1][:-1]

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from votedim.games import Coalition, ExprLike
+from votedim.games import Coalition, GameExpr
 from votedim.lowerbound import DeltaTooLarge, find_certificate
 
 
-def greedy_clique(expr: ExprLike, pool: Sequence[Coalition]) -> list[Coalition]:
+def greedy_clique(expr: GameExpr, pool: Sequence[Coalition]) -> list[Coalition]:
     clique: list[Coalition] = []
     for cand in pool:
         for kept in clique:

@@ -12,7 +12,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from votedim.games import AND, GameExpr, Leaf, Node, WeightedGame
+from votedim.games import AND, GameExpr, Node, WeightedGame
 from votedim.sweep import Table
 
 
@@ -24,8 +24,6 @@ def wins(game, mask: int) -> bool:
     """Evaluate a WeightedGame or GameExpr by definition."""
     if isinstance(game, WeightedGame):
         return weight_of(game.weights, mask) >= game.quota
-    if isinstance(game, Leaf):
-        return wins(game.game, mask)
     assert isinstance(game, Node)
     results = (wins(c, mask) for c in game.children)
     return all(results) if game.op == AND else any(results)
@@ -111,8 +109,7 @@ def random_game(rng: random.Random, n: int, max_weight: int = 8) -> WeightedGame
 def random_expr(rng: random.Random, n: int, max_weight: int = 8) -> GameExpr:
     """A random two-level AND/OR combination of 2 or 3 weighted games."""
     games = [random_game(rng, n, max_weight) for _ in range(rng.randint(2, 3))]
-    children = tuple(Leaf(g) for g in games)
-    return Node(rng.choice(("and", "or")), children)
+    return Node(rng.choice(("and", "or")), tuple(games))
 
 
 def single_weighted_game_exists(

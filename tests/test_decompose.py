@@ -44,7 +44,7 @@ class TestVetoGame:
         game = veto_game(Coalition.empty(4))
         assert game.weights == (1, 1, 1, 1)
         assert game.quota == 1
-        assert not game.wins(Coalition.empty(4))
+        assert not game.evaluate(Coalition.empty(4))
 
     def test_blocked_pair(self):
         game = veto_game(Coalition.from_members([0, 1], 3))

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from votedim import data, decompose
 from votedim.games import (
     AND,
     OR,
     Coalition,
-    Leaf,
+    GameExpr,
     Node,
     UniverseMismatchError,
     WeightedGame,
@@ -78,8 +79,8 @@ class TestWeightedGame:
 
     def test_wins(self):
         g = WeightedGame((1, 1, 0), 2)
-        assert g.wins(Coalition.from_members([0, 1], 3))
-        assert not g.wins(Coalition.from_members([0, 2], 3))
+        assert g.evaluate(Coalition.from_members([0, 1], 3))
+        assert not g.evaluate(Coalition.from_members([0, 2], 3))
 
     @given(st.integers(1, 10).flatmap(lambda n: st.tuples(
         st.lists(st.integers(0, 9), min_size=n, max_size=n),
@@ -101,12 +102,12 @@ class TestWeightedGame:
         g = oracles.random_game(rng, n)
         sub = rng.randint(0, (1 << n) - 1)
         sup = sub | rng.randint(0, (1 << n) - 1)
-        assert g.wins(Coalition(sub, n)) <= g.wins(Coalition(sup, n))
+        assert g.evaluate(Coalition(sub, n)) <= g.evaluate(Coalition(sup, n))
 
     def test_unit_game(self):
         g = unit_game(2, 4)
         for m in range(1 << 4):
-            assert g.wins(Coalition(m, 4)) == (m.bit_count() >= 2)
+            assert g.evaluate(Coalition(m, 4)) == (m.bit_count() >= 2)
 
 
 class TestExpressions:
@@ -117,7 +118,7 @@ class TestExpressions:
         expr = all_of(a, any_of(b, c))
         for m in range(8):
             s = Coalition(m, 3)
-            expected = a.wins(s) and (b.wins(s) or c.wins(s))
+            expected = a.evaluate(s) and (b.evaluate(s) or c.evaluate(s))
             assert expr.evaluate(s) == expected
 
     def test_leaves_in_construction_order(self):
@@ -126,21 +127,40 @@ class TestExpressions:
         assert list(expr.leaves()) == [a, b, c]
 
     def test_as_expr(self):
-        g = unit_game(1, 3)
-        wrapped = as_expr(g)
-        assert isinstance(wrapped, Leaf)
-        assert as_expr(wrapped) is wrapped
+        g, h = unit_game(1, 3), unit_game(2, 3)
+        assert isinstance(g, GameExpr)
+        assert as_expr(g) is g
+        assert all_of(g, h).children[0] is g
         with pytest.raises(TypeError):
             as_expr(42)
+
+    def test_and_node_evaluates_each_leaf_once(self, monkeypatch):
+        # The 1,364 games of 2018 without the UK: the node's boundary check
+        # weighs the empty coalition once (the count game loses it) and the
+        # grand coalition once per leaf.  Wrapped leaves weighed both again.
+        rule = data.build_eu_rule(data.builtin_table("2018"), exclude=["United Kingdom"])
+        games = decompose.analyze_rule(rule).games
+        calls = 0
+        weight_sum = WeightedGame.weight_sum
+
+        def counted(self, s):
+            nonlocal calls
+            calls += 1
+            return weight_sum(self, s)
+
+        monkeypatch.setattr(WeightedGame, "weight_sum", counted)
+        all_of(*games)
+        assert len(games) == 1364
+        assert calls <= len(games) + 1
 
     def test_node_arity_and_universe(self):
         g = unit_game(1, 3)
         with pytest.raises(ValueError):
-            Node(AND, (as_expr(g),))
+            Node(AND, (g,))
         with pytest.raises(UniverseMismatchError):
             all_of(g, unit_game(1, 4))
         with pytest.raises(ValueError):
-            Node("xor", (as_expr(g), as_expr(g)))
+            Node("xor", (g, g))
 
     @given(st.integers(2, 8), st.integers(0, 2**32 - 1).map(random.Random))
     def test_expr_monotone_and_bounded(self, n, rng):

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from votedim import sweep
+from votedim import data, sweep
+from votedim.decompose import analyze_rule
 from votedim.games import Coalition, WeightedGame, all_of, any_of, unit_game
 
 rngs = st.integers(0, 2**32 - 1).map(random.Random)
@@ -222,6 +223,20 @@ class TestPredicates:
         # third player's weight matters.
         assert result.counterexample == Coalition(0b101, 3)
         assert bool(sweep.equivalent(a, a))
+
+    def test_verify_fold_memory(self):
+        # ``verify`` on 2018 without the UK, n = 27: the rule against its
+        # 1,364 games, folded leaf by leaf over all 2^27 coalitions.  numpy
+        # reports its buffers to tracemalloc; the fold peaks at 4.13 tables.
+        rule = data.build_eu_rule(data.builtin_table("2018"), exclude=["United Kingdom"])
+        tracemalloc.start()
+        try:
+            result = sweep.equivalent(rule.expr, all_of(*analyze_rule(rule).games))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result
+        assert peak <= 4.25 * (1 << rule.n) / 8
 
     def test_satisfying_table_counts_and_order(self):
         n = 4
