@@ -8,6 +8,13 @@ bundled datasets and the ``votedim`` command apply the machinery to the
 EU Council qualified-majority rule.
 """
 
+import os
+
+# The engine makes no BLAS call: keep OpenBLAS from starting a helper thread
+# per core when numpy loads.  A value already set wins, and a process that
+# imported numpy before this package keeps the threads it has.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .games import (
     Coalition,
     GameExpr,

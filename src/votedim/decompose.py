@@ -170,34 +170,34 @@ def veto_game(blocked: Coalition) -> WeightedGame:
 def gap_summary(first: WeightedGame, second: WeightedGame) -> GapSummary:
     """Exact survey of the coalitions losing ``first`` but winning ``second``.
 
-    The gap table ``~first & second`` is streamed a chunk of rows at a time
-    and never held whole.  The fold counts it, intersects its members into
-    the core, weighs them while the core is non-empty and lists them up to
-    ``GAP_MEMBER_CAP``; once the core (which only shrinks) is empty and the
-    listing is past the cap, a chunk is only counted.
+    The gap table ``~first & second`` is streamed a block at a time and
+    never held whole.  The fold counts it, intersects its members into the
+    core and weighs them while the core is non-empty.  It keeps the non-zero
+    gap words of each block while the count stays within ``GAP_MEMBER_CAP``
+    and lists their members at the end, so once the core (which only
+    shrinks) is empty and the count is past the cap, a block is only counted.
     """
     if first.n != second.n:
         raise ValueError(f"player counts differ: {first.n} vs {second.n}")
     n = first.n
     count, core, base = 0, (1 << n) - 1, 0
     lightest: list[int] = []
-    listed: Optional[list[np.ndarray]] = []
-    for gap, wins in zip(sweep.win_rows(first), sweep.win_rows(second)):
-        gap = np.bitwise_and(np.invert(gap, out=gap), wins, out=gap).ravel()
+    listed: Optional[list[tuple[np.ndarray, np.ndarray]]] = []
+    for gap, wins in zip(sweep.expr_blocks(first), sweep.expr_blocks(second)):
+        gap = np.bitwise_and(np.invert(gap, out=gap), wins, out=gap)
         nonzero = np.flatnonzero(gap)
-        count += int(np.bitwise_count(gap[nonzero]).sum(dtype=np.int64))
+        words = gap[nonzero]
+        count += int(np.bitwise_count(words).sum(dtype=np.int64))
         if count > GAP_MEMBER_CAP:
             listed = None
-        if core or listed is not None:
-            for masks in sweep.member_chunks(gap, nonzero, base):
-                core &= int(np.bitwise_and.reduce(masks))
-                if core:
-                    # An empty core makes the rewrite inapplicable: no boost is priced.
-                    lightest.append(int(sweep.weights_of(first, masks).min()))
-                if listed is not None:
-                    listed.append(masks)
-                elif not core:
-                    break
+        elif listed is not None:
+            listed.append((words, nonzero + base))
+        for masks in sweep.member_chunks(gap, nonzero, base) if core else ():
+            core &= int(np.bitwise_and.reduce(masks))
+            if not core:
+                # An empty core makes the rewrite inapplicable: no boost is priced.
+                break
+            lightest.append(int(sweep.weights_of(first, masks).min()))
         base += gap.size
     if count == 0:
         return GapSummary(0, Coalition(core, n), None, None, ())
@@ -206,7 +206,11 @@ def gap_summary(first: WeightedGame, second: WeightedGame) -> GapSummary:
         min_weight = min(lightest)
         boost = first.quota - min_weight
     if listed is not None:
-        members = tuple(Coalition(m, n) for m in np.concatenate(listed).tolist())
+        words, index = (np.concatenate(part) for part in zip(*listed))
+        # Bit b of listed word i is coalition index[i] * 64 + b.
+        bits = np.concatenate(list(sweep.member_chunks(words, np.arange(words.size))))
+        masks = (index[bits >> 6] << 6) | (bits & 63)
+        members = tuple(Coalition(m, n) for m in masks.tolist())
     return GapSummary(count, Coalition(core, n), min_weight, boost, members)
 
 

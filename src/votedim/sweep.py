@@ -3,15 +3,20 @@
 The engine's working representation is a *win table*: a little-endian
 ``uint64`` array of max(1, 2^n / 64) words whose bit m is set iff the
 coalition with bit-mask m wins (for n < 6 one word, unused high bits zero).
-A weighted game's table is gathered in rows (Horowitz & Sahni's sorted
-halves): the low 11 players' sums are sorted once into 2^11 + 1 patterns
-"sorted rank >= r" (0.5 MB), and a binary search picks each row's pattern.
-``win_rows`` also streams the rows a chunk at a time, so the rewrite's gap
-survey reads two games without holding either table.  Every later
-operation works in place.  Closures and the whole-table maximality test
-of ``maximal_satisfying`` are the bitset subset-sum (zeta) transform:
-halves of a ``reshape(-1, 2, 2^(j-6))`` view for player j >= 6, in-word
-shifts under a constant mask for j < 6.  Batches of single coalitions
+A game expression is folded one block of 2^22 coalitions (512 KB) at a
+time, in ascending order: ``equivalent`` compares two folds block by block
+and stops at the first block that differs, the gap survey streams blocks
+through ``expr_blocks``, and ``expr_table`` fills a whole table block by
+block with the same fold.  A weighted leaf's block is gathered in rows
+(Horowitz & Sahni's sorted halves): the low 11 players' sums are sorted
+once into 2^11 + 1 patterns "sorted rank >= r" (0.5 MB per distinct leaf),
+and a binary search picks each row's pattern; the row thresholds come from
+two small partial-sum tables, one for the row bits inside the block and one
+for the block index.  The quota-1 leaves under an AND share one
+down-closure per block.  Closures and the whole-table maximality test of
+``maximal_satisfying`` are the bitset subset-sum (zeta) transform: halves
+of a ``reshape(-1, 2, 2^(j-6))`` view for player j >= 6, in-word shifts
+under a constant mask for j < 6.  Batches of single coalitions
 (``evaluate_many`` in ``checked_maximal`` and the lower-bound search's
 loser pool, ``weights_of`` in the gap survey) read their weights off two
 partial-sum tables.
@@ -28,8 +33,9 @@ from .games import AND, Coalition, GameExpr, Node, WeightedGame
 
 # Win table rows: 2^11 coalitions, whole words once n >= 6.
 _RANK_BITS = 11
-# Rows gathered per chunk: bounds the rank buffer (8 bytes per row).
-_GATHER_ROWS = 1 << 12
+# Coalitions per fold block: 2^22, i.e. 64 K words.  At least 6 (whole
+# words); rows shrink to the block when it is smaller than a row.
+_BLOCK_BITS = 22
 # ``weights_of``: the low-side partial-sum table covers this many players.
 _LO_BITS = 14
 # Table words unpacked at a time when listing members.
@@ -87,52 +93,127 @@ def _blocked_mask(game: WeightedGame) -> int:
     return sum(1 << j for j, w in enumerate(game.weights) if w == 0)
 
 
-def _vetoed(blocked: Iterable[int], n: int) -> Table:
-    """Coalitions that are not a subset of any of the ``blocked`` masks."""
-    table = _empty(n)
-    for m in blocked:
-        table[m >> 6] |= np.uint64(1 << (m & 63))
-    return complement(down_closure(table, n), n)
+def _block_shape(n: int) -> tuple[int, int]:
+    """Blocks of an n-player table and the words in each."""
+    bits = min(n, _BLOCK_BITS)
+    return 1 << (n - bits), max(1, (1 << bits) >> 6)
 
 
-def win_rows(game: WeightedGame, rows: Optional[np.ndarray] = None) -> Iterator[np.ndarray]:
-    """The game's win-table rows in table order, ``_GATHER_ROWS`` rows at a time.
+# Block k of a table, written into (and returned as) a buffer of one block's words.
+BlockFill = Callable[[int, np.ndarray], np.ndarray]
 
-    A row holds the 2^min(n, 11) coalitions that share their high players,
-    as whole words (one word for n < 6).  Each chunk is gathered straight
-    into its slice of ``rows`` when given, else into one reused buffer: a
-    chunk is then valid only until the next one is drawn.
+
+def _weighted_fill(game: WeightedGame) -> BlockFill:
+    """Block fill of a weighted game's win table, gathered in rows.
+
+    A row holds the 2^lo coalitions that share their players above lo = 11
+    (or the block, or n, if smaller).  Row h of block k wins where low_sum
+    >= quota - w(block index k) - w(row bits of h inside the block), a
+    suffix of the sorted low sums: pattern r holds the low masks of sorted
+    rank >= r.
     """
-    lo = min(game.n, _RANK_BITS)
+    bits = min(game.n, _BLOCK_BITS)
+    lo = min(bits, _RANK_BITS)
     low_sums = subset_sums(game.weights[:lo])
     order = np.argsort(low_sums, kind="stable")
     sorted_low = low_sums[order]
-    # Row h wins where low_sum >= quota - high_sum[h], a suffix of the sorted
-    # low sums: pattern r holds the low masks of sorted rank >= r.
     patterns = np.zeros((order.size + 1, max(1, order.size >> 6)), dtype="<u8")
     patterns[np.arange(order.size), order >> 6] = np.uint64(1) << (order & 63).astype("<u8")
     np.bitwise_or.accumulate(patterns[::-1], axis=0, out=patterns[::-1])
-    thresholds = subset_sums(game.weights[lo:])
-    np.subtract(np.int64(game.quota), thresholds, out=thresholds)
-    buffer = None
-    if rows is None:
-        buffer = np.empty((min(thresholds.size, _GATHER_ROWS), patterns.shape[1]), "<u8")
-    for start in range(0, thresholds.size, _GATHER_ROWS):
-        chunk = slice(start, start + _GATHER_ROWS)
+    rows = subset_sums(game.weights[lo:bits])
+    blocks = subset_sums(game.weights[bits:])
+    quota = np.int64(game.quota)
+
+    def fill(k: int, out: np.ndarray) -> np.ndarray:
         # side="left": the first rank whose sum reaches the threshold, ties included.
-        ranks = np.searchsorted(sorted_low, thresholds[chunk], side="left")
-        out = rows[chunk] if buffer is None else buffer[: ranks.size]
+        ranks = np.searchsorted(sorted_low, (quota - blocks[k]) - rows, side="left")
         # mode="clip" writes straight into ``out``; "raise" would buffer a copy.
-        yield np.take(patterns, ranks, axis=0, out=out, mode="clip")
+        np.take(patterns, ranks, axis=0, out=out.reshape(ranks.size, -1), mode="clip")
+        return out
+
+    return fill
+
+
+def _veto_fill(blocked: list[int], n: int) -> BlockFill:
+    """Block fill of the coalitions that are not a subset of any ``blocked`` mask.
+
+    A coalition in block k is a subset of a mask iff k's bits are among the
+    mask's bits above the block and its own bits are among the mask's low
+    bits: the block's losers are the down-closure of those low bits.
+    """
+    bits = min(n, _BLOCK_BITS)
+    masks = np.array(blocked, dtype=np.int64)
+    high, low = masks >> bits, masks & ((1 << bits) - 1)
+
+    def fill(k: int, out: np.ndarray) -> np.ndarray:
+        out[:] = 0
+        m = low[(high & k) == k]
+        np.bitwise_or.at(out, m >> 6, np.uint64(1) << (m & 63).astype("<u8"))
+        return complement(down_closure(out, bits), bits)
+
+    return fill
+
+
+def _fold(expr: GameExpr, leaves: dict[WeightedGame, BlockFill]) -> BlockFill:
+    """Block fill of an expression; ``leaves`` shares one gather per distinct game."""
+    if isinstance(expr, WeightedGame):
+        if expr not in leaves:
+            leaves[expr] = _weighted_fill(expr)
+        return leaves[expr]
+    assert isinstance(expr, Node)
+    # A quota-1 leaf wins iff the coalition holds a positive-weight player,
+    # so it loses exactly on the subsets of its zero-weight players.  All
+    # such leaves under one AND share a single down-closure.
+    children: list[BlockFill] = []
+    blocked: list[int] = []
+    for c in expr.children:
+        if expr.op == AND and isinstance(c, WeightedGame) and c.quota == 1:
+            blocked.append(_blocked_mask(c))
+        else:
+            children.append(_fold(c, leaves))
+    if blocked:
+        children.insert(0, _veto_fill(blocked, expr.n))
+    combine = np.bitwise_and if expr.op == AND else np.bitwise_or
+    scratch = np.empty(_block_shape(expr.n)[1], dtype="<u8")
+
+    def fill(k: int, out: np.ndarray) -> np.ndarray:
+        children[0](k, out)
+        for child in children[1:]:
+            combine(out, child(k, scratch), out=out)
+        return out
+
+    return fill
+
+
+def _blocks(fill: BlockFill, n: int, table: Optional[np.ndarray] = None) -> Iterator[np.ndarray]:
+    """The blocks of an n-player table in ascending order.
+
+    Each block is filled straight into its slice of ``table`` when given,
+    else into one reused buffer: a block is then valid only until the next
+    one is drawn.
+    """
+    count, words = _block_shape(n)
+    buffer = np.empty(words, dtype="<u8") if table is None else None
+    for k in range(count):
+        yield fill(k, table[k * words : (k + 1) * words] if buffer is None else buffer)
+
+
+def expr_blocks(expr: GameExpr) -> Iterator[np.ndarray]:
+    """The expression's win table a block of 2^22 coalitions at a time, in one reused buffer."""
+    return _blocks(_fold(expr, {}), expr.n)
+
+
+def expr_table(expr: GameExpr) -> Table:
+    """Win table of a boolean game expression, filled block by block."""
+    table = _empty(expr.n)
+    for _ in _blocks(_fold(expr, {}), expr.n, table.view(np.ndarray)):
+        pass
+    return table
 
 
 def win_table(game: WeightedGame) -> Table:
     """The full win table of a weighted game."""
-    table = _empty(game.n)
-    rows = table.view(np.ndarray).reshape(1 << max(0, game.n - _RANK_BITS), -1)
-    for _ in win_rows(game, rows):
-        pass
-    return table
+    return expr_table(game)
 
 
 def _spread(src: Table, dst: Table, n: int, down: bool) -> Table:
@@ -161,39 +242,6 @@ def down_closure(table: Table, n: int) -> Table:
 def up_closure(table: Table, n: int) -> Table:
     """Add every superset of every member, in place."""
     return _spread(table, table, n, down=False)
-
-
-def expr_table(expr: GameExpr) -> Table:
-    """Win table of a boolean game expression (fold of the leaf tables)."""
-    if isinstance(expr, WeightedGame):
-        return win_table(expr)
-    assert isinstance(expr, Node)
-    n = expr.n
-
-    # A quota-1 leaf wins iff the coalition holds a positive-weight player,
-    # so it loses exactly on the subsets of its zero-weight players.  All
-    # such leaves under one AND share a single down-closure.
-    children: list[GameExpr] = []
-    vetoes: list[WeightedGame] = []
-    for c in expr.children:
-        if expr.op == AND and isinstance(c, WeightedGame) and c.quota == 1:
-            vetoes.append(c)
-        else:
-            children.append(c)
-    acc: Optional[Table] = None
-    if vetoes:
-        acc = _vetoed((_blocked_mask(c) for c in vetoes), n)
-
-    for child in children:
-        t = expr_table(child)
-        if acc is None:
-            acc = t
-        elif expr.op == AND:
-            acc &= t
-        else:
-            acc |= t
-    assert acc is not None
-    return acc
 
 
 def member_chunks(
@@ -317,18 +365,22 @@ def satisfying_table(pred: IntervalPredicate) -> Table:
 def equivalent(a: GameExpr, b: GameExpr) -> EquivalenceResult:
     """Exhaustively compare two expressions over all 2^n coalitions.
 
-    Returns the smallest differing coalition mask (numeric order) if any.
+    The two folds run block by block and stop at the first block that
+    differs.  Returns the smallest differing coalition mask (numeric order)
+    if any.
     """
     if a.n != b.n:
         raise ValueError(f"player universes differ: {a.n} vs {b.n}")
-    diff = expr_table(a)
-    diff ^= expr_table(b)
-    first = int(np.argmax(diff != 0))
-    word = int(diff[first])
-    if word == 0:
-        return EquivalenceResult(True, None)
-    lowest = (first << 6) + (word & -word).bit_length() - 1
-    return EquivalenceResult(False, Coalition(lowest, a.n))
+    leaves: dict[WeightedGame, BlockFill] = {}
+    pairs = zip(_blocks(_fold(a, leaves), a.n), _blocks(_fold(b, leaves), b.n))
+    for k, (left, right) in enumerate(pairs):
+        diff = np.bitwise_xor(left, right, out=left)
+        nonzero = np.flatnonzero(diff)
+        if nonzero.size:
+            word = int(diff[nonzero[0]])
+            lowest = ((k * diff.size + int(nonzero[0])) << 6) + (word & -word).bit_length() - 1
+            return EquivalenceResult(False, Coalition(lowest, a.n))
+    return EquivalenceResult(True, None)
 
 
 def _maximal_bits(sat: Table, n: int) -> Table:

@@ -119,7 +119,7 @@ class TestGapSummary:
     def test_fold_stops_unpacking_once_done(self, monkeypatch):
         # 2014 with swapped roles: 45,535,773 gap coalitions and no core.
         # Once the core is empty and the count is past the listing cap, a
-        # chunk is only counted: the fold unpacks 321,706 members.  Unpacking
+        # block is only counted: the fold unpacks 321,706 members.  Unpacking
         # and weighing them all took ten times as long.
         unpacked = []
         member_chunks = sweep.member_chunks

@@ -26,8 +26,9 @@ from votedim.games import MAX_TOTAL_WEIGHT, Coalition, WeightedGame, all_of, any
 rngs = st.integers(0, 2**32 - 1).map(random.Random)
 small_n = st.integers(1, 12)
 LARGE_N = 20
-# Rows per gather chunk: 1 and 3 leave a short last chunk of the 2^(n-11) rows.
-gather_rows = st.sampled_from((1, 3, sweep._GATHER_ROWS))
+# Fold block sizes in bits: one word (rows shrink to it), one row, and the
+# module's own.
+block_bits = st.sampled_from((6, 8, sweep._RANK_BITS, sweep._BLOCK_BITS))
 
 
 def random_bits(rng: random.Random, n: int) -> int:
@@ -223,6 +224,95 @@ class TestAgainstBigIntEngine:
         assert (None if result else result.counterexample.mask) == expected
 
 
+def block_expr(rng: random.Random, n: int):
+    """A random expression, a grouped-veto AND, or a union of the two."""
+    kind = rng.choice(("plain", "grouped", "mixed"))
+    if kind == "plain":
+        return oracles.random_expr(rng, n)
+    if kind == "grouped":
+        return grouped_veto_expr(rng, n)
+    return any_of(oracles.random_expr(rng, n), grouped_veto_expr(rng, n))
+
+
+def whole_table_difference(a, b):
+    """Smallest mask set in the XOR of the two whole tables, or None."""
+    diff = sweep.expr_table(a) ^ sweep.expr_table(b)
+    nonzero = np.flatnonzero(diff)
+    if nonzero.size == 0:
+        return None
+    word = int(diff[nonzero[0]])
+    return (int(nonzero[0]) << 6) + (word & -word).bit_length() - 1
+
+
+class TestBlockFold:
+    """The block-by-block fold against whole-table references.
+
+    With one-word blocks, the smallest legal size, n <= 12 spans up to 64
+    blocks.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 12), rngs)
+    def test_against_bigint_engine(self, n, rng):
+        a, b = block_expr(rng, n), block_expr(rng, n)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sweep, "_BLOCK_BITS", 6)
+            table = sweep.expr_table(a)
+            result = sweep.equivalent(a, b)
+            assert bool(sweep.equivalent(a, a))
+        assert oracles.table_to_int(table) == bigint_engine.expr_table(a)
+        expected = bigint_engine.first_difference(a, b)
+        assert (None if result else result.counterexample.mask) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(8, 12), rngs)
+    def test_difference_only_in_a_later_block(self, n, rng):
+        # ``extra`` wins only coalitions holding both top players, so every
+        # difference lies at mask >= 2^(n-1) + 2^(n-2), past the first
+        # 3 * 2^(n-8) blocks; the fold draws no block after the differing one.
+        base = block_expr(rng, n)
+        extra = WeightedGame((0,) * (n - 2) + (1, 1), 2)
+        widened = any_of(base, all_of(extra, oracles.random_game(rng, n)))
+        drawn = []
+        blocks = sweep._blocks
+
+        def counting(fill, n, table=None):
+            for k, block in enumerate(blocks(fill, n, table)):
+                drawn.append(k)
+                yield block
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sweep, "_BLOCK_BITS", 6)
+            patch.setattr(sweep, "_blocks", counting)
+            result = sweep.equivalent(base, widened)
+        differ = [m for m in range(1 << n) if oracles.wins(base, m) != oracles.wins(widened, m)]
+        if not differ:
+            assert result
+            return
+        mask = result.counterexample.mask
+        assert mask == differ[0] >= (1 << (n - 1)) + (1 << (n - 2))
+        assert max(drawn) == mask >> 6
+
+    def test_corrupted_boost_witness_2014(self, monkeypatch):
+        # Every boosted copy one unit short of the derived boost (as in
+        # test_cli's corrupted-boost check): the witness lies in the last of
+        # the 64 blocks.  The XOR of the two whole tables agrees.
+        boosted = decompose._boosted_games
+        monkeypatch.setattr(
+            decompose,
+            "_boosted_games",
+            lambda base, core, boost: boosted(base, core, boost - 1),
+        )
+        rule = data.build_eu_rule(data.builtin_table("2014"))
+        emitted = all_of(*decompose.analyze_rule(rule).games)
+        result = sweep.equivalent(rule.expr, emitted)
+        assert not result
+        witness = result.counterexample
+        assert witness.mask >> sweep._BLOCK_BITS == (1 << (rule.n - sweep._BLOCK_BITS)) - 1
+        assert rule.expr.evaluate(witness) and not emitted.evaluate(witness)
+        assert witness.mask == whole_table_difference(rule.expr, emitted)
+
+
 class TestCollapsedFrontier:
     """The closed-form frontier table against folds of every boosted game."""
 
@@ -278,10 +368,10 @@ def edge_game(rng: random.Random, n: int) -> WeightedGame:
     return unchecked_game(weights, quota)
 
 
-def gathered_table(game: WeightedGame, rows: int):
-    """``win_table`` with ``rows`` table rows per gather chunk."""
+def gathered_table(game: WeightedGame, bits: int):
+    """``win_table`` folded in blocks of 2^``bits`` coalitions."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sweep, "_GATHER_ROWS", rows)
+        patch.setattr(sweep, "_BLOCK_BITS", bits)
         return sweep.win_table(game)
 
 
@@ -289,10 +379,10 @@ class TestRankTables:
     """The rank-gather win table against the oracles and the packbits fill."""
 
     @settings(max_examples=150, deadline=None)
-    @given(small_n, gather_rows, rngs)
-    def test_against_oracles(self, n, rows, rng):
+    @given(small_n, block_bits, rngs)
+    def test_against_oracles(self, n, bits, rng):
         game = edge_game(rng, n)
-        got = gathered_table(game, rows)
+        got = gathered_table(game, bits)
         assert got.size == max(1, (1 << n) >> 6)
         assert oracles.table_to_int(got) == oracles.table_of(oracles.winning_masks(game, n))
 
@@ -300,17 +390,17 @@ class TestRankTables:
     # eleven and two at twelve.
     @pytest.mark.parametrize("n", [1, 5, 6, 11, 12])
     @settings(max_examples=20, deadline=None)
-    @given(rows=gather_rows, rng=rngs)
-    def test_row_boundaries(self, n, rows, rng):
+    @given(bits=block_bits, rng=rngs)
+    def test_row_boundaries(self, n, bits, rng):
         game = edge_game(rng, n)
-        got = oracles.table_to_int(gathered_table(game, rows))
+        got = oracles.table_to_int(gathered_table(game, bits))
         assert got == oracles.table_of(oracles.winning_masks(game, n))
 
     @settings(max_examples=25, deadline=None)
-    @given(gather_rows, rngs)
-    def test_against_packbits_fill(self, rows, rng):
+    @given(block_bits, rngs)
+    def test_against_packbits_fill(self, bits, rng):
         game = edge_game(rng, LARGE_N)
-        got = gathered_table(game, rows)
+        got = gathered_table(game, bits)
         assert np.array_equal(got, bigint_engine.packbits_win_table(game))
 
     @pytest.mark.parametrize(
@@ -446,12 +536,12 @@ def rewrite_outcome(rewrite, first: WeightedGame, second: WeightedGame):
         return e.gap
 
 
-def assert_same_rewrite(first: WeightedGame, second: WeightedGame, rows=None):
-    """The streamed rewrite (``rows`` per gather chunk) and the table rewrite agree."""
+def assert_same_rewrite(first: WeightedGame, second: WeightedGame, bits=None):
+    """The streamed rewrite (blocks of 2^``bits`` coalitions) and the table rewrite agree."""
     expected = rewrite_outcome(table_rewrite.union_as_intersection, first, second)
     with pytest.MonkeyPatch.context() as patch:
-        if rows is not None:
-            patch.setattr(sweep, "_GATHER_ROWS", rows)
+        if bits is not None:
+            patch.setattr(sweep, "_BLOCK_BITS", bits)
         got = rewrite_outcome(union_as_intersection, first, second)
     assert got == expected
     return got
@@ -476,13 +566,13 @@ class TestAgainstTableRewrite:
         assert len(got.frontier if retained else got.games) == (0 if retained else 1363)
 
     @settings(max_examples=200, deadline=None)
-    @given(small_n, gather_rows, rngs)
-    def test_random_pairs(self, n, rows, rng):
+    @given(small_n, block_bits, rngs)
+    def test_random_pairs(self, n, bits, rng):
         if rng.random() < 0.5:
             first, second = oracles.random_game(rng, n), oracles.random_game(rng, n)
         else:
             first, second = union_pair(rng, n)
-        assert_same_rewrite(first, second, rows)
+        assert_same_rewrite(first, second, bits)
 
     @pytest.mark.parametrize("n", [2, 7, 12])
     def test_core_of_all_but_one_player(self, n):
@@ -502,7 +592,7 @@ class TestAgainstTableRewrite:
     @pytest.mark.parametrize("cap", [10, 3000])
     @pytest.mark.parametrize("core", [False, True])
     def test_gap_above_the_member_cap(self, cap, core, monkeypatch):
-        # n = 13 has four table rows.  With one row per chunk and one word per
+        # n = 13 has four table rows.  With one row per block and one word per
         # member chunk the count crosses the cap mid-stream.  Players 0-5 and
         # 11 are heavy, so the lightest gap coalition, {6, 12}, sits in the
         # second word of its row, and the first word of every row is heavier.
@@ -514,7 +604,7 @@ class TestAgainstTableRewrite:
             second = WeightedGame((1,) * (n - 1) + (n - 1,), n)
         monkeypatch.setattr(decompose, "GAP_MEMBER_CAP", cap)
         monkeypatch.setattr(sweep, "_MEMBER_WORDS", 1)
-        got = assert_same_rewrite(first, second, rows=1)
+        got = assert_same_rewrite(first, second, bits=sweep._RANK_BITS)
         gap = got.gap if core else got
         assert gap.members is None
         assert gap.count == (4094 if core else 8190)

@@ -5,6 +5,7 @@ import gc
 import math
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,18 @@ from votedim.decompose import analyze_rule
 from votedim.games import Coalition, WeightedGame, all_of, any_of, unit_game
 
 rngs = st.integers(0, 2**32 - 1).map(random.Random)
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def traced_verify(rule: data.EuRule):
+    """``verify``'s check of the rule against its analysis, and its tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        result = sweep.equivalent(rule.expr, all_of(*analyze_rule(rule).games))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 class TestTables:
@@ -77,13 +90,12 @@ class TestTables:
     @pytest.mark.parametrize("chunks", [1, 2])
     def test_win_table_needs_no_second_table(self, chunks, monkeypatch):
         # numpy reports its buffers to tracemalloc.  Besides the table, the
-        # fill holds the 0.5 MB pattern block, one int64 per row and one
-        # chunk's rank buffer: 1.3x the table at n = 24.  A buffered np.take (its
-        # default mode="raise") or any other full-size temporary reads 2.3x.
-        # The bound holds whether the rows are gathered in one chunk or several.
+        # fill holds the 0.5 MB pattern block and one block's thresholds and
+        # ranks (16 bytes per row): 1.3x the table at n = 24.  A buffered
+        # np.take (its default mode="raise") or any other full-size temporary
+        # reads 2.3x.  The bound holds whether the table is one block or several.
         game = oracles.random_game(random.Random(3), 24, max_weight=1000)
-        rows = 1 << (game.n - sweep._RANK_BITS)
-        monkeypatch.setattr(sweep, "_GATHER_ROWS", rows // chunks)
+        monkeypatch.setattr(sweep, "_BLOCK_BITS", game.n - (chunks - 1))
         tracemalloc.start()
         try:
             table = sweep.win_table(game)
@@ -226,17 +238,31 @@ class TestPredicates:
 
     def test_verify_fold_memory(self):
         # ``verify`` on 2018 without the UK, n = 27: the rule against its
-        # 1,364 games, folded leaf by leaf over all 2^27 coalitions.  numpy
-        # reports its buffers to tracemalloc; the fold peaks at 4.13 tables.
+        # 1,364 games, folded block by block over all 2^27 coalitions.  numpy
+        # reports its buffers to tracemalloc; analysis and fold peak at 0.73
+        # tables.  The whole-table fold peaked at 4.13.
         rule = data.build_eu_rule(data.builtin_table("2018"), exclude=["United Kingdom"])
-        tracemalloc.start()
-        try:
-            result = sweep.equivalent(rule.expr, all_of(*analyze_rule(rule).games))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        result, peak = traced_verify(rule)
         assert result
-        assert peak <= 4.25 * (1 << rule.n) / 8
+        assert peak <= 1.0 * (1 << rule.n) / 8
+
+    def test_verify_fold_memory_2014(self):
+        # n = 28 with 26 distinct weighted leaves at 0.5 MB of row patterns
+        # each: 0.52 tables.  The whole-table fold peaked at 4.08.
+        rule = data.build_eu_rule(data.builtin_table("2014"))
+        result, peak = traced_verify(rule)
+        assert result
+        assert peak <= 0.75 * (1 << rule.n) / 8
+
+    def test_verify_synthetic_30_player_table(self):
+        # The 2018 rows plus two synthetic members, n = 30: one 2^30-bit
+        # table would take 128 MB.  Analysis and fold peak at 17.6 MB.
+        table = data.load_table((DATA / "synthetic30.csv").read_text(encoding="utf-8"))
+        rule = data.build_eu_rule(table)
+        result, peak = traced_verify(rule)
+        assert rule.n == 30
+        assert result
+        assert peak < 32 * 2**20
 
     def test_satisfying_table_counts_and_order(self):
         n = 4
