@@ -9,15 +9,16 @@ that admit all gap coalitions; the coalitions the boosted intersection
 over-admits are then fenced off one veto game apiece.
 
 No 2^n-bit table is built.  The gap survey streams ``~first & second`` a
-chunk of rows at a time and folds its count, core, minimum weight and
-members.  With boost u >= 0, quota q and weights w, the boosted
+block of 2^22 coalitions at a time and folds its count, core, minimum
+weight and members.  With boost u >= 0, quota q and weights w, the boosted
 intersection wins exactly ``[w(S) >= q] or ([w(S) >= q - u] and core ⊆ S)``,
 so the over-admitted coalitions are ``core ∪ T`` for the T over the
 r = n - |core| other players with ``w1(T) >= q1 - u - w1(core)``,
 ``w1(T) < q1 - w1(core)`` and ``w2(T) < q2 - w2(core)``: three win tables
-of 2^r bits.  The shortcut only finds the frontier: the emitted games are
-still the boosted copies and the vetoes, and ``verify`` folds every one of
-them leaf by leaf over all 2^n coalitions.
+of 2^r bits, whose maximal members give the frontier.  The shortcut only
+finds the frontier: the emitted games are still the boosted copies and the
+vetoes, and ``verify`` folds every one of them leaf by leaf over all 2^n
+coalitions.
 """
 
 from dataclasses import dataclass
@@ -171,11 +172,12 @@ def gap_summary(first: WeightedGame, second: WeightedGame) -> GapSummary:
     """Exact survey of the coalitions losing ``first`` but winning ``second``.
 
     The gap table ``~first & second`` is streamed a block at a time and
-    never held whole.  The fold counts it, intersects its members into the
-    core and weighs them while the core is non-empty.  It keeps the non-zero
-    gap words of each block while the count stays within ``GAP_MEMBER_CAP``
-    and lists their members at the end, so once the core (which only
-    shrinks) is empty and the count is past the cap, a block is only counted.
+    never held whole.  The fold counts each block and, while the core is
+    non-empty, intersects the block's members into it and weighs them.  It
+    keeps the non-zero gap words of each block while the count stays within
+    ``GAP_MEMBER_CAP`` and lists their members at the end, so once the core
+    (which only shrinks) is empty and the count is past the cap, a block is
+    only counted.
     """
     if first.n != second.n:
         raise ValueError(f"player counts differ: {first.n} vs {second.n}")
@@ -192,12 +194,11 @@ def gap_summary(first: WeightedGame, second: WeightedGame) -> GapSummary:
             listed = None
         elif listed is not None:
             listed.append((words, nonzero + base))
-        for masks in sweep.member_chunks(gap, nonzero, base) if core else ():
-            core &= int(np.bitwise_and.reduce(masks))
-            if not core:
-                # An empty core makes the rewrite inapplicable: no boost is priced.
-                break
-            lightest.append(int(sweep.weights_of(first, masks).min()))
+        if core and nonzero.size:
+            core &= sweep.players_in_all(gap, n, base)
+            # An empty core makes the rewrite inapplicable: no boost is priced.
+            if core:
+                lightest.append(sweep.min_member_weight(first, gap, base))
         base += gap.size
     if count == 0:
         return GapSummary(0, Coalition(core, n), None, None, ())
@@ -248,8 +249,8 @@ def union_as_intersection(first: WeightedGame, second: WeightedGame) -> Decompos
     removed by one veto game each.
 
     The over-admitted set comes from the closed form (module docstring) on
-    the sub-cube of the non-core players; one probe of its members against
-    the unfused games picks the frontier.
+    the sub-cube of the non-core players; its maximal members, re-checked
+    with one probe against the unfused games, are the frontier.
 
     Raises
     ------
@@ -274,14 +275,12 @@ def union_as_intersection(first: WeightedGame, second: WeightedGame) -> Decompos
     sub &= sweep.complement(_sub_cube_winners(first, first.quota, rest), len(rest))
     sub &= sweep.complement(_sub_cube_winners(second, second.quota, rest), len(rest))
     # Scatter T back to full masks; rest is ascending, so the order is kept.
-    over_bits = sweep.member_array(sub)
-    over = np.full(over_bits.size, gap.common_core.mask, dtype=np.int64)
+    bits = sweep.maximal_members(sub, len(rest))
+    masks = np.full(bits.size, gap.common_core.mask, dtype=np.int64)
     for i, j in enumerate(rest):
-        over |= (over_bits >> i & 1) << j
+        masks |= (bits >> i & 1) << j
     up = boosted[0] if len(boosted) == 1 else all_of(*boosted)
-    frontier = sweep.checked_maximal(
-        sweep.IntervalPredicate(up=up, down=any_of(first, second)), over
-    )
+    frontier = sweep.checked_maximal(up, any_of(first, second), masks)
     for s in frontier:
         # A frontier member loses the union, so it cannot be the grand
         # coalition and veto_game cannot reject it.
@@ -339,7 +338,7 @@ def refine_by_vetoes(target: GameExpr, candidate: GameExpr) -> Decomposition:
     if not check:
         assert check.counterexample is not None
         raise ContainmentError(check.counterexample)
-    frontier = sweep.maximal_satisfying(sweep.IntervalPredicate(up=candidate, down=target))
+    frontier = sweep.maximal_satisfying(candidate, target)
     games = tuple(candidate.leaves()) + tuple(veto_game(s) for s in frontier)
     return Decomposition(games, None, tuple(frontier), METHOD_VETO_FENCE)
 

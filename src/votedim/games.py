@@ -23,11 +23,11 @@ class UniverseMismatchError(ValueError):
     """Raised when coalitions or games from different player universes meet."""
 
 
-def _check_universe(n_left: int, n_right: int) -> None:
+def check_universe(n_left: int, n_right: int) -> int:
+    """The common player count; raises when the two differ."""
     if n_left != n_right:
-        raise UniverseMismatchError(
-            f"player universes differ: {n_left} vs {n_right} players"
-        )
+        raise UniverseMismatchError(f"player universes differ: {n_left} vs {n_right} players")
+    return n_left
 
 
 @dataclass(frozen=True, order=True)
@@ -77,7 +77,7 @@ class Coalition:
     def _binary(self, other: "Coalition") -> None:
         if not isinstance(other, Coalition):
             raise TypeError(f"expected Coalition, got {type(other).__name__}")
-        _check_universe(self.n, other.n)
+        check_universe(self.n, other.n)
 
     def union(self, other: "Coalition") -> "Coalition":
         self._binary(other)
@@ -164,7 +164,7 @@ class WeightedGame(GameExpr):
 
     def weight_sum(self, s: Coalition) -> int:
         """Exact integer weight of coalition ``s``."""
-        _check_universe(self.n, s.n)
+        check_universe(self.n, s.n)
         m = s.mask
         total = 0
         while m:
@@ -199,7 +199,7 @@ class Node(GameExpr):
             raise ValueError(f"{op} node needs at least 2 children, got {len(children)}")
         n = children[0].n
         for child in children[1:]:
-            _check_universe(n, child.n)
+            check_universe(n, child.n)
         self.op = op
         self.children = children
         self.n = n
@@ -209,7 +209,7 @@ class Node(GameExpr):
             raise ValueError("grand coalition must win")
 
     def evaluate(self, s: Coalition) -> bool:
-        _check_universe(self.n, s.n)
+        check_universe(self.n, s.n)
         if self.op == AND:
             return all(c.evaluate(s) for c in self.children)
         return any(c.evaluate(s) for c in self.children)

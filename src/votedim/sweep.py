@@ -13,13 +13,15 @@ once into 2^11 + 1 patterns "sorted rank >= r" (0.5 MB per distinct leaf),
 and a binary search picks each row's pattern; the row thresholds come from
 two small partial-sum tables, one for the row bits inside the block and one
 for the block index.  The quota-1 leaves under an AND share one
-down-closure per block.  Closures and the whole-table maximality test of
-``maximal_satisfying`` are the bitset subset-sum (zeta) transform: halves
-of a ``reshape(-1, 2, 2^(j-6))`` view for player j >= 6, in-word shifts
-under a constant mask for j < 6.  Batches of single coalitions
-(``evaluate_many`` in ``checked_maximal`` and the lower-bound search's
-loser pool, ``weights_of`` in the gap survey) read their weights off two
-partial-sum tables.
+down-closure per block.  Closures and the maximality thinning of
+``maximal_members`` are the bitset subset-sum (zeta) transform: halves of
+a ``reshape(-1, 2, 2^(j-6))`` view for player j >= 6, in-word shifts under
+a constant mask for j < 6.  Both veto fences list their frontier with
+``maximal_members`` and re-check it with ``checked_maximal``, one probe of
+the listed masks and their one-player extensions.  Batches of single
+coalitions (``evaluate_many`` in that probe and the lower-bound search's
+loser pool, ``weights_of`` in ``min_member_weight``) read their weights off
+two partial-sum tables.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .games import AND, Coalition, GameExpr, Node, WeightedGame
+from .games import AND, Coalition, GameExpr, Node, WeightedGame, check_universe
 
 # Win table rows: 2^11 coalitions, whole words once n >= 6.
 _RANK_BITS = 11
@@ -274,9 +276,10 @@ def table_members(table: Table) -> list[int]:
     return member_array(table).tolist()
 
 
-def players_in_all(table: Table, n: int) -> int:
+def players_in_all(table: Table, n: int, base: int = 0) -> int:
     """Bit-mask of players present in every member coalition of the table.
 
+    ``table`` is a table or a run of its words starting at word ``base``.
     The intersection over an empty table is the whole player set.
     """
     nonzero = np.flatnonzero(table)
@@ -284,7 +287,7 @@ def players_in_all(table: Table, n: int) -> int:
         return (1 << n) - 1
     # Players 0..5 are bits inside a word, players 6.. are bits of its index.
     union_word = np.bitwise_or.reduce(table.view(np.ndarray)[nonzero])
-    common_index = int(np.bitwise_and.reduce(nonzero))
+    common_index = int(np.bitwise_and.reduce(nonzero + base))
     mask = (common_index << 6) & ((1 << n) - 1)
     for j in range(min(n, 6)):
         if not union_word & _pattern(j, False):
@@ -299,9 +302,9 @@ def weights_of(game: WeightedGame, masks: np.ndarray) -> np.ndarray:
     return low + subset_sums(game.weights[lo:])[masks >> lo]
 
 
-def min_member_weight(game: WeightedGame, table: Table) -> Optional[int]:
-    """Minimum weight (under ``game``) over the coalitions in the table."""
-    chunks = member_chunks(table, np.flatnonzero(table))
+def min_member_weight(game: WeightedGame, table: Table, base: int = 0) -> Optional[int]:
+    """Minimum weight (under ``game``) over the coalitions in the table (or run at ``base``)."""
+    chunks = member_chunks(table, np.flatnonzero(table), base)
     return min((int(weights_of(game, m).min()) for m in chunks), default=None)
 
 
@@ -322,29 +325,7 @@ def evaluate_many(expr: GameExpr, masks: np.ndarray) -> np.ndarray:
     return evaluate_leaves(expr, lambda g: weights_of(g, masks) >= g.quota)
 
 
-# --- predicates and public sweep operations --------------------------------
-
-
-@dataclass(frozen=True)
-class IntervalPredicate:
-    """Coalitions winning in ``up`` while losing in ``down``.
-
-    Satisfaction is sandwiched between an upward-closed and a downward-closed
-    condition, which is what makes the one-step maximality test below sound.
-    """
-
-    up: GameExpr
-    down: GameExpr
-
-    def __post_init__(self) -> None:
-        if self.up.n != self.down.n:
-            raise ValueError(
-                f"predicate parts live in different universes: {self.up.n} vs {self.down.n}"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.up.n
+# --- public sweep operations ------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -356,12 +337,6 @@ class EquivalenceResult:
         return self.equal
 
 
-def satisfying_table(pred: IntervalPredicate) -> Table:
-    sat = expr_table(pred.up)
-    sat &= complement(expr_table(pred.down), pred.n)
-    return sat
-
-
 def equivalent(a: GameExpr, b: GameExpr) -> EquivalenceResult:
     """Exhaustively compare two expressions over all 2^n coalitions.
 
@@ -369,8 +344,7 @@ def equivalent(a: GameExpr, b: GameExpr) -> EquivalenceResult:
     differs.  Returns the smallest differing coalition mask (numeric order)
     if any.
     """
-    if a.n != b.n:
-        raise ValueError(f"player universes differ: {a.n} vs {b.n}")
+    check_universe(a.n, b.n)
     leaves: dict[WeightedGame, BlockFill] = {}
     pairs = zip(_blocks(_fold(a, leaves), a.n), _blocks(_fold(b, leaves), b.n))
     for k, (left, right) in enumerate(pairs):
@@ -384,38 +358,40 @@ def equivalent(a: GameExpr, b: GameExpr) -> EquivalenceResult:
 
 
 def _maximal_bits(sat: Table, n: int) -> Table:
-    # One-step test, whole table at once: m is maximal iff m satisfies and no
-    # one-element extension does.  For interval predicates one step suffices:
-    # an extension stays winning in the up part, so it can only fail by newly
-    # winning the down part, which every further superset inherits.  In place.
-    # Only for tables too big to list: ``maximal_satisfying`` (veto refinement).
+    # In place: keep the members none of whose one-player extensions is a member.
     bad = _spread(sat, np.zeros_like(sat), n, down=True)
     np.invert(bad, out=bad)
     sat &= bad
     return sat
 
 
-def checked_maximal(pred: IntervalPredicate, arr: np.ndarray) -> list[Coalition]:
-    """Maximal masks of the ascending array ``arr``: those with no satisfying extension.
+def maximal_members(table: Table, n: int) -> np.ndarray:
+    """Ascending masks of the members with no member one-player extension; thins ``table``."""
+    return member_array(_maximal_bits(table, n))
 
-    One probe checks that every mask satisfies ``pred`` and that no
-    one-player extension outside ``arr`` does (``arr`` may list the whole
-    satisfying set or just its maximal members).
+
+def checked_maximal(up: GameExpr, down: GameExpr, masks: np.ndarray) -> list[Coalition]:
+    """The ascending ``masks``, checked maximal among coalitions winning ``up``, losing ``down``.
+
+    One probe checks that every mask satisfies and that none of its
+    one-player extensions does.  One step suffices because both games are
+    monotone: an extension still wins ``up``, so it fails only by winning
+    ``down``, which every further superset inherits.
     """
-    n = pred.n
-    ext = arr[:, None] | (np.int64(1) << np.arange(n, dtype=np.int64))
-    grows = ext != arr[:, None]
-    probe = np.concatenate([arr, ext[grows]])
-    ok = evaluate_many(pred.up, probe) & ~evaluate_many(pred.down, probe)
-    if not ok[: arr.size].all():
+    n = check_universe(up.n, down.n)
+    ext = masks[:, None] | (np.int64(1) << np.arange(n, dtype=np.int64))
+    probe = np.concatenate([masks, ext[ext != masks[:, None]]])
+    ok = evaluate_many(up, probe) & ~evaluate_many(down, probe)
+    if not ok[: masks.size].all():
         raise AssertionError("a listed mask failed the predicate re-check")
-    fits = np.zeros_like(grows)
-    fits[grows] = ok[arr.size :]
-    if not np.isin(ext[fits], arr).all():
-        raise AssertionError("a satisfying one-player extension is missing from the list")
-    return [Coalition(m, n) for m in arr[~fits.any(axis=1)].tolist()]
+    if ok[masks.size :].any():
+        raise AssertionError("a listed mask has a satisfying one-player extension")
+    return [Coalition(m, n) for m in masks.tolist()]
 
 
-def maximal_satisfying(pred: IntervalPredicate) -> list[Coalition]:
-    """Inclusion-maximal coalitions satisfying the predicate, ascending by mask."""
-    return checked_maximal(pred, member_array(_maximal_bits(satisfying_table(pred), pred.n)))
+def maximal_satisfying(up: GameExpr, down: GameExpr) -> list[Coalition]:
+    """Inclusion-maximal coalitions winning ``up`` and losing ``down``, ascending by mask."""
+    n = check_universe(up.n, down.n)
+    sat = expr_table(up)
+    sat &= complement(expr_table(down), n)
+    return checked_maximal(up, down, maximal_members(sat, n))

@@ -5,7 +5,8 @@ survey was streamed and the frontier moved to the core's sub-cube: the gap
 is surveyed from two whole 2^n-bit win tables, and the over-admitted set is
 cut from the complement of the first game with one more whole table at the
 lowered quota q - u.  The only edit is that ``sweep.checked_maximal`` now
-takes the member array of the over-admitted table instead of the table.
+takes the (up, down) pair and the maximal members of the over-admitted
+table instead of a predicate and the table.
 """
 
 from typing import Optional
@@ -76,8 +77,6 @@ def union_as_intersection(first: WeightedGame, second: WeightedGame) -> Decompos
         sat &= sweep.win_table(WeightedGame(first.weights, first.quota - boost))
     keep_supersets(sat, gap.common_core.mask)
     up = boosted[0] if len(boosted) == 1 else all_of(*boosted)
-    frontier = sweep.checked_maximal(
-        sweep.IntervalPredicate(up=up, down=any_of(first, second)), sweep.member_array(sat)
-    )
+    frontier = sweep.checked_maximal(up, any_of(first, second), sweep.maximal_members(sat, n))
     games = boosted + tuple(veto_game(s) for s in frontier)
     return Decomposition(games, gap, tuple(frontier), METHOD_CORE_BOOST)

@@ -320,8 +320,7 @@ class TestCollapsedFrontier:
     @given(small_n, rngs)
     def test_matches_unfused_fold(self, n, rng):
         def unfused(up, down):
-            pred = sweep.IntervalPredicate(up=up, down=down)
-            return [s.mask for s in sweep.maximal_satisfying(pred)]
+            return [s.mask for s in sweep.maximal_satisfying(up, down)]
 
         pair = collapsed_and_unfused(rng, n, unfused)
         if pair is not None:

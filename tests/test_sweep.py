@@ -195,36 +195,42 @@ class TestPredicates:
     def test_maximal_satisfying_matches_definition(self, n, rng):
         up = oracles.random_game(rng, n)
         down = oracles.random_game(rng, n)
-        pred = sweep.IntervalPredicate(up=up, down=down)
         satisfying = {
             m
             for m in range(1 << n)
             if oracles.wins(up, m) and not oracles.wins(down, m)
         }
         expected = oracles.maximal_masks(satisfying, n)
-        got = sweep.maximal_satisfying(pred)
+        got = sweep.maximal_satisfying(up, down)
         assert {s.mask for s in got} == expected
         assert [s.mask for s in got] == sorted(s.mask for s in got)
-        # The member-list test decides the unthinned table the same way.
-        unthinned = sweep.checked_maximal(pred, sweep.member_array(sweep.satisfying_table(pred)))
-        assert [s.mask for s in unthinned] == sorted(expected)
 
     def test_checked_maximal_rejects_wrong_tables(self):
         # Satisfied by every coalition except the empty and the grand one:
         # the maximal members are the three pairs.
-        pred = sweep.IntervalPredicate(up=unit_game(1, 3), down=unit_game(3, 3))
-        got = sweep.checked_maximal(pred, sweep.member_array(sweep.satisfying_table(pred)))
-        assert [s.mask for s in got] == [0b011, 0b101, 0b110]
-        # {0} is maximal in a list that holds only it, but {0, 1} satisfies.
+        up, down = unit_game(1, 3), unit_game(3, 3)
+        pairs = np.array([0b011, 0b101, 0b110])
+        got = sweep.checked_maximal(up, down, pairs)
+        assert [s.mask for s in got] == pairs.tolist()
+        assert [s.mask for s in sweep.maximal_satisfying(up, down)] == pairs.tolist()
+        # {0} is the only listed mask, but {0, 1} satisfies.
         with pytest.raises(AssertionError, match="extension"):
-            sweep.checked_maximal(pred, np.array([0b001]))
-        # {0, 1} is maximal, but {0} has the satisfying extension {0, 2},
-        # which the list is missing.
+            sweep.checked_maximal(up, down, np.array([0b001]))
+        # {0, 1} is maximal, but {0} is listed too and extends to it.
         with pytest.raises(AssertionError, match="extension"):
-            sweep.checked_maximal(pred, np.array([0b001, 0b011]))
+            sweep.checked_maximal(up, down, np.array([0b001, 0b011]))
         # The grand coalition does not satisfy the predicate at all.
         with pytest.raises(AssertionError, match="re-check"):
-            sweep.checked_maximal(pred, np.array([0b111]))
+            sweep.checked_maximal(up, down, np.array([0b111]))
+
+    def test_universe_mismatch(self):
+        three, four = unit_game(1, 3), unit_game(4, 4)
+        with pytest.raises(ValueError, match="universes differ: 3 vs 4"):
+            sweep.checked_maximal(three, four, np.array([0b001]))
+        with pytest.raises(ValueError, match="universes differ: 3 vs 4"):
+            sweep.maximal_satisfying(three, four)
+        with pytest.raises(ValueError, match="universes differ: 4 vs 3"):
+            sweep.equivalent(four, three)
 
     def test_equivalent_reports_smallest_difference(self):
         a = WeightedGame((1, 1, 0), 2)
@@ -264,22 +270,14 @@ class TestPredicates:
         assert result
         assert peak < 32 * 2**20
 
-    def test_satisfying_table_counts_and_order(self):
+    def test_maximal_satisfying_in_one_word(self):
+        # Coalitions of size 2 or 3 out of 4 players, all in one word: a stray
+        # bit above the 2^4 coalitions would come out as a member.
         n = 4
-        pred = sweep.IntervalPredicate(up=unit_game(2, n), down=unit_game(4, n))
-        table = sweep.satisfying_table(pred)
-        seen = [Coalition(m, n) for m in sweep.table_members(table)]
-        # Coalitions of size 2 or 3 out of 4 players.
-        expected_count = math.comb(4, 2) + math.comb(4, 3)
-        assert table.bit_count() == expected_count == len(seen)
-        # One word holds all 2^n coalitions; the bits above them stay clear.
-        assert table.size == 1
-        assert oracles.table_to_int(table) >> (1 << n) == 0
-        masks = [s.mask for s in seen]
-        assert masks == sorted(masks)
-        assert all(
-            oracles.wins(pred.up, m) and not oracles.wins(pred.down, m) for m in masks
-        )
+        got = sweep.maximal_satisfying(unit_game(2, n), unit_game(4, n))
+        masks = [s.mask for s in got]
+        assert len(masks) == math.comb(4, 3)
+        assert masks == sorted(m for m in range(1 << n) if m.bit_count() == 3)
 
 
 class TestDeterminism:

@@ -77,3 +77,6 @@ def test_traced_run_sees_the_rewrite_and_the_win_tables(tmp_path):
     names = [span[0] for span in spans]
     assert names.count("decompose.union_as_intersection") == 1
     assert "sweep.win_table" in names
+    # The frontier thinning and the gap survey's fold run through the helpers.
+    for layer in ("sweep.maximal", "sweep.players_in_all", "sweep.min_member_weight"):
+        assert layer in names
