@@ -22,7 +22,6 @@ from .games import (
     WeightedGame,
     all_of,
     any_of,
-    as_expr,
     unit_game,
 )
 from .data import (
@@ -73,7 +72,6 @@ __all__ = [
     "all_of",
     "analyze_rule",
     "any_of",
-    "as_expr",
     "build_eu_rule",
     "builtin_table",
     "find_certificate",

@@ -199,6 +199,8 @@ class EuRule:
         for rank in ranks:
             if rank not in index:
                 raise ValueError(f"rank {rank} is not in the table")
+            if mask >> index[rank] & 1:
+                raise ValueError(f"rank {rank} is listed twice")
             mask |= 1 << index[rank]
         return mask
 

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .games import AND, Coalition, GameExpr, Node, WeightedGame, all_of, any_of
+from .games import AND, Coalition, GameExpr, Node, WeightedGame, all_of, any_of, check_universe
 from . import sweep
 from .data import EuRule
 
@@ -179,9 +179,7 @@ def gap_summary(first: WeightedGame, second: WeightedGame) -> GapSummary:
     (which only shrinks) is empty and the count is past the cap, a block is
     only counted.
     """
-    if first.n != second.n:
-        raise ValueError(f"player counts differ: {first.n} vs {second.n}")
-    n = first.n
+    n = check_universe(first.n, second.n)
     count, core, base = 0, (1 << n) - 1, 0
     lightest: list[int] = []
     listed: Optional[list[tuple[np.ndarray, np.ndarray]]] = []
@@ -258,9 +256,6 @@ def union_as_intersection(first: WeightedGame, second: WeightedGame) -> Decompos
         When the gap coalitions share no player, carrying the gap summary
         for diagnostics.
     """
-    if first.n != second.n:
-        raise ValueError(f"player counts differ: {first.n} vs {second.n}")
-    n = first.n
     gap = gap_summary(first, second)
     if gap.count == 0:
         return Decomposition((first,), gap, (), METHOD_FIRST_GAME)
@@ -270,7 +265,7 @@ def union_as_intersection(first: WeightedGame, second: WeightedGame) -> Decompos
     boosted = _boosted_games(first, gap.common_core, gap.boost)
 
     # Over-admitted: core ∪ T reaching q - u but losing first and second.
-    rest = [j for j in range(n) if j not in gap.common_core]
+    rest = [j for j in range(first.n) if j not in gap.common_core]
     sub = _sub_cube_winners(first, first.quota - gap.boost, rest)
     sub &= sweep.complement(_sub_cube_winners(first, first.quota, rest), len(rest))
     sub &= sweep.complement(_sub_cube_winners(second, second.quota, rest), len(rest))
@@ -281,10 +276,6 @@ def union_as_intersection(first: WeightedGame, second: WeightedGame) -> Decompos
         masks |= (bits >> i & 1) << j
     up = boosted[0] if len(boosted) == 1 else all_of(*boosted)
     frontier = sweep.checked_maximal(up, any_of(first, second), masks)
-    for s in frontier:
-        # A frontier member loses the union, so it cannot be the grand
-        # coalition and veto_game cannot reject it.
-        assert s.mask != Coalition.grand(s.n).mask
     games = boosted + tuple(veto_game(s) for s in frontier)
     return Decomposition(games, gap, tuple(frontier), METHOD_CORE_BOOST)
 

@@ -105,10 +105,11 @@ class GameExpr:
     """A boolean combination of weighted games: leaves joined by AND / OR.
 
     A weighted game is itself a leaf.  Every expression over ``n`` players
-    is a simple game: evaluation is monotone (leaves are monotone and both
-    connectives preserve monotonicity), the empty coalition loses and the
-    grand coalition wins.  ``WeightedGame`` validates this for a leaf and
-    ``Node`` asserts it at construction.
+    is a simple game: evaluation is monotone, the empty coalition loses and
+    the grand coalition wins.  ``WeightedGame`` validates this for a leaf
+    (quota >= 1, quota <= total weight), and it follows for a ``Node`` by
+    induction, since AND and OR preserve all three properties.
+    ``WeightedGame`` and ``Node`` are the only subclasses.
     """
 
     __slots__ = ()
@@ -197,16 +198,13 @@ class Node(GameExpr):
             raise ValueError(f"unknown connective {op!r}")
         if len(children) < 2:
             raise ValueError(f"{op} node needs at least 2 children, got {len(children)}")
-        n = children[0].n
-        for child in children[1:]:
-            check_universe(n, child.n)
+        for child in children:
+            if not isinstance(child, GameExpr):
+                raise TypeError(f"expected GameExpr, got {type(child).__name__}")
+            check_universe(children[0].n, child.n)
         self.op = op
         self.children = children
-        self.n = n
-        if self.evaluate(Coalition.empty(n)):
-            raise ValueError("empty coalition must lose")
-        if not self.evaluate(Coalition.grand(n)):
-            raise ValueError("grand coalition must win")
+        self.n = children[0].n
 
     def evaluate(self, s: Coalition) -> bool:
         check_universe(self.n, s.n)
@@ -223,18 +221,11 @@ class Node(GameExpr):
         return "(" + sep.join(repr(c) for c in self.children) + ")"
 
 
-def as_expr(x: GameExpr) -> GameExpr:
-    """Pass a game expression through; reject anything else with TypeError."""
-    if isinstance(x, GameExpr):
-        return x
-    raise TypeError(f"expected GameExpr or WeightedGame, got {type(x).__name__}")
-
-
 def all_of(*exprs: GameExpr) -> GameExpr:
     """Intersection: wins iff every child wins."""
-    return Node(AND, tuple(as_expr(e) for e in exprs))
+    return Node(AND, exprs)
 
 
 def any_of(*exprs: GameExpr) -> GameExpr:
     """Union: wins iff at least one child wins."""
-    return Node(OR, tuple(as_expr(e) for e in exprs))
+    return Node(OR, exprs)

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .games import Coalition, GameExpr, WeightedGame
+from .games import Coalition, GameExpr, WeightedGame, check_universe
 from . import sweep
 
 # Symmetric differences beyond this size are not searched (2^(size-1)
@@ -53,33 +53,30 @@ class DeltaTooLarge(ValueError):
 class IncompatibilityCertificate:
     """A witness that no single weighted game keeps both ``a`` and ``b`` losing.
 
-    ``x`` selects part of the symmetric difference; ``p`` and ``q`` are the
-    two halves of the split, each extended by the common intersection.  The
-    set identities below force ``weight(p) + weight(q) =
-    weight(a) + weight(b)`` under any weight assignment, which is what
-    makes two winning halves contradict two losing originals.
+    ``x`` selects part of the symmetric difference Δ, and the two halves of
+    the split are computed from it: ``p = (a ∩ b) ∪ x`` and
+    ``q = (a ∩ b) ∪ (Δ \\ x)``.  For every ``x ⊆ Δ`` they satisfy
+    ``p ∪ q = a ∪ b`` and ``p ∩ q = a ∩ b``, which force ``weight(p) +
+    weight(q) = weight(a) + weight(b)`` under any weight assignment: two
+    winning halves contradict two losing originals.
     """
 
     a: Coalition
     b: Coalition
     x: Coalition
-    p: Coalition
-    q: Coalition
 
     def __post_init__(self) -> None:
-        base = self.a.intersection(self.b)
-        delta = self.a.union(self.b).difference(base)
-        if self.x.mask & ~delta.mask:
+        check_universe(check_universe(self.a.n, self.b.n), self.x.n)
+        if self.x.mask & ~(self.a.mask ^ self.b.mask):
             raise ValueError("x must be a subset of the symmetric difference")
-        if self.p.mask != base.mask | self.x.mask:
-            raise ValueError("p must equal (a ∩ b) ∪ x")
-        if self.q.mask != base.mask | (delta.mask ^ self.x.mask):
-            raise ValueError("q must equal (a ∩ b) ∪ (Δ \\ x)")
-        # The two-sided identities follow, but assert them as stated.
-        if self.p.union(self.q).mask != self.a.union(self.b).mask:
-            raise ValueError("p ∪ q must equal a ∪ b")
-        if self.p.intersection(self.q).mask != base.mask:
-            raise ValueError("p ∩ q must equal a ∩ b")
+
+    @property
+    def p(self) -> Coalition:
+        return Coalition((self.a.mask & self.b.mask) | self.x.mask, self.a.n)
+
+    @property
+    def q(self) -> Coalition:
+        return Coalition((self.a.mask | self.b.mask) ^ self.x.mask, self.a.n)
 
 
 @dataclass(frozen=True)
@@ -178,15 +175,8 @@ def find_certificate(
         hits = np.flatnonzero(ok)
         if hits.size:
             x_mask = int(low_x[hits[0]] | high_x[h])
-            cert = IncompatibilityCertificate(
-                a=a,
-                b=b,
-                x=Coalition(x_mask, expr.n),
-                p=Coalition(base | x_mask, expr.n),
-                q=Coalition(base | (delta ^ x_mask), expr.n),
-            )
+            cert = IncompatibilityCertificate(a, b, Coalition(x_mask, expr.n))
             assert expr.evaluate(cert.p) and expr.evaluate(cert.q)
-            assert not expr.evaluate(cert.a) and not expr.evaluate(cert.b)
             return cert
     return None
 

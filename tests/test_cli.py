@@ -421,6 +421,13 @@ class TestLowerBound:
         assert result.exit_code == 2
         assert "coalitions.txt:1" in result.stderr
 
+    def test_rank_listed_twice(self, toys, tmp_path):
+        # A repeated rank is an input error, not a silently smaller coalition.
+        path = self.write(tmp_path, "5,6\n1,1,2\n")
+        result = run("lower-bound", "verify", "--data", toys["toy16"], "--coalitions", path)
+        assert result.exit_code == 2
+        assert f"{path}:2: rank 1 is listed twice" in result.stderr
+
     def test_duplicate_coalitions(self, toys, tmp_path):
         path = self.write(tmp_path, "1,2,3\n1,2,3\n")
         result = run("lower-bound", "verify", "--data", toys["toy16"], "--coalitions", path)

@@ -189,6 +189,11 @@ class TestBuildEuRule:
         with pytest.raises(ValueError, match="rank 3"):
             rule.mask_from_labels([3])
 
+    def test_rank_listed_twice(self):
+        rule = data.build_eu_rule(data.builtin_table("2014"))
+        with pytest.raises(ValueError, match="rank 1 is listed twice"):
+            rule.mask_from_labels([1, 1, 2])
+
     def test_scaled_game_equals_rational_threshold(self):
         # The scaled integer game must agree with the exact rational
         # comparison population(S)/total >= 13/20 on a large random sample.

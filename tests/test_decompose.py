@@ -137,7 +137,7 @@ class TestGapSummary:
         assert sum(unpacked) == 0
 
     def test_player_count_mismatch(self):
-        with pytest.raises(ValueError, match="player counts differ"):
+        with pytest.raises(ValueError, match="universes differ"):
             gap_summary(unit_game(1, 3), unit_game(1, 4))
 
     def test_validation(self):

@@ -17,7 +17,6 @@ from votedim.games import (
     WeightedGame,
     all_of,
     any_of,
-    as_expr,
     unit_game,
 )
 
@@ -129,15 +128,15 @@ class TestExpressions:
     def test_as_expr(self):
         g, h = unit_game(1, 3), unit_game(2, 3)
         assert isinstance(g, GameExpr)
-        assert as_expr(g) is g
         assert all_of(g, h).children[0] is g
         with pytest.raises(TypeError):
-            as_expr(42)
+            all_of(g, 42)
+        with pytest.raises(TypeError):
+            Node(AND, (g, 42))
 
-    def test_and_node_evaluates_each_leaf_once(self, monkeypatch):
-        # The 1,364 games of 2018 without the UK: the node's boundary check
-        # weighs the empty coalition once (the count game loses it) and the
-        # grand coalition once per leaf.  Wrapped leaves weighed both again.
+    def test_and_node_evaluates_no_leaf(self, monkeypatch):
+        # The 1,364 games of 2018 without the UK: every AND/OR of weighted
+        # games is a simple game, so building the node weighs no coalition.
         rule = data.build_eu_rule(data.builtin_table("2018"), exclude=["United Kingdom"])
         games = decompose.analyze_rule(rule).games
         calls = 0
@@ -151,7 +150,7 @@ class TestExpressions:
         monkeypatch.setattr(WeightedGame, "weight_sum", counted)
         all_of(*games)
         assert len(games) == 1364
-        assert calls <= len(games) + 1
+        assert calls == 0
 
     def test_node_arity_and_universe(self):
         g = unit_game(1, 3)

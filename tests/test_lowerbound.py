@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from greedy_clique import greedy_clique
 from votedim import data, lowerbound, sweep
-from votedim.games import Coalition, WeightedGame, all_of, unit_game
+from votedim.games import Coalition, UniverseMismatchError, WeightedGame, all_of, unit_game
 from votedim.lowerbound import (
     DELTA_CAP,
     DeltaTooLarge,
@@ -40,13 +40,9 @@ class TestCertificateValidation:
     def test_valid_certificate(self):
         a = Coalition(0b0011, 4)
         b = Coalition(0b1100, 4)
-        cert = IncompatibilityCertificate(
-            a=a,
-            b=b,
-            x=Coalition(0b0101, 4),
-            p=Coalition(0b0101, 4),
-            q=Coalition(0b1010, 4),
-        )
+        cert = IncompatibilityCertificate(a, b, Coalition(0b0101, 4))
+        assert cert.p == Coalition(0b0101, 4)
+        assert cert.q == Coalition(0b1010, 4)
         assert cert.p.union(cert.q) == a.union(b)
         assert cert.p.intersection(cert.q) == a.intersection(b)
 
@@ -54,25 +50,33 @@ class TestCertificateValidation:
         a = Coalition(0b0111, 4)
         b = Coalition(0b0101, 4)  # delta = {1}
         with pytest.raises(ValueError, match="subset of the symmetric"):
-            IncompatibilityCertificate(
-                a, b, Coalition(0b1000, 4), Coalition(0b1101, 4), Coalition(0b0111, 4)
-            )
+            IncompatibilityCertificate(a, b, Coalition(0b1000, 4))
 
-    def test_p_mismatch(self):
-        a = Coalition(0b0011, 4)
-        b = Coalition(0b1100, 4)
-        with pytest.raises(ValueError, match="p must equal"):
-            IncompatibilityCertificate(
-                a, b, Coalition(0b0001, 4), Coalition(0b0011, 4), Coalition(0b1110, 4)
-            )
+    def test_universe_mismatch(self):
+        with pytest.raises(UniverseMismatchError):
+            IncompatibilityCertificate(Coalition(0b01, 2), Coalition(0b10, 3), Coalition(0, 2))
+        with pytest.raises(UniverseMismatchError):
+            IncompatibilityCertificate(Coalition(0b01, 2), Coalition(0b10, 2), Coalition(0b01, 3))
 
-    def test_q_mismatch(self):
-        a = Coalition(0b0011, 4)
-        b = Coalition(0b1100, 4)
-        with pytest.raises(ValueError, match="q must equal"):
-            IncompatibilityCertificate(
-                a, b, Coalition(0b0001, 4), Coalition(0b0001, 4), Coalition(0b0110, 4)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.integers(0, (1 << n) - 1),
+                st.integers(0, (1 << n) - 1),
+                st.integers(0, (1 << n) - 1),
             )
+        )
+    )
+    def test_halves_follow_from_x(self, arg):
+        n, a_mask, b_mask, pick = arg
+        a, b = Coalition(a_mask, n), Coalition(b_mask, n)
+        x = Coalition(pick & (a_mask ^ b_mask), n)
+        cert = IncompatibilityCertificate(a, b, x)
+        assert cert.p == a.intersection(b).union(x)
+        assert cert.q == a.union(b).difference(x)
+        assert cert.p.union(cert.q) == a.union(b)
+        assert cert.p.intersection(cert.q) == a.intersection(b)
 
 
 class TestFindCertificate:
