@@ -37,7 +37,6 @@ from .decompose import (
     Decomposition,
     EmptyCoreError,
     GapSummary,
-    RuleAnalysis,
     analyze_rule,
     gap_summary,
     refine_by_vetoes,
@@ -66,7 +65,6 @@ __all__ = [
     "GapSummary",
     "IncompatibilityCertificate",
     "PopulationTable",
-    "RuleAnalysis",
     "UniverseMismatchError",
     "WeightedGame",
     "all_of",

@@ -93,34 +93,38 @@ def _alternate_section(
     quotas = (rule.member_quota, rule.veto_quota)
     if quotas == (main_rule.member_quota, main_rule.veto_quota):
         return None
+    frontier_count = bound = None
     try:
         result = decompose.analyze_rule(rule, swap_roles)
+    except decompose.EmptyCoreError as e:
+        method, gap = "inapplicable", e.gap
     except ValueError as e:
         return {"error": str(e)}
+    else:
+        method, gap = result.method, result.gap
+        frontier_count, bound = len(result.frontier), len(result.games)
     return {
         "member_quota": rule.member_quota,
         "veto_quota": rule.veto_quota,
-        "method": result.method,
-        "gap_count": result.gap.count,
-        "common_core": list(rule.label_members(result.gap.common_core.mask)),
-        "frontier_count": None if result.bound is None else len(result.frontier),
-        "bound": result.bound,
+        "method": method,
+        "gap_count": gap.count,
+        "common_core": list(rule.label_members(gap.common_core.mask)),
+        "frontier_count": frontier_count,
+        "bound": bound,
     }
 
 
-def _analyze_or_exit(rule: data.EuRule, swap_roles: bool):
+def _analyze_or_exit(rule: data.EuRule, swap_roles: bool) -> decompose.Decomposition:
     try:
-        # A boosted copy can leave the exact-integer envelope of games.py.
-        result = decompose.analyze_rule(rule, swap_roles)
-    except ValueError as e:
-        raise click.UsageError(str(e))
-    if result.bound is None:
+        return decompose.analyze_rule(rule, swap_roles)
+    except decompose.EmptyCoreError as e:
         click.echo(
-            f"rewrite inapplicable: {result.gap.count} gap coalitions share no player",
-            err=True,
+            f"rewrite inapplicable: {e.gap.count} gap coalitions share no player", err=True
         )
         sys.exit(EXIT_INAPPLICABLE)
-    return result
+    except ValueError as e:
+        # A boosted copy can leave the exact-integer envelope of games.py.
+        raise click.UsageError(str(e))
 
 
 def _render_text(report: dict) -> str:
@@ -238,7 +242,7 @@ def analyze(data_ref: str, exclude: str, as_json: bool, swap_roles: bool) -> Non
         "frontier_count": len(result.frontier),
         "method": result.method,
         "games": [_game_row(g) for g in result.games],
-        "bound": result.bound,
+        "bound": len(result.games),
         "alternate_quota_reading": _alternate_section(table, excluded, rule, swap_roles),
         "verification": None,
     }

@@ -21,7 +21,7 @@ vetoes, and ``verify`` folds every one of them leaf by leaf over all 2^n
 coalitions.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -37,7 +37,6 @@ GAP_MEMBER_CAP = 10**6
 METHOD_CORE_BOOST = "core-boost"
 METHOD_VETO_FENCE = "veto-fence"
 METHOD_FIRST_GAME = "first-game"
-METHOD_INAPPLICABLE = "inapplicable"
 
 
 class EmptyCoreError(ValueError):
@@ -97,22 +96,6 @@ class GapSummary:
     boost: Optional[int]
     members: Optional[tuple[Coalition, ...]]
 
-    def __post_init__(self) -> None:
-        if self.count < 0:
-            raise ValueError(f"gap count must be >= 0, got {self.count}")
-        if self.count > 0:
-            if self.common_core.mask and (self.boost is None or self.boost < 1):
-                raise ValueError(
-                    f"a gap with a non-empty core must carry a boost >= 1, got {self.boost}"
-                )
-            if self.members is not None:
-                core = self.common_core.mask
-                for s in self.members:
-                    if core & ~s.mask:
-                        raise ValueError(
-                            f"common core is not contained in gap member {s}"
-                        )
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -126,22 +109,12 @@ class Decomposition:
     games: tuple[WeightedGame, ...]
     gap: Optional[GapSummary]
     frontier: tuple[Coalition, ...]
-    method: str
 
-    def __post_init__(self) -> None:
-        if not self.games:
-            raise ValueError("a decomposition must contain at least one game")
-        if self.method not in (METHOD_CORE_BOOST, METHOD_VETO_FENCE, METHOD_FIRST_GAME):
-            raise ValueError(f"unknown method tag {self.method!r}")
-        if self.method == METHOD_CORE_BOOST:
-            assert self.gap is not None
-            core_size = len(self.common_core_players())
-            if len(self.games) != core_size + len(self.frontier):
-                raise ValueError(
-                    "core-boost must emit one game per core player plus one "
-                    f"per frontier coalition: {len(self.games)} != "
-                    f"{core_size} + {len(self.frontier)}"
-                )
+    @property
+    def method(self) -> str:
+        if self.gap is None:
+            return METHOD_VETO_FENCE
+        return METHOD_FIRST_GAME if self.gap.count == 0 else METHOD_CORE_BOOST
 
     def common_core_players(self) -> tuple[int, ...]:
         if self.gap is None:
@@ -150,8 +123,6 @@ class Decomposition:
 
     def intersection(self) -> GameExpr:
         """The emitted games as a single AND expression."""
-        if len(self.games) == 1:
-            return self.games[0]
         return all_of(*self.games)
 
 
@@ -258,7 +229,7 @@ def union_as_intersection(first: WeightedGame, second: WeightedGame) -> Decompos
     """
     gap = gap_summary(first, second)
     if gap.count == 0:
-        return Decomposition((first,), gap, (), METHOD_FIRST_GAME)
+        return Decomposition((first,), gap, ())
     if gap.common_core.mask == 0:
         raise EmptyCoreError(gap)
     assert gap.boost is not None
@@ -274,37 +245,22 @@ def union_as_intersection(first: WeightedGame, second: WeightedGame) -> Decompos
     masks = np.full(bits.size, gap.common_core.mask, dtype=np.int64)
     for i, j in enumerate(rest):
         masks |= (bits >> i & 1) << j
-    up = boosted[0] if len(boosted) == 1 else all_of(*boosted)
-    frontier = sweep.checked_maximal(up, any_of(first, second), masks)
+    frontier = sweep.checked_maximal(all_of(*boosted), any_of(first, second), masks)
     games = boosted + tuple(veto_game(s) for s in frontier)
-    return Decomposition(games, gap, tuple(frontier), METHOD_CORE_BOOST)
+    return Decomposition(games, gap, tuple(frontier))
 
 
-@dataclass(frozen=True)
-class RuleAnalysis:
-    """``games`` (count game first) intersect to the rule; none when ``inapplicable``."""
+def analyze_rule(rule: EuRule, swap_roles: bool = False) -> Decomposition:
+    """Rewrite ``count AND (population OR veto)``; ``swap_roles`` boosts the veto game.
 
-    gap: GapSummary
-    games: tuple[WeightedGame, ...]
-    frontier: tuple[Coalition, ...]
-    method: str
-
-    @property
-    def bound(self) -> Optional[int]:
-        return None if self.method == METHOD_INAPPLICABLE else len(self.games)
-
-
-def analyze_rule(rule: EuRule, swap_roles: bool = False) -> RuleAnalysis:
-    """Rewrite ``count AND (population OR veto)``; ``swap_roles`` boosts the veto game."""
+    The count game leads the emitted games, so ``len(games)`` is the bound.
+    Raises ``EmptyCoreError`` as ``union_as_intersection`` does.
+    """
     first, second = rule.population_game, rule.veto_game
     if swap_roles:
         first, second = second, first
-    try:
-        dec = union_as_intersection(first, second)
-    except EmptyCoreError as e:
-        return RuleAnalysis(e.gap, (), (), METHOD_INAPPLICABLE)
-    assert dec.gap is not None
-    return RuleAnalysis(dec.gap, (rule.count_game,) + dec.games, dec.frontier, dec.method)
+    dec = union_as_intersection(first, second)
+    return replace(dec, games=(rule.count_game,) + dec.games)
 
 
 def refine_by_vetoes(target: GameExpr, candidate: GameExpr) -> Decomposition:
@@ -331,7 +287,7 @@ def refine_by_vetoes(target: GameExpr, candidate: GameExpr) -> Decomposition:
         raise ContainmentError(check.counterexample)
     frontier = sweep.maximal_satisfying(candidate, target)
     games = tuple(candidate.leaves()) + tuple(veto_game(s) for s in frontier)
-    return Decomposition(games, None, tuple(frontier), METHOD_VETO_FENCE)
+    return Decomposition(games, None, tuple(frontier))
 
 
 def _and_only(expr: GameExpr) -> bool:

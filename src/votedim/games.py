@@ -222,10 +222,10 @@ class Node(GameExpr):
 
 
 def all_of(*exprs: GameExpr) -> GameExpr:
-    """Intersection: wins iff every child wins."""
-    return Node(AND, exprs)
+    """Intersection: wins iff every child wins; of one child, that child."""
+    return exprs[0] if len(exprs) == 1 else Node(AND, exprs)
 
 
 def any_of(*exprs: GameExpr) -> GameExpr:
-    """Union: wins iff at least one child wins."""
-    return Node(OR, exprs)
+    """Union: wins iff at least one child wins; of one child, that child."""
+    return exprs[0] if len(exprs) == 1 else Node(OR, exprs)

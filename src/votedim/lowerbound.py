@@ -134,8 +134,8 @@ def find_certificate(
     Returns None when no split certifies; raises DeltaTooLarge when the
     difference exceeds ``DELTA_CAP`` players.
     """
-    if a.n != expr.n or b.n != expr.n:
-        raise ValueError("coalitions must live in the game's player universe")
+    check_universe(expr.n, a.n)
+    check_universe(expr.n, b.n)
     if expr.evaluate(a):
         raise ValueError(f"coalition {set(a.members()) or '{}'} is not losing")
     if expr.evaluate(b):
@@ -195,8 +195,7 @@ def verify_certificate_set(
         raise ValueError("coalition set must be non-empty")
     seen: set[int] = set()
     for s in coalitions:
-        if s.n != expr.n:
-            raise ValueError("coalitions must live in the game's player universe")
+        check_universe(expr.n, s.n)
         if s.mask in seen:
             raise ValueError(f"duplicate coalition {set(s.members()) or '{}'}")
         seen.add(s.mask)

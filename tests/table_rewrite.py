@@ -4,17 +4,16 @@ This is ``decompose.union_as_intersection`` as it stood before the gap
 survey was streamed and the frontier moved to the core's sub-cube: the gap
 is surveyed from two whole 2^n-bit win tables, and the over-admitted set is
 cut from the complement of the first game with one more whole table at the
-lowered quota q - u.  The only edit is that ``sweep.checked_maximal`` now
+lowered quota q - u.  The only edits are that ``sweep.checked_maximal`` now
 takes the (up, down) pair and the maximal members of the over-admitted
-table instead of a predicate and the table.
+table instead of a predicate and the table, and that ``Decomposition`` no
+longer takes a method tag: it derives the tag from the gap.
 """
 
 from typing import Optional
 
 from votedim import decompose, sweep
 from votedim.decompose import (
-    METHOD_CORE_BOOST,
-    METHOD_FIRST_GAME,
     Decomposition,
     EmptyCoreError,
     GapSummary,
@@ -62,7 +61,7 @@ def union_as_intersection(first: WeightedGame, second: WeightedGame) -> Decompos
     gap_table &= sat
     gap = summarize_gap(first, gap_table)
     if gap.count == 0:
-        return Decomposition((first,), gap, (), METHOD_FIRST_GAME)
+        return Decomposition((first,), gap, ())
     if gap.common_core.mask == 0:
         raise EmptyCoreError(gap)
     assert gap.boost is not None
@@ -79,4 +78,4 @@ def union_as_intersection(first: WeightedGame, second: WeightedGame) -> Decompos
     up = boosted[0] if len(boosted) == 1 else all_of(*boosted)
     frontier = sweep.checked_maximal(up, any_of(first, second), sweep.maximal_members(sat, n))
     games = boosted + tuple(veto_game(s) for s in frontier)
-    return Decomposition(games, gap, tuple(frontier), METHOD_CORE_BOOST)
+    return Decomposition(games, gap, tuple(frontier))

@@ -1,5 +1,6 @@
 """Union-to-intersection rewriting and veto-based refinement."""
 
+import dataclasses
 import random
 import tracemalloc
 from pathlib import Path
@@ -140,19 +141,6 @@ class TestGapSummary:
         with pytest.raises(ValueError, match="universes differ"):
             gap_summary(unit_game(1, 3), unit_game(1, 4))
 
-    def test_validation(self):
-        core = Coalition.from_members([0], 3)
-        with pytest.raises(ValueError, match="boost >= 1"):
-            GapSummary(2, core, 1, None, None)
-        with pytest.raises(ValueError, match="boost >= 1"):
-            GapSummary(2, core, 2, 0, None)
-        with pytest.raises(ValueError, match="not contained"):
-            GapSummary(
-                1, core, 1, 1, (Coalition.from_members([1], 3),)
-            )
-        with pytest.raises(ValueError, match="count"):
-            GapSummary(-1, core, None, None, None)
-
 
 class TestUnionAsIntersection:
     def test_worked_example_with_frontier(self):
@@ -205,6 +193,13 @@ class TestUnionAsIntersection:
             assert e.gap.count == 2
             assert e.gap.common_core.mask == 0
 
+    def test_analyze_rule_raises_on_an_empty_core(self):
+        # 2014 with swapped roles: the gap coalitions share no player.
+        rule = data.build_eu_rule(data.builtin_table("2014"))
+        with pytest.raises(EmptyCoreError) as info:
+            decompose.analyze_rule(rule, swap_roles=True)
+        assert info.value.gap.count == 45_535_773
+
     def test_empty_core_prices_no_boost(self, monkeypatch):
         # Gap: every coalition but the empty and the grand one; no common player.
         def refuse(game, masks):
@@ -225,7 +220,6 @@ class TestUnionAsIntersection:
             (WeightedGame((2, 2, 2, 1), 4),) + dec.games[1:],
             dec.gap,
             dec.frontier,
-            METHOD_CORE_BOOST,
         )
         assert not sweep.equivalent(lowered.intersection(), any_of(first, second))
 
@@ -290,7 +284,7 @@ class TestUnionAsIntersection:
         finally:
             tracemalloc.stop()
         assert rule.n == 30
-        assert result.bound == 27
+        assert len(result.games) == 27
         assert result.gap.count == 11
         assert len(result.gap.common_core.members()) == 24
         assert len(result.frontier) == 2
@@ -404,21 +398,6 @@ class TestDecompositionValidation:
         assert METHOD_VETO_FENCE == "veto-fence"
         assert METHOD_FIRST_GAME == "first-game"
 
-    def test_rejects_empty_games(self):
-        with pytest.raises(ValueError, match="at least one game"):
-            Decomposition((), None, (), METHOD_VETO_FENCE)
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError, match="unknown method"):
-            Decomposition((unit_game(1, 2),), None, (), "guesswork")
-
-    def test_core_boost_game_count_law(self):
-        gap = GapSummary(
-            1,
-            Coalition.from_members([0, 1], 3),
-            1,
-            1,
-            (Coalition.from_members([0, 1], 3),),
-        )
-        with pytest.raises(ValueError, match="one game per core player"):
-            Decomposition((unit_game(1, 3),), gap, (), METHOD_CORE_BOOST)
+    def test_fields_are_games_gap_frontier(self):
+        # The method tag is derived from the gap, not stored.
+        assert [f.name for f in dataclasses.fields(Decomposition)] == ["games", "gap", "frontier"]

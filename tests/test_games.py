@@ -156,6 +156,8 @@ class TestExpressions:
         g = unit_game(1, 3)
         with pytest.raises(ValueError):
             Node(AND, (g,))
+        assert all_of(g) is g
+        assert any_of(g) is g
         with pytest.raises(UniverseMismatchError):
             all_of(g, unit_game(1, 4))
         with pytest.raises(ValueError):

@@ -119,6 +119,8 @@ class TestFindCertificate:
     def test_universe_mismatch(self):
         with pytest.raises(ValueError, match="player universe"):
             find_certificate(unit_game(2, 3), Coalition(0b1, 2), Coalition(0b10, 2))
+        with pytest.raises(UniverseMismatchError):
+            find_certificate(unit_game(1, 3), Coalition(0, 4), Coalition(1, 4))
 
     def test_delta_cap(self):
         a, b = wide_pair()
@@ -191,6 +193,8 @@ class TestVerifyCertificateSet:
     def test_universe_mismatch(self):
         with pytest.raises(ValueError, match="player universe"):
             verify_certificate_set(unit_game(2, 3), [Coalition(0b01, 2)])
+        with pytest.raises(UniverseMismatchError):
+            verify_certificate_set(unit_game(1, 3), [Coalition(0, 4)])
 
     def test_pairs_are_reported_in_index_order(self):
         game = two_chamber_game()
