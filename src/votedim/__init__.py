@@ -45,7 +45,6 @@ from .decompose import (
 )
 from .lowerbound import (
     CertificateSetReport,
-    DeltaTooLarge,
     IncompatibilityCertificate,
     find_certificate,
     search_certificate_set,
@@ -58,7 +57,6 @@ __all__ = [
     "Coalition",
     "ContainmentError",
     "Decomposition",
-    "DeltaTooLarge",
     "EmptyCoreError",
     "EuRule",
     "GameExpr",

@@ -191,10 +191,9 @@ def _sub_cube_winners(game: WeightedGame, quota: int, rest: list[int]) -> sweep.
     """
     weights = tuple(game.weights[j] for j in rest)
     quota -= game.total_weight - sum(weights)
-    if 0 < quota <= sum(weights):
-        return sweep.win_table(WeightedGame(weights, quota))
-    table = sweep.full_table(len(rest))
-    return table if quota <= 0 else sweep.complement(table, len(rest))
+    if quota <= 0:
+        return sweep.full_table(len(rest))
+    return sweep.win_table(WeightedGame(weights, quota))
 
 
 def _boosted_games(

@@ -24,10 +24,6 @@ import numpy as np
 from .games import Coalition, GameExpr, WeightedGame, check_universe
 from . import sweep
 
-# Symmetric differences beyond this size are not searched (2^(size-1)
-# candidate splits).
-DELTA_CAP = 30
-
 # Selector bits searched per chunk: the low partial-sum table of each leaf
 # has 2^_CHUNK_BITS entries, however large the symmetric difference.
 _CHUNK_BITS = 18
@@ -35,18 +31,6 @@ _CHUNK_BITS = 18
 STATUS_CERTIFIED = "certified"
 STATUS_NO_CERTIFICATE = "no-certificate"
 STATUS_NOT_ATTEMPTED = "not-attempted"
-
-
-class DeltaTooLarge(ValueError):
-    """The symmetric difference exceeds the search cap; search not attempted."""
-
-    def __init__(self, size: int, cap: int) -> None:
-        super().__init__(
-            f"symmetric difference has {size} players, above the search cap "
-            f"{cap}; certificate search not attempted"
-        )
-        self.size = size
-        self.cap = cap
 
 
 @dataclass(frozen=True)
@@ -131,8 +115,7 @@ def find_certificate(
     that contain its largest player (the swap ``x ↔ Δ \\ x``
     yields the same pair), so the first hit is deterministic.
 
-    Returns None when no split certifies; raises DeltaTooLarge when the
-    difference exceeds ``DELTA_CAP`` players.
+    Returns None when no split certifies.
     """
     check_universe(expr.n, a.n)
     check_universe(expr.n, b.n)
@@ -144,11 +127,6 @@ def find_certificate(
         a, b = b, a
     base = a.mask & b.mask
     delta = (a.mask | b.mask) ^ base
-    t = delta.bit_count()
-    if t == 0:
-        return None
-    if t > DELTA_CAP:
-        raise DeltaTooLarge(t, DELTA_CAP)
     free = [j for j in range(expr.n) if delta >> j & 1][:-1]
     lo = min(len(free), _CHUNK_BITS)
     # Selector r = h * 2^lo + l is the split x = low_x[l] | high_x[h].
@@ -186,9 +164,8 @@ def verify_certificate_set(
 ) -> CertificateSetReport:
     """Check a coalition set: all losing and pairwise certified.
 
-    Pairs are searched one at a time in index order.  Pairs whose symmetric
-    difference exceeds the cap, or that involve a non-losing coalition, are
-    reported as not attempted.
+    Pairs are searched one at a time in index order.  Pairs that involve a
+    non-losing coalition are reported as not attempted.
     """
     coalitions = tuple(coalitions)
     if not coalitions:
@@ -204,10 +181,7 @@ def verify_certificate_set(
     def attempt(i: int, j: int) -> PairOutcome:
         if not (losing[i] and losing[j]):
             return PairOutcome(i, j, STATUS_NOT_ATTEMPTED, None)
-        try:
-            cert = find_certificate(expr, coalitions[i], coalitions[j])
-        except DeltaTooLarge:
-            return PairOutcome(i, j, STATUS_NOT_ATTEMPTED, None)
+        cert = find_certificate(expr, coalitions[i], coalitions[j])
         if cert is None:
             return PairOutcome(i, j, STATUS_NO_CERTIFICATE, None)
         return PairOutcome(i, j, STATUS_CERTIFIED, cert)

@@ -38,8 +38,6 @@ _RANK_BITS = 11
 # Coalitions per fold block: 2^22, i.e. 64 K words.  At least 6 (whole
 # words); rows shrink to the block when it is smaller than a row.
 _BLOCK_BITS = 22
-# ``weights_of``: the low-side partial-sum table covers this many players.
-_LO_BITS = 14
 # Table words unpacked at a time when listing members.
 _MEMBER_WORDS = 1 << 15
 
@@ -297,7 +295,7 @@ def players_in_all(table: Table, n: int, base: int = 0) -> int:
 
 def weights_of(game: WeightedGame, masks: np.ndarray) -> np.ndarray:
     """Weight of each coalition mask, read off the two half-universe partial sums."""
-    lo = min(game.n, _LO_BITS)
+    lo = game.n // 2
     low = subset_sums(game.weights[:lo])[masks & ((1 << lo) - 1)]
     return low + subset_sums(game.weights[lo:])[masks >> lo]
 

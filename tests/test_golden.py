@@ -57,6 +57,12 @@ GOLDEN = [
         0,
     ),
     (
+        ("analyze", "--json", "--data", "tests/data/synthetic32.csv"),
+        "99d6a1f900006bdea3a74ac745262502ff822296036981d143ec7be132e742dc",
+        "",
+        0,
+    ),
+    (
         ("analyze", *Y2014),
         "c5bfba5b06137c45c5d1811e4fe3eb20928b1428d5a88b85f2936ff0bb1120d0",
         "",
@@ -113,6 +119,12 @@ GOLDEN = [
     (
         ("lower-bound", "search", *Y2014, "--budget", "64", "--seed", "0"),
         "abc4bb74a00daecef49d53dd515a9055651a0f2ca1babeffe4894ad7f5cd0467",
+        "",
+        0,
+    ),
+    (
+        ("lower-bound", "search", "--data", "tests/data/synthetic32.csv", "--budget", "32", "--seed", "1"),
+        "04add269b0abc19630f6213c3a4b28b2dc19d66c473c971a1710fbae71b4a6ff",
         "",
         0,
     ),

@@ -11,8 +11,6 @@ from greedy_clique import greedy_clique
 from votedim import data, lowerbound, sweep
 from votedim.games import Coalition, UniverseMismatchError, WeightedGame, all_of, unit_game
 from votedim.lowerbound import (
-    DELTA_CAP,
-    DeltaTooLarge,
     IncompatibilityCertificate,
     STATUS_CERTIFIED,
     STATUS_NO_CERTIFICATE,
@@ -32,8 +30,19 @@ def two_chamber_game():
 
 
 def wide_pair():
-    """Two losers of ``unit_game(32, 32)`` whose symmetric difference has 31 players."""
+    """Two disjoint coalitions of 32 players whose symmetric difference has 31 players."""
     return Coalition.from_members(range(16), 32), Coalition.from_members(range(16, 31), 32)
+
+
+def wide_two_chamber_game():
+    """Wins iff 8 of players 0-15 and 7 of players 16-31 join; not weighted.
+
+    Both coalitions of ``wide_pair`` lose it: each misses one chamber.
+    """
+    return all_of(
+        WeightedGame((1,) * 16 + (0,) * 16, 8),
+        WeightedGame((0,) * 16 + (1,) * 16, 7),
+    )
 
 
 class TestCertificateValidation:
@@ -122,12 +131,12 @@ class TestFindCertificate:
         with pytest.raises(UniverseMismatchError):
             find_certificate(unit_game(1, 3), Coalition(0, 4), Coalition(1, 4))
 
-    def test_delta_cap(self):
+    def test_wide_pair_is_searched(self):
+        game = wide_two_chamber_game()
         a, b = wide_pair()
-        with pytest.raises(DeltaTooLarge) as excinfo:
-            find_certificate(unit_game(32, 32), a, b)
-        assert excinfo.value.size == 31
-        assert excinfo.value.cap == DELTA_CAP == 30
+        cert = find_certificate(game, a, b)
+        assert cert is not None
+        assert game.evaluate(cert.p) and game.evaluate(cert.q)
 
     def test_certificate_contradicts_grid_oracle(self):
         # Where a certificate exists, the exhaustive weight grid agrees that
@@ -174,11 +183,11 @@ class TestVerifyCertificateSet:
         assert report.pairs[0].status == STATUS_NO_CERTIFICATE
         assert report.lower_bound is None
 
-    def test_delta_cap_marks_pair_not_attempted(self):
-        report = verify_certificate_set(unit_game(32, 32), wide_pair())
+    def test_wide_pair_is_certified(self):
+        report = verify_certificate_set(wide_two_chamber_game(), wide_pair())
         assert report.losing == (True, True)
-        assert report.pairs[0].status == STATUS_NOT_ATTEMPTED
-        assert report.lower_bound is None
+        assert report.pairs[0].status == STATUS_CERTIFIED
+        assert report.lower_bound == 2
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
