@@ -32,17 +32,6 @@ from .data import (
     builtin_table,
     load_table,
 )
-from .decompose import (
-    ContainmentError,
-    Decomposition,
-    EmptyCoreError,
-    GapSummary,
-    analyze_rule,
-    gap_summary,
-    refine_by_vetoes,
-    union_as_intersection,
-    veto_game,
-)
 from .lowerbound import (
     CertificateSetReport,
     IncompatibilityCertificate,
@@ -82,3 +71,27 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# The rewrite's names load ``decompose``, and with it numpy, on first use
+# (PEP 562): certificate work never pays for the array library.
+_DECOMPOSE_NAMES = frozenset(
+    {
+        "ContainmentError",
+        "Decomposition",
+        "EmptyCoreError",
+        "GapSummary",
+        "analyze_rule",
+        "gap_summary",
+        "refine_by_vetoes",
+        "union_as_intersection",
+        "veto_game",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _DECOMPOSE_NAMES:
+        from . import decompose
+
+        return getattr(decompose, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,18 +1,25 @@
 """Command-line interface: analyze, verify, and certificate workflows.
 
 Exit codes: 0 success, 1 verification or certification failure, 2 input
-error, 3 rewrite inapplicable (gap coalitions share no player).
+error, 3 rewrite inapplicable (gap coalitions share no player).  The
+rewrite and the sweeps, with numpy, load only in the commands that run them:
+the certificate commands never import them.
 """
+
+from __future__ import annotations
 
 import itertools
 import json
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import click
 
-from . import data, decompose, lowerbound, sweep
+from . import data, lowerbound
 from .games import Coalition, WeightedGame, all_of
+
+if TYPE_CHECKING:
+    from . import decompose
 
 EXIT_FAILURE = 1
 EXIT_INAPPLICABLE = 3
@@ -93,6 +100,8 @@ def _alternate_section(
     quotas = (rule.member_quota, rule.veto_quota)
     if quotas == (main_rule.member_quota, main_rule.veto_quota):
         return None
+    from . import decompose
+
     frontier_count = bound = None
     try:
         result = decompose.analyze_rule(rule, swap_roles)
@@ -115,6 +124,8 @@ def _alternate_section(
 
 
 def _analyze_or_exit(rule: data.EuRule, swap_roles: bool) -> decompose.Decomposition:
+    from . import decompose
+
     try:
         return decompose.analyze_rule(rule, swap_roles)
     except decompose.EmptyCoreError as e:
@@ -262,6 +273,8 @@ def analyze(data_ref: str, exclude: str, as_json: bool, swap_roles: bool) -> Non
 @_threads_option
 def verify(data_ref: str, exclude: str) -> None:
     """Exhaustively check the emitted intersection against the rule."""
+    from . import sweep
+
     excluded = _parse_exclude(exclude)
     rule = _build_rule(_load_table(data_ref), excluded)
     games = _analyze_or_exit(rule, False).games

@@ -9,24 +9,36 @@ with both sides of the split at or above the quota, so at least one of
 pairwise-incompatible losing coalitions therefore needs k distinct games
 in any intersection representation: the game's dimension is at least k.
 
-The split search is meet-in-the-middle: the free players of the difference
-are cut into a low part of at most ``_CHUNK_BITS`` players and a high part,
-each distinct leaf gets one partial-sum table per part, and for a fixed high
-index each side of a split wins a leaf iff its low sum meets one scalar bound.
+The split search is meet-in-the-middle on Python-int bitsets, with no array
+library.  A split is a selector over the free players of the difference
+(all but its largest), cut from the bottom into at most ``_LOW_BITS`` low
+bits, row bits and chunk bits: a chunk holds the 2^_CHUNK_BITS selectors
+that share their chunk bits.  Each distinct vector of low-player weights
+gets one sorted low half, kept as the row patterns "sorted rank >= r" in
+bytes.  In a fixed row, each side of a split wins a leaf iff its low sum
+meets one bound, so ``bisect`` picks the row's pattern; the row and chunk
+parts of that bound come from two small partial-sum tables.  The joined
+row patterns are one leaf's bitset over the chunk, the AND/OR tree folds
+those with ``&`` and ``|``, and the lowest set bit of ``P & Q`` is the
+first certifying split.  Chunks run in ascending order, so memory stays
+bounded however large the difference is.
 """
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import partial, reduce
+from operator import and_, or_
+from typing import Callable, Iterable, Optional, Sequence
 
-import numpy as np
+from .games import AND, Coalition, GameExpr, Node, WeightedGame, check_universe
 
-from .games import Coalition, GameExpr, WeightedGame, check_universe
-from . import sweep
-
-# Selector bits searched per chunk: the low partial-sum table of each leaf
-# has 2^_CHUNK_BITS entries, however large the symmetric difference.
-_CHUNK_BITS = 18
+# Selector bits searched per chunk: each leaf and side is one 2^_CHUNK_BITS-bit
+# int (128 KB) per chunk, however large the symmetric difference.
+_CHUNK_BITS = 20
+# Low players per row: at most 2^11 + 1 row patterns of 256 bytes per distinct
+# vector of low-player weights.
+_LOW_BITS = 11
 
 STATUS_CERTIFIED = "certified"
 STATUS_NO_CERTIFICATE = "no-certificate"
@@ -101,6 +113,38 @@ class CertificateSetReport:
         return len(self.coalitions) if self.fully_certified else None
 
 
+def _subset_sums(weights: Iterable[int]) -> list[int]:
+    """Partial-sum table: entry m = total weight of the players with bits in m."""
+    sums = [0]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return sums
+
+
+def _low_half(weights: tuple[int, ...], width: int) -> tuple[list[int], list[bytes]]:
+    """The sorted low sums, and per rank r the row pattern of the masks of rank >= r.
+
+    A row pattern is 2^width bits (whole bytes): bit l is low mask l.
+    """
+    sums = _subset_sums(weights)
+    order = sorted(range(len(sums)), key=sums.__getitem__)
+    size = (1 << width) >> 3
+    patterns, acc = [bytes(size)], 0
+    for m in reversed(order):
+        acc |= 1 << m
+        patterns.append(acc.to_bytes(size, "little"))
+    patterns.reverse()
+    return [sums[m] for m in order], patterns
+
+
+def _fold(expr: GameExpr, leaf: Callable[[WeightedGame], int]) -> int:
+    """Fold the AND/OR tree over per-leaf bitsets."""
+    if isinstance(expr, WeightedGame):
+        return leaf(expr)
+    assert isinstance(expr, Node)
+    return reduce(and_ if expr.op == AND else or_, (_fold(c, leaf) for c in expr.children))
+
+
 def find_certificate(
     expr: GameExpr, a: Coalition, b: Coalition
 ) -> Optional[IncompatibilityCertificate]:
@@ -128,31 +172,47 @@ def find_certificate(
     base = a.mask & b.mask
     delta = (a.mask | b.mask) ^ base
     free = [j for j in range(expr.n) if delta >> j & 1][:-1]
-    lo = min(len(free), _CHUNK_BITS)
-    # Selector r = h * 2^lo + l is the split x = low_x[l] | high_x[h].
-    low_x = sweep.subset_sums(1 << d for d in free[:lo])
-    high_x = sweep.subset_sums(1 << d for d in free[lo:])
+    lo = min(len(free), max(3, -(-len(free) // 2)), _CHUNK_BITS, _LOW_BITS)
+    inner = min(len(free), _CHUNK_BITS)
+    width = max(3, lo)
+    # Selector r = k * 2^inner + i * 2^lo + l (chunk k, row i, low mask l) is
+    # bit i * 2^width + l of chunk k's bitset: every row starts on a byte.
+    halves: dict[tuple[int, ...], tuple[list[int], list[bytes]]] = {}
 
-    def bounds(game: WeightedGame) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def leaf_tables(game: WeightedGame) -> tuple:
         # p = base | x wins the leaf iff w(x) >= q - w(base), and
-        # q = base | (Δ \ x) iff w(x) <= w(base) + w(Δ) - q.  Split w(x) into
-        # its low and high halves: one scalar bound per high index and side.
+        # q = base | (Δ \ x) iff not w(x) >= w(base) + w(Δ) - q + 1.  Split
+        # w(x) into low, row and chunk parts: one low bound per row and side.
         w_base = game.weight_sum(Coalition(base, expr.n))
         w_delta = game.weight_sum(Coalition(delta, expr.n))
-        high = sweep.subset_sums(game.weights[d] for d in free[lo:])
+        low = tuple(game.weights[d] for d in free[:lo])
+        if low not in halves:
+            halves[low] = _low_half(low, width)
         return (
-            sweep.subset_sums(game.weights[d] for d in free[:lo]),
-            game.quota - w_base - high,
-            w_base + w_delta - game.quota - high,
+            halves[low],
+            _subset_sums(game.weights[d] for d in free[lo:inner]),
+            _subset_sums(game.weights[d] for d in free[inner:]),
+            (game.quota - w_base, w_base + w_delta - game.quota + 1),
         )
 
-    tables = {game: bounds(game) for game in dict.fromkeys(expr.leaves())}
-    for h in range(high_x.size):
-        ok = sweep.evaluate_leaves(expr, lambda g: tables[g][0] >= tables[g][1][h])
-        ok &= sweep.evaluate_leaves(expr, lambda g: tables[g][0] <= tables[g][2][h])
-        hits = np.flatnonzero(ok)
-        if hits.size:
-            x_mask = int(low_x[hits[0]] | high_x[h])
+    tables = {game: leaf_tables(game) for game in dict.fromkeys(expr.leaves())}
+
+    def at_least(game: WeightedGame, side: int, k: int) -> int:
+        # Bit r of chunk k: w(x) reaches the side's bound (side 0: p wins the
+        # leaf; side 1: q loses it).
+        (sorted_low, patterns), rows, chunks, bounds = tables[game]
+        bound, rank = bounds[side] - chunks[k], partial(bisect_left, sorted_low)
+        return int.from_bytes(b"".join([patterns[rank(bound - s)] for s in rows]), "little")
+
+    row_full = ((1 << (1 << lo)) - 1).to_bytes((1 << width) >> 3, "little")
+    full = int.from_bytes(row_full * (1 << (inner - lo)), "little")
+    for k in range(1 << (len(free) - inner)):
+        p = _fold(expr, lambda g: at_least(g, 0, k))
+        hits = p and p & _fold(expr, lambda g: full ^ at_least(g, 1, k))
+        if hits:
+            bit = (hits & -hits).bit_length() - 1
+            r = k << inner | bit >> width << lo | bit & ((1 << width) - 1)
+            x_mask = sum(1 << d for i, d in enumerate(free) if r >> i & 1)
             cert = IncompatibilityCertificate(a, b, Coalition(x_mask, expr.n))
             assert expr.evaluate(cert.p) and expr.evaluate(cert.q)
             return cert
@@ -199,12 +259,14 @@ def _loser_pool(expr: GameExpr, k: int, seed: int) -> list[int]:
     (every superset wins too), so each candidate ends as a maximal loser.
     """
     rng = random.Random(seed)
-    order = np.array([rng.sample(range(expr.n), expr.n) for _ in range(k)])
-    masks = np.zeros(k, dtype=np.int64)
-    for step in order.T:
-        grown = masks | np.left_shift(1, step)
-        np.copyto(masks, grown, where=~sweep.evaluate_many(expr, grown))
-    return list(dict.fromkeys(masks.tolist()))
+    masks = []
+    for _ in range(k):
+        mask = 0
+        for j in rng.sample(range(expr.n), expr.n):
+            if not expr.evaluate(Coalition(mask | 1 << j, expr.n)):
+                mask |= 1 << j
+        masks.append(mask)
+    return list(dict.fromkeys(masks))
 
 
 def _max_clique(adjacent: Sequence[int]) -> int:

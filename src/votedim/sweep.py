@@ -19,9 +19,8 @@ a ``reshape(-1, 2, 2^(j-6))`` view for player j >= 6, in-word shifts under
 a constant mask for j < 6.  Both veto fences list their frontier with
 ``maximal_members`` and re-check it with ``checked_maximal``, one probe of
 the listed masks and their one-player extensions.  Batches of single
-coalitions (``evaluate_many`` in that probe and the lower-bound search's
-loser pool, ``weights_of`` in ``min_member_weight``) read their weights off
-two partial-sum tables.
+coalitions (``evaluate_many`` in that probe, ``weights_of`` in
+``min_member_weight``) read their weights off two partial-sum tables.
 """
 
 from __future__ import annotations
@@ -306,21 +305,19 @@ def min_member_weight(game: WeightedGame, table: Table, base: int = 0) -> Option
     return min((int(weights_of(game, m).min()) for m in chunks), default=None)
 
 
-def evaluate_leaves(
-    expr: GameExpr, leaf_wins: Callable[[WeightedGame], np.ndarray]
-) -> np.ndarray:
-    """Fold the AND/OR tree over per-leaf boolean arrays, one entry per candidate."""
+def _evaluate(expr: GameExpr, masks: np.ndarray) -> np.ndarray:
+    # Recursing here, not through evaluate_many, keeps perfbench/traced.py's
+    # wrapper of evaluate_many at one span per batch.
     if isinstance(expr, WeightedGame):
-        return leaf_wins(expr)
+        return weights_of(expr, masks) >= expr.quota
     assert isinstance(expr, Node)
-    parts = [evaluate_leaves(c, leaf_wins) for c in expr.children]
+    parts = [_evaluate(c, masks) for c in expr.children]
     return (np.logical_and if expr.op == AND else np.logical_or).reduce(parts)
 
 
 def evaluate_many(expr: GameExpr, masks: np.ndarray) -> np.ndarray:
     """Vectorized evaluation of an expression on an array of coalition masks."""
-    masks = np.asarray(masks, dtype=np.int64)
-    return evaluate_leaves(expr, lambda g: weights_of(g, masks) >= g.quota)
+    return _evaluate(expr, np.asarray(masks, dtype=np.int64))
 
 
 # --- public sweep operations ------------------------------------------------

@@ -1,9 +1,13 @@
 """Command-line workflows: analyze, verify, lower-bound; exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -528,6 +532,50 @@ def test_no_command_starts_a_thread(toys, tmp_path, monkeypatch):
         # sys.exit(1) surfaces as SystemExit; a refused start as AssertionError.
         assert isinstance(result.exception, (type(None), SystemExit)), result.exception
         assert result.exit_code == code, args
+
+
+def run_python(code: str, cwd) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter with this checkout's package on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True
+    )
+
+
+def test_only_sweeping_commands_load_numpy(toys):
+    # The certificate commands run on the standard library alone; numpy
+    # loads when a command sweeps, and loading it late changes no output.
+    no_uk = ["--data", "builtin:2018", "--exclude", "United Kingdom"]
+    certs = resources.files("votedim") / "certs" / "eu2018_noUK_8.txt"
+    certificates = f"""
+import sys
+import votedim, votedim.cli
+for args in (
+    ["lower-bound", "verify", *{no_uk!r}, "--coalitions", {str(certs)!r}],
+    ["lower-bound", "search", *{no_uk!r}, "--budget", "8"],
+):
+    votedim.cli.main.main(args=args, prog_name="votedim", standalone_mode=False)
+print("numpy loaded:", "numpy" in sys.modules)
+"""
+    result = run_python(certificates, Path(toys["toy16"]).parent)
+    assert result.returncode == 0, result.stderr
+    assert "certified lower bound: 8" in result.stdout
+    assert result.stdout.endswith("numpy loaded: False\n")
+
+    analyze = f"""
+import sys
+import votedim.cli
+assert "numpy" not in sys.modules
+votedim.cli.main.main(args=["analyze", "--data", {toys["toy16"]!r}], standalone_mode=False)
+print("numpy loaded:", "numpy" in sys.modules)
+"""
+    result = run_python(analyze, Path(toys["toy16"]).parent)
+    assert result.returncode == 0, result.stderr
+    expected = run("analyze", "--data", toys["toy16"])
+    assert expected.exit_code == 0
+    assert result.stdout == expected.stdout + "numpy loaded: True\n"
 
 
 def test_help_lists_commands():

@@ -513,18 +513,19 @@ class TestSplitSearch:
         assert got == expected
 
     def test_first_hit_in_a_high_chunk(self):
-        # p must hold player 0 or 1 and player 18; player 19, the last of
-        # the difference, always sits in q.  So the first hit is the selector
-        # 2^18 + 1, the second chunk at the default chunk size.
-        n = 20
+        # With C = _CHUNK_BITS and n = C + 2, p must hold player 0 or 1 and
+        # player C; player C + 1, the last of the difference, always sits in
+        # q.  So the first hit is the selector 2^C + 1, in the second chunk.
+        c = lowerbound._CHUNK_BITS
+        n = c + 2
         expr = all_of(
             WeightedGame(tuple(int(j in (0, 1)) for j in range(n)), 1),
-            WeightedGame(tuple(int(j in (18, 19)) for j in range(n)), 1),
+            WeightedGame(tuple(int(j in (c, c + 1)) for j in range(n)), 1),
         )
-        a, b = (1 << 10) - 1, ((1 << 20) - 1) ^ ((1 << 10) - 1)
-        assert lowerbound._CHUNK_BITS == 18
+        a = (1 << (n // 2)) - 1
+        b = ((1 << n) - 1) ^ a
         got, expected = split_search(expr, a, b, n)
-        assert got == expected == (1 << 0) | (1 << 18)
+        assert got == expected == (1 << 0) | (1 << c)
 
 
 def rewrite_outcome(rewrite, first: WeightedGame, second: WeightedGame):

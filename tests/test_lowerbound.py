@@ -138,6 +138,26 @@ class TestFindCertificate:
         assert cert is not None
         assert game.evaluate(cert.p) and game.evaluate(cert.q)
 
+    def test_memory_is_bounded_by_the_chunk(self):
+        # No certificate at |Δ| = 26 on 2018 without the UK: both 13-member
+        # halves miss the 15-member quota, and two disjoint coalitions cannot
+        # both reach it, so all 2^25 splits are tried, in 2^5 chunks.  The
+        # search holds 2^11 + 1 row patterns of 256 bytes per distinct vector
+        # of low-player weights (two here, unit and population weights, about
+        # 0.6 MB each) and, per chunk, a few bitsets of 2^_CHUNK_BITS bits.
+        # Budget: 32 such bitsets, 4 MB at the default chunk, whatever |Δ|.
+        rule = data.build_eu_rule(data.builtin_table("2018"), ["United Kingdom"])
+        a = Coalition(sum(1 << j for j in range(0, 26, 2)), rule.n)
+        b = Coalition(sum(1 << j for j in range(1, 26, 2)), rule.n)
+        tracemalloc.start()
+        try:
+            cert = find_certificate(rule.expr, a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cert is None
+        assert peak < 32 * (1 << lowerbound._CHUNK_BITS) // 8
+
     def test_certificate_contradicts_grid_oracle(self):
         # Where a certificate exists, the exhaustive weight grid agrees that
         # no single weighted game keeps both coalitions losing; where the
