@@ -499,7 +499,9 @@ class TestSplitSearch:
             got, expected = split_search(expr, a, b, n)
         assert got == expected
 
-    @pytest.mark.parametrize("chunk_bits", [lowerbound._CHUNK_BITS, 5])
+    # The default chunk, a narrower 18-bit one (a 26-bit split spans 2^8
+    # chunks rather than 2^6), and a 5-bit one with many row bits per chunk.
+    @pytest.mark.parametrize("chunk_bits", [lowerbound._CHUNK_BITS, 18, 5])
     @settings(max_examples=25, deadline=None)
     @given(rng=rngs)
     def test_eu_rule_without_uk(self, chunk_bits, rng):
