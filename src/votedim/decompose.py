@@ -17,8 +17,8 @@ r = n - |core| other players with ``w1(T) >= q1 - u - w1(core)``,
 ``w1(T) < q1 - w1(core)`` and ``w2(T) < q2 - w2(core)``: three win tables
 of 2^r bits, whose maximal members give the frontier.  The shortcut only
 finds the frontier: the emitted games are still the boosted copies and the
-vetoes, and ``verify`` folds every one of them leaf by leaf over all 2^n
-coalitions.
+vetoes, and ``verify`` folds every one of them, with its own weights and
+quota, over all 2^n coalitions.
 """
 
 from dataclasses import dataclass, replace

@@ -9,11 +9,14 @@ and stops at the first block that differs, the gap survey streams blocks
 through ``expr_blocks``, and ``expr_table`` fills a whole table block by
 block with the same fold.  A weighted leaf's block is gathered in rows
 (Horowitz & Sahni's sorted halves): the low 11 players' sums are sorted
-once into 2^11 + 1 patterns "sorted rank >= r" (0.5 MB per distinct leaf),
-and a binary search picks each row's pattern; the row thresholds come from
-two small partial-sum tables, one for the row bits inside the block and one
-for the block index.  The quota-1 leaves under an AND share one
-down-closure per block.  Closures and the maximality thinning of
+once into 2^11 + 1 patterns "sorted rank >= r" (0.5 MB per distinct vector
+of low weights, shared by both sides of ``equivalent``), and a binary
+search gives each row's rank; the row thresholds come from two small
+partial-sum tables, one for the row bits inside the block and one for the
+block index.  The weighted children of a node with equal low weights share
+one gather at the largest (AND) or least (OR) of their ranks.  The quota-1
+leaves under an AND share one down-closure, redone only for a block that
+selects other blocked masks.  Closures and the maximality thinning of
 ``maximal_members`` are the bitset subset-sum (zeta) transform: halves of
 a ``reshape(-1, 2, 2^(j-6))`` view for player j >= 6, in-word shifts under
 a constant mask for j < 6.  Both veto fences list their frontier with
@@ -100,32 +103,45 @@ def _block_shape(n: int) -> tuple[int, int]:
 
 # Block k of a table, written into (and returned as) a buffer of one block's words.
 BlockFill = Callable[[int, np.ndarray], np.ndarray]
+# Sorted low sums and their row patterns, by the weights of the low players.
+LowHalves = dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]
 
 
-def _weighted_fill(game: WeightedGame) -> BlockFill:
-    """Block fill of a weighted game's win table, gathered in rows.
+def _low_weights(game: WeightedGame) -> tuple[int, ...]:
+    """Weights of a row's low players: the first 11, or fewer when the block or n is smaller."""
+    return game.weights[: min(game.n, _BLOCK_BITS, _RANK_BITS)]
+
+
+def _gather_fill(games: list[WeightedGame], op: str, halves: LowHalves) -> BlockFill:
+    """Block fill of the AND (or OR) of weighted games with equal low weights, gathered in rows.
 
     A row holds the 2^lo coalitions that share their players above lo = 11
-    (or the block, or n, if smaller).  Row h of block k wins where low_sum
-    >= quota - w(block index k) - w(row bits of h inside the block), a
-    suffix of the sorted low sums: pattern r holds the low masks of sorted
-    rank >= r.
+    (or the block, or n, if smaller).  Row h of block k wins game i where
+    low_sum >= quota_i - w_i(block index k) - w_i(row bits of h inside the
+    block), a suffix of the sorted low sums: pattern r holds the low masks
+    of sorted rank >= r.  The AND takes the largest rank, the OR the least.
     """
-    bits = min(game.n, _BLOCK_BITS)
-    lo = min(bits, _RANK_BITS)
-    low_sums = subset_sums(game.weights[:lo])
-    order = np.argsort(low_sums, kind="stable")
-    sorted_low = low_sums[order]
-    patterns = np.zeros((order.size + 1, max(1, order.size >> 6)), dtype="<u8")
-    patterns[np.arange(order.size), order >> 6] = np.uint64(1) << (order & 63).astype("<u8")
-    np.bitwise_or.accumulate(patterns[::-1], axis=0, out=patterns[::-1])
-    rows = subset_sums(game.weights[lo:bits])
-    blocks = subset_sums(game.weights[bits:])
-    quota = np.int64(game.quota)
+    key = _low_weights(games[0])
+    bits, lo = min(games[0].n, _BLOCK_BITS), len(key)
+    if key not in halves:
+        low_sums = subset_sums(key)
+        order = np.argsort(low_sums, kind="stable")
+        patterns = np.zeros((order.size + 1, max(1, order.size >> 6)), dtype="<u8")
+        patterns[np.arange(order.size), order >> 6] = np.uint64(1) << (order & 63).astype("<u8")
+        np.bitwise_or.accumulate(patterns[::-1], axis=0, out=patterns[::-1])
+        halves[key] = low_sums[order], patterns
+    sorted_low, patterns = halves[key]
+    thresholds = [
+        (subset_sums(g.weights[lo:bits]), subset_sums(g.weights[bits:]), np.int64(g.quota))
+        for g in games
+    ]
+    pick = np.maximum if op == AND else np.minimum
 
     def fill(k: int, out: np.ndarray) -> np.ndarray:
         # side="left": the first rank whose sum reaches the threshold, ties included.
-        ranks = np.searchsorted(sorted_low, (quota - blocks[k]) - rows, side="left")
+        ranks = pick.reduce(
+            [np.searchsorted(sorted_low, q - b[k] - r, side="left") for r, b, q in thresholds]
+        )
         # mode="clip" writes straight into ``out``; "raise" would buffer a copy.
         np.take(patterns, ranks, axis=0, out=out.reshape(ranks.size, -1), mode="clip")
         return out
@@ -138,38 +154,50 @@ def _veto_fill(blocked: list[int], n: int) -> BlockFill:
 
     A coalition in block k is a subset of a mask iff k's bits are among the
     mask's bits above the block and its own bits are among the mask's low
-    bits: the block's losers are the down-closure of those low bits.
+    bits: the block's losers are the down-closure of those low bits, kept
+    while the same masks are selected.
     """
     bits = min(n, _BLOCK_BITS)
     masks = np.array(blocked, dtype=np.int64)
     high, low = masks >> bits, masks & ((1 << bits) - 1)
+    closed = np.empty(_block_shape(n)[1], dtype="<u8")
+    closed_for: Optional[np.ndarray] = None
 
     def fill(k: int, out: np.ndarray) -> np.ndarray:
-        out[:] = 0
-        m = low[(high & k) == k]
-        np.bitwise_or.at(out, m >> 6, np.uint64(1) << (m & 63).astype("<u8"))
-        return complement(down_closure(out, bits), bits)
+        nonlocal closed_for
+        selected = (high & k) == k
+        if closed_for is None or not np.array_equal(selected, closed_for):
+            closed[:] = 0
+            m = low[selected]
+            np.bitwise_or.at(closed, m >> 6, np.uint64(1) << (m & 63).astype("<u8"))
+            complement(down_closure(closed, bits), bits)
+            closed_for = selected
+        np.copyto(out, closed)
+        return out
 
     return fill
 
 
-def _fold(expr: GameExpr, leaves: dict[WeightedGame, BlockFill]) -> BlockFill:
-    """Block fill of an expression; ``leaves`` shares one gather per distinct game."""
+def _fold(expr: GameExpr, halves: LowHalves) -> BlockFill:
+    """Block fill of an expression; ``halves`` shares each sorted low half it builds."""
     if isinstance(expr, WeightedGame):
-        if expr not in leaves:
-            leaves[expr] = _weighted_fill(expr)
-        return leaves[expr]
+        return _gather_fill([expr], AND, halves)
     assert isinstance(expr, Node)
     # A quota-1 leaf wins iff the coalition holds a positive-weight player,
     # so it loses exactly on the subsets of its zero-weight players.  All
-    # such leaves under one AND share a single down-closure.
+    # such leaves under one AND share a single down-closure, and the other
+    # weighted children with equal low weights share one gather.
     children: list[BlockFill] = []
     blocked: list[int] = []
+    groups: dict[tuple[int, ...], list[WeightedGame]] = {}
     for c in expr.children:
         if expr.op == AND and isinstance(c, WeightedGame) and c.quota == 1:
             blocked.append(_blocked_mask(c))
+        elif isinstance(c, WeightedGame):
+            groups.setdefault(_low_weights(c), []).append(c)
         else:
-            children.append(_fold(c, leaves))
+            children.append(_fold(c, halves))
+    children[:0] = [_gather_fill(group, expr.op, halves) for group in groups.values()]
     if blocked:
         children.insert(0, _veto_fill(blocked, expr.n))
     combine = np.bitwise_and if expr.op == AND else np.bitwise_or
@@ -340,8 +368,8 @@ def equivalent(a: GameExpr, b: GameExpr) -> EquivalenceResult:
     if any.
     """
     check_universe(a.n, b.n)
-    leaves: dict[WeightedGame, BlockFill] = {}
-    pairs = zip(_blocks(_fold(a, leaves), a.n), _blocks(_fold(b, leaves), b.n))
+    halves: LowHalves = {}
+    pairs = zip(_blocks(_fold(a, halves), a.n), _blocks(_fold(b, halves), b.n))
     for k, (left, right) in enumerate(pairs):
         diff = np.bitwise_xor(left, right, out=left)
         nonzero = np.flatnonzero(diff)

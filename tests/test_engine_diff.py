@@ -234,16 +234,6 @@ def block_expr(rng: random.Random, n: int):
     return any_of(oracles.random_expr(rng, n), grouped_veto_expr(rng, n))
 
 
-def whole_table_difference(a, b):
-    """Smallest mask set in the XOR of the two whole tables, or None."""
-    diff = sweep.expr_table(a) ^ sweep.expr_table(b)
-    nonzero = np.flatnonzero(diff)
-    if nonzero.size == 0:
-        return None
-    word = int(diff[nonzero[0]])
-    return (int(nonzero[0]) << 6) + (word & -word).bit_length() - 1
-
-
 class TestBlockFold:
     """The block-by-block fold against whole-table references.
 
@@ -296,7 +286,8 @@ class TestBlockFold:
     def test_corrupted_boost_witness_2014(self, monkeypatch):
         # Every boosted copy one unit short of the derived boost (as in
         # test_cli's corrupted-boost check): the witness lies in the last of
-        # the 64 blocks.  The XOR of the two whole tables agrees.
+        # the 64 blocks.  evaluate_many, which reads partial sums and not the
+        # fold, finds it the first difference of its block.
         boosted = decompose._boosted_games
         monkeypatch.setattr(
             decompose,
@@ -310,7 +301,14 @@ class TestBlockFold:
         witness = result.counterexample
         assert witness.mask >> sweep._BLOCK_BITS == (1 << (rule.n - sweep._BLOCK_BITS)) - 1
         assert rule.expr.evaluate(witness) and not emitted.evaluate(witness)
-        assert witness.mask == whole_table_difference(rule.expr, emitted)
+        first = witness.mask >> sweep._BLOCK_BITS << sweep._BLOCK_BITS
+        # 2^18 masks at a time: a few MB of weights per leaf.
+        for start in range(first, witness.mask + 1, 1 << 18):
+            masks = np.arange(start, min(start + (1 << 18), witness.mask + 1), dtype=np.int64)
+            differ = sweep.evaluate_many(rule.expr, masks) != sweep.evaluate_many(emitted, masks)
+            assert np.flatnonzero(differ).tolist() == (
+                [masks.size - 1] if masks[-1] == witness.mask else []
+            )
 
 
 class TestCollapsedFrontier:
@@ -410,6 +408,143 @@ class TestRankTables:
         for game in (rule.population_game, rule.veto_game, rule.count_game):
             expected = bigint_engine.packbits_win_table(game)
             assert np.array_equal(sweep.win_table(game), expected)
+
+
+def shared_low_games(rng: random.Random, n: int, lo: int) -> list[WeightedGame]:
+    """Copies of one weighted game that share their weights below player ``lo``, mostly.
+
+    A copy keeps the weights and takes another quota (now and then at most 0
+    or above the total), or changes one weight at or above player ``lo``, or
+    is boosted on a low player, which gives it a low half of its own.
+    """
+    weights = [rng.randint(0, 9) for _ in range(n)]
+    games = []
+    for _ in range(rng.randint(2, 6)):
+        copy = list(weights)
+        kind = rng.choice(("quota", "high", "low"))
+        if kind == "high" and lo < n:
+            copy[rng.randrange(lo, n)] += rng.randint(1, 20)
+        elif kind == "low":
+            copy[rng.randrange(lo)] += rng.randint(1, 20)
+        total = sum(copy)
+        if rng.random() < 0.2:
+            quota = rng.choice((rng.randint(-2, 0), total + rng.randint(1, 2)))
+        else:
+            quota = rng.randint(1, max(1, total))
+        games.append(unchecked_game(copy, quota))
+    return games
+
+
+def shared_low_pair(rng: random.Random, n: int, lo: int):
+    """An AND or OR of shared-low copies, maybe under a node of the other kind, and a variant.
+
+    The variant moves one copy's quota by one, so the two often differ on
+    few coalitions.
+    """
+    games = shared_low_games(rng, n, lo)
+    node, other = rng.sample((all_of, any_of), 2)
+    changed = list(games)
+    i = rng.randrange(len(games))
+    changed[i] = unchecked_game(games[i].weights, games[i].quota + rng.choice((-1, 1)))
+    extra = oracles.random_game(rng, n) if rng.random() < 0.5 else None
+    a, b = node(*games), node(*changed)
+    return (a, b) if extra is None else (other(a, extra), other(b, extra))
+
+
+def recording(calls: list, fn):
+    """``fn``, appending its first argument to ``calls`` on every call."""
+
+    def wrapper(*args):
+        calls.append(args[0])
+        return fn(*args)
+
+    return wrapper
+
+
+def check_grouped_fold(rng: random.Random, n: int, bits: int) -> None:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep, "_BLOCK_BITS", bits)
+        # The fold's low players: 11, or fewer when the block or n is smaller.
+        a, b = shared_low_pair(rng, n, min(n, bits, sweep._RANK_BITS))
+        table = sweep.expr_table(a)
+        result = sweep.equivalent(a, b)
+    assert oracles.table_to_int(table) == bigint_engine.expr_table(a)
+    expected = bigint_engine.first_difference(a, b)
+    assert (None if result else result.counterexample.mask) == expected
+
+
+class TestGroupedGathers:
+    """AND and OR nodes whose weighted children share their low-player weights."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_n, block_bits, rngs)
+    def test_against_bigint_engine(self, n, bits, rng):
+        check_grouped_fold(rng, n, bits)
+
+    @settings(max_examples=12, deadline=None)
+    @given(block_bits, rngs)
+    def test_against_bigint_engine_large(self, bits, rng):
+        check_grouped_fold(rng, LARGE_N, bits)
+
+    def test_no_uk_fold_shares_its_tables(self, monkeypatch):
+        # The 12 boosted copies differ only above the 11 low players: one
+        # gather for all of them.  Two low halves serve all five groups (the
+        # count and veto games both weigh every player 1), and the 1,351
+        # quota-1 leaves are closed once for all 32 blocks, since every
+        # blocked mask holds the players above the block.
+        rule = data.build_eu_rule(data.builtin_table("2018"), exclude=["United Kingdom"])
+        emitted = all_of(*decompose.analyze_rule(rule).games)
+        groups, closures = [], []
+        monkeypatch.setattr(sweep, "_gather_fill", recording(groups, sweep._gather_fill))
+        monkeypatch.setattr(sweep, "down_closure", recording(closures, sweep.down_closure))
+        halves = {}
+        sweep._fold(rule.expr, halves)
+        for _ in sweep._blocks(sweep._fold(emitted, halves), rule.n):
+            pass
+        assert sorted(map(len, groups)) == [1, 1, 1, 1, 12]
+        assert len(halves) == 2
+        assert len(closures) == 1
+
+
+def veto_mask_expr(rng: random.Random, n: int, bits: int, fixed: bool):
+    """An AND of a game of quota >= 2 and 1-12 quota-1 leaves with random blocked masks.
+
+    With ``fixed`` every blocked mask holds all players above the block
+    (n > ``bits``), so every block selects all of them; otherwise the
+    selection changes from block to block.
+    """
+    above = ((1 << n) - 1) ^ ((1 << bits) - 1)
+    vetoes = []
+    for _ in range(rng.randint(1, 12)):
+        blocked = rng.getrandbits(n) | (above if fixed else 0)
+        blocked &= ~(1 << rng.randrange(bits))
+        weights = [0 if blocked >> j & 1 else rng.choice((1, 1, 4)) for j in range(n)]
+        vetoes.append(WeightedGame(tuple(weights), 1))
+    head = WeightedGame(tuple(rng.randint(1, 5) for _ in range(n)), rng.randint(2, n))
+    return all_of(head, *vetoes)
+
+
+class TestVetoReuse:
+    """The kept veto closure against the frozen engine, selection changing or not."""
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("bits", [6, 8])
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(9, 12), rng=rngs)
+    def test_against_bigint_engine(self, bits, fixed, n, rng):
+        a, b = veto_mask_expr(rng, n, bits, fixed), veto_mask_expr(rng, n, bits, fixed)
+        closures = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sweep, "_BLOCK_BITS", bits)
+            patch.setattr(sweep, "down_closure", recording(closures, sweep.down_closure))
+            result = sweep.equivalent(a, b)
+            closures.clear()
+            table = sweep.expr_table(a)
+        assert oracles.table_to_int(table) == bigint_engine.expr_table(a)
+        expected = bigint_engine.first_difference(a, b)
+        assert (None if result else result.counterexample.mask) == expected
+        # 2^(n - bits) blocks; a selection that never changes is closed once.
+        assert len(closures) == 1 if fixed else 1 <= len(closures) <= 1 << (n - bits)
 
 
 def large_loser(rng: random.Random, expr, n: int) -> int:
