@@ -27,7 +27,7 @@ EXIT_INAPPLICABLE = 3
 
 def _read_text(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "r", encoding="utf-8-sig") as f:
             return f.read()
     except OSError as e:
         raise click.UsageError(f"cannot read {path}: {e.strerror}")

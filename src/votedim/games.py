@@ -10,7 +10,8 @@ engine's ``uint64`` word-array win tables (bit m % 64 of word m // 64).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import reduce
+from typing import Callable, Iterator
 
 MAX_PLAYERS = 32
 
@@ -46,19 +47,6 @@ class Coalition:
             )
 
     @classmethod
-    def from_members(cls, members: Iterable[int], n: int) -> "Coalition":
-        mask = 0
-        for j in members:
-            if not 0 <= j < n:
-                raise ValueError(f"player index {j} outside 0..{n - 1}")
-            mask |= 1 << j
-        return cls(mask, n)
-
-    @classmethod
-    def empty(cls, n: int) -> "Coalition":
-        return cls(0, n)
-
-    @classmethod
     def grand(cls, n: int) -> "Coalition":
         return cls((1 << n) - 1, n)
 
@@ -87,10 +75,6 @@ class Coalition:
         self._binary(other)
         return Coalition(self.mask & other.mask, self.n)
 
-    def difference(self, other: "Coalition") -> "Coalition":
-        self._binary(other)
-        return Coalition(self.mask & ~other.mask, self.n)
-
     def __repr__(self) -> str:
         return f"Coalition({{{', '.join(map(str, self.members()))}}}, n={self.n})"
 
@@ -118,6 +102,10 @@ class GameExpr:
         raise NotImplementedError
 
     def leaves(self) -> Iterator[WeightedGame]:
+        raise NotImplementedError
+
+    def fold(self, leaf: Callable, and_: Callable, or_: Callable):
+        """Map each leaf with ``leaf``; join each node's children with ``and_`` or ``or_``."""
         raise NotImplementedError
 
 
@@ -180,6 +168,9 @@ class WeightedGame(GameExpr):
     def leaves(self) -> Iterator[WeightedGame]:
         yield self
 
+    def fold(self, leaf, and_, or_):
+        return leaf(self)
+
     def __repr__(self) -> str:
         ws = ",".join(map(str, self.weights))
         return f"[{self.quota}; {ws}]"
@@ -215,6 +206,10 @@ class Node(GameExpr):
     def leaves(self) -> Iterator[WeightedGame]:
         for child in self.children:
             yield from child.leaves()
+
+    def fold(self, leaf, and_, or_):
+        parts = (c.fold(leaf, and_, or_) for c in self.children)
+        return reduce(and_ if self.op == AND else or_, parts)
 
     def __repr__(self) -> str:
         sep = " & " if self.op == AND else " | "

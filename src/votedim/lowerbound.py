@@ -27,11 +27,11 @@ bounded however large the difference is.
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial
 from operator import and_, or_
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .games import AND, Coalition, GameExpr, Node, WeightedGame, check_universe
+from .games import Coalition, GameExpr, WeightedGame, check_universe
 
 # Selector bits searched per chunk: each leaf and side is one 2^_CHUNK_BITS-bit
 # int (128 KB) per chunk, however large the symmetric difference.
@@ -137,14 +137,6 @@ def _low_half(weights: tuple[int, ...], width: int) -> tuple[list[int], list[byt
     return [sums[m] for m in order], patterns
 
 
-def _fold(expr: GameExpr, leaf: Callable[[WeightedGame], int]) -> int:
-    """Fold the AND/OR tree over per-leaf bitsets."""
-    if isinstance(expr, WeightedGame):
-        return leaf(expr)
-    assert isinstance(expr, Node)
-    return reduce(and_ if expr.op == AND else or_, (_fold(c, leaf) for c in expr.children))
-
-
 def find_certificate(
     expr: GameExpr, a: Coalition, b: Coalition
 ) -> Optional[IncompatibilityCertificate]:
@@ -207,8 +199,8 @@ def find_certificate(
     row_full = ((1 << (1 << lo)) - 1).to_bytes((1 << width) >> 3, "little")
     full = int.from_bytes(row_full * (1 << (inner - lo)), "little")
     for k in range(1 << (len(free) - inner)):
-        p = _fold(expr, lambda g: at_least(g, 0, k))
-        hits = p and p & _fold(expr, lambda g: full ^ at_least(g, 1, k))
+        p = expr.fold(lambda g: at_least(g, 0, k), and_, or_)
+        hits = p and p & expr.fold(lambda g: full ^ at_least(g, 1, k), and_, or_)
         if hits:
             bit = (hits & -hits).bit_length() - 1
             r = k << inner | bit >> width << lo | bit & ((1 << width) - 1)

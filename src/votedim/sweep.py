@@ -286,14 +286,9 @@ def member_chunks(
 
 
 def member_array(table: Table) -> np.ndarray:
-    """Set-bit indices (coalition masks) of a table, ascending, in one ``int64`` buffer."""
-    nonzero = np.flatnonzero(table)
-    members = np.empty(int(np.bitwise_count(table[nonzero]).sum(dtype=np.int64)), np.int64)
-    end = 0
-    for chunk in member_chunks(table, nonzero):
-        members[end : end + chunk.size] = chunk
-        end += chunk.size
-    return members
+    """Set-bit indices (coalition masks) of a table, ascending, as one ``int64`` array."""
+    chunks = list(member_chunks(table, np.flatnonzero(table)))
+    return np.concatenate(chunks) if chunks else np.empty(0, np.int64)
 
 
 def table_members(table: Table) -> list[int]:
@@ -333,19 +328,10 @@ def min_member_weight(game: WeightedGame, table: Table, base: int = 0) -> Option
     return min((int(weights_of(game, m).min()) for m in chunks), default=None)
 
 
-def _evaluate(expr: GameExpr, masks: np.ndarray) -> np.ndarray:
-    # Recursing here, not through evaluate_many, keeps perfbench/traced.py's
-    # wrapper of evaluate_many at one span per batch.
-    if isinstance(expr, WeightedGame):
-        return weights_of(expr, masks) >= expr.quota
-    assert isinstance(expr, Node)
-    parts = [_evaluate(c, masks) for c in expr.children]
-    return (np.logical_and if expr.op == AND else np.logical_or).reduce(parts)
-
-
 def evaluate_many(expr: GameExpr, masks: np.ndarray) -> np.ndarray:
     """Vectorized evaluation of an expression on an array of coalition masks."""
-    return _evaluate(expr, np.asarray(masks, dtype=np.int64))
+    masks = np.asarray(masks, dtype=np.int64)
+    return expr.fold(lambda g: weights_of(g, masks) >= g.quota, np.logical_and, np.logical_or)
 
 
 # --- public sweep operations ------------------------------------------------

@@ -299,6 +299,15 @@ class TestInputErrors:
         assert f"cannot read {latin}: not UTF-8 text" in result.stderr
         assert "Traceback" not in result.output
 
+    def test_data_byte_order_mark(self, toys, tmp_path):
+        # Spreadsheet "CSV UTF-8" exports start with a UTF-8 byte-order mark.
+        marked = tmp_path / "toy16_bom.csv"
+        marked.write_text("\ufeff" + TOY16, encoding="utf-8")
+        plain, with_bom = analyze_json("--data", toys["toy16"]), analyze_json("--data", str(marked))
+        assert with_bom.pop("dataset") == str(marked)
+        plain.pop("dataset")
+        assert with_bom == plain
+
     def test_unknown_excluded_country(self, toys):
         result = run("analyze", "--data", toys["toy16"], "--exclude", "Atlantis")
         assert result.exit_code == 2
@@ -455,6 +464,15 @@ class TestLowerBound:
         assert result.exit_code == 2
         assert f"cannot read {path}: not UTF-8 text" in result.stderr
         assert "Traceback" not in result.output
+
+    def test_coalitions_byte_order_mark(self, toys, tmp_path):
+        text = "1,2,3,4,5,6,7,8\n9,10,11,12,13,14,15,16\n"
+        marked = tmp_path / "marked.txt"
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        args = ("lower-bound", "verify", "--data", toys["toy16"], "--coalitions")
+        plain, with_bom = run(*args, self.write(tmp_path, text)), run(*args, str(marked))
+        assert plain.exit_code == 1  # the pair is compatible
+        assert (with_bom.exit_code, with_bom.stdout) == (plain.exit_code, plain.stdout)
 
     def test_comments_only_file(self, toys, tmp_path):
         path = self.write(tmp_path, "# nothing here\n\n")

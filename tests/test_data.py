@@ -214,7 +214,7 @@ class TestBuildEuRule:
 
     def test_expr_shape(self):
         rule = data.build_eu_rule(data.builtin_table("2014"))
-        s = Coalition.from_members(range(0, 25), 28)
+        s = Coalition((1 << 25) - 1, 28)
         assert rule.expr.evaluate(s)
-        tiny = Coalition.from_members([27], 28)
+        tiny = Coalition(1 << 27, 28)
         assert not rule.expr.evaluate(tiny)

@@ -42,13 +42,13 @@ def traced_rewrite(rule):
 
 class TestVetoGame:
     def test_empty_block_rejects_only_empty_coalition(self):
-        game = veto_game(Coalition.empty(4))
+        game = veto_game(Coalition(0, 4))
         assert game.weights == (1, 1, 1, 1)
         assert game.quota == 1
-        assert not game.evaluate(Coalition.empty(4))
+        assert not game.evaluate(Coalition(0, 4))
 
     def test_blocked_pair(self):
-        game = veto_game(Coalition.from_members([0, 1], 3))
+        game = veto_game(Coalition(0b011, 3))
         assert game.weights == (0, 0, 1)
         losers = {m for m in range(8) if not oracles.wins(game, m)}
         assert losers == {0b000, 0b001, 0b010, 0b011}

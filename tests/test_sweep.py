@@ -148,6 +148,8 @@ class TestTableQueries:
         assert sweep.table_members(table) == [1, 4, 5, 7]
         assert table.bit_count() == 4
         assert sweep.table_members(oracles.int_to_table(0, 3)) == []
+        empty = sweep.member_array(oracles.int_to_table(0, 3))
+        assert empty.dtype == np.int64 and empty.size == 0
         # Across word boundaries the order stays ascending by mask.
         wide = oracles.int_to_table(sum(1 << m for m in (200, 3, 64, 65, 255)), 8)
         assert sweep.table_members(wide) == [3, 64, 65, 200, 255]
