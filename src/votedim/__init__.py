@@ -72,25 +72,11 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-# The rewrite's names load ``decompose``, and with it numpy, on first use
-# (PEP 562): certificate work never pays for the array library.
-_DECOMPOSE_NAMES = frozenset(
-    {
-        "ContainmentError",
-        "Decomposition",
-        "EmptyCoreError",
-        "GapSummary",
-        "analyze_rule",
-        "gap_summary",
-        "refine_by_vetoes",
-        "union_as_intersection",
-        "veto_game",
-    }
-)
-
-
+# The rewrite's names are the exported names not imported above: they load
+# ``decompose``, and with it numpy, on first use (PEP 562), so certificate
+# work never pays for the array library.
 def __getattr__(name: str):
-    if name in _DECOMPOSE_NAMES:
+    if name in __all__:
         from . import decompose
 
         return getattr(decompose, name)

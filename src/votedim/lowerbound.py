@@ -28,6 +28,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations
 from operator import and_, or_
 from typing import Iterable, Optional, Sequence
 
@@ -238,8 +239,7 @@ def verify_certificate_set(
             return PairOutcome(i, j, STATUS_NO_CERTIFICATE, None)
         return PairOutcome(i, j, STATUS_CERTIFIED, cert)
 
-    k = len(coalitions)
-    outcomes = tuple(attempt(i, j) for i in range(k) for j in range(i + 1, k))
+    outcomes = tuple(attempt(i, j) for i, j in combinations(range(len(coalitions)), 2))
     return CertificateSetReport(coalitions=coalitions, losing=losing, pairs=outcomes)
 
 
@@ -300,24 +300,19 @@ def search_certificate_set(
     """A largest pairwise-incompatible set within a seeded pool of maximal losers.
 
     The pool holds at most ``pool_budget`` maximal losers (``_loser_pool``).
-    Each of its k(k-1)/2 pairs is searched once, and the report is that of a
-    maximum clique of the certified pairs, re-indexed.  Exact over the pool
-    only: no claim about the losers outside it.
+    Each of its k(k-1)/2 pairs is searched once, keeping only one adjacency
+    bit per certified pair.  The report is ``verify_certificate_set`` of a
+    maximum clique of those pairs, in pool order, so its pairs are searched
+    a second time.  Exact over the pool only: no claim about the losers
+    outside it.
     """
     if pool_budget < 1:
         raise ValueError("budget must be positive")
     pool = [Coalition(m, expr.n) for m in _loser_pool(expr, pool_budget, seed)]
-    graph = verify_certificate_set(expr, pool)
     adjacent = [0] * len(pool)
-    for p in graph.pairs:
-        if p.status == STATUS_CERTIFIED:
-            adjacent[p.i] |= 1 << p.j
-            adjacent[p.j] |= 1 << p.i
+    for i, j in combinations(range(len(pool)), 2):
+        if find_certificate(expr, pool[i], pool[j]) is not None:
+            adjacent[i] |= 1 << j
+            adjacent[j] |= 1 << i
     clique = _max_clique(adjacent)
-    keep = {old: new for new, old in enumerate(i for i in range(len(pool)) if clique >> i & 1)}
-    pairs = [p for p in graph.pairs if p.i in keep and p.j in keep]
-    return CertificateSetReport(
-        tuple(pool[i] for i in keep),
-        tuple(graph.losing[i] for i in keep),
-        tuple(PairOutcome(keep[p.i], keep[p.j], p.status, p.certificate) for p in pairs),
-    )
+    return verify_certificate_set(expr, [s for i, s in enumerate(pool) if clique >> i & 1])

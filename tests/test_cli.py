@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -524,6 +525,15 @@ class TestLowerBound:
         assert result.stdout.count(": certified  p=") == 21
         assert result.stdout.endswith("certified lower bound: 7\n")
         assert elapsed < 1.0
+
+    def test_search_report_is_verify_of_its_clique(self, tmp_path):
+        y2014 = ("--data", "builtin:2014")
+        search = run("lower-bound", "search", *y2014, "--budget", "32", "--seed", "0")
+        ranks = re.findall(r"^coalition \d+: \{([\d,]*)\}", search.stdout, re.M)
+        assert len(ranks) > 1
+        path = self.write(tmp_path, "".join(f"{r}\n" for r in ranks))
+        verify = run("lower-bound", "verify", *y2014, "--coalitions", path)
+        assert (verify.exit_code, verify.stdout) == (search.exit_code, search.stdout)
 
     def test_search_has_no_pair_budget(self, toys):
         # The pool budget alone bounds the pair searches.

@@ -295,8 +295,21 @@ class TestSearchCertificateSet:
         assert report.fully_certified
         assert set(report.coalitions) <= set(pool)
         assert report.lower_bound >= len(greedy_clique(expr, pool))
-        # The pairs come from the pool's graph, re-indexed, not a second search.
+        # The report is the clique's own check, in pool order.
         assert report == verify_certificate_set(expr, report.coalitions)
+
+    def test_verifies_only_its_clique(self, monkeypatch):
+        # The pool's pairs leave adjacency bits only; the one report is the clique's.
+        verify, sizes = lowerbound.verify_certificate_set, []
+
+        def spy(expr, coalitions):
+            sizes.append(len(coalitions))
+            return verify(expr, coalitions)
+
+        monkeypatch.setattr(lowerbound, "verify_certificate_set", spy)
+        rule = data.build_eu_rule(data.builtin_table("2014"))
+        report = search_certificate_set(rule.expr, pool_budget=16, seed=0)
+        assert sizes == [report.lower_bound]
 
     def test_two_chamber_game_reaches_two(self):
         report = search_certificate_set(two_chamber_game())

@@ -1,5 +1,7 @@
 """The package's public surface."""
 
+import subprocess
+import sys
 from pathlib import Path
 
 import votedim
@@ -17,3 +19,22 @@ def test_readme_library_example_runs(capsys):
     block = readme.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out == "24\n24 core-boost\n"
+
+
+def test_exported_names_load_numpy_only_when_the_rewrite_is_used():
+    code = """
+import sys
+import votedim
+assert "numpy" not in sys.modules
+try:
+    votedim.no_such_name
+except AttributeError:
+    pass
+else:
+    raise SystemExit("no AttributeError")
+assert "numpy" not in sys.modules
+assert votedim.GapSummary is votedim.decompose.GapSummary
+assert "numpy" in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
