@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .games import AND, Coalition, GameExpr, Node, WeightedGame, all_of, any_of, check_universe
+from .games import Coalition, GameExpr, WeightedGame, all_of, any_of, check_universe
 from . import sweep
 from .data import EuRule
 
@@ -277,7 +277,7 @@ def refine_by_vetoes(target: GameExpr, candidate: GameExpr) -> Decomposition:
     ValueError
         When ``candidate`` contains a union node.
     """
-    if not _and_only(candidate):
+    if not candidate.fold(lambda g: True, all, lambda parts: False):
         raise ValueError("candidate must be a single game or an AND-only tree")
     # W(target) is contained in W(candidate) iff target == target AND candidate.
     check = sweep.equivalent(target, all_of(target, candidate))
@@ -288,9 +288,3 @@ def refine_by_vetoes(target: GameExpr, candidate: GameExpr) -> Decomposition:
     games = tuple(candidate.leaves()) + tuple(veto_game(s) for s in frontier)
     return Decomposition(games, None, tuple(frontier))
 
-
-def _and_only(expr: GameExpr) -> bool:
-    if isinstance(expr, WeightedGame):
-        return True
-    assert isinstance(expr, Node)
-    return expr.op == AND and all(_and_only(c) for c in expr.children)

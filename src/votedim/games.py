@@ -10,7 +10,7 @@ engine's ``uint64`` word-array win tables (bit m % 64 of word m // 64).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from itertools import chain
 from typing import Callable, Iterator
 
 MAX_PLAYERS = 32
@@ -98,15 +98,22 @@ class GameExpr:
 
     __slots__ = ()
 
-    def evaluate(self, s: Coalition) -> bool:
-        raise NotImplementedError
-
-    def leaves(self) -> Iterator[WeightedGame]:
-        raise NotImplementedError
-
     def fold(self, leaf: Callable, and_: Callable, or_: Callable):
-        """Map each leaf with ``leaf``; join each node's children with ``and_`` or ``or_``."""
+        """Map each leaf with ``leaf``; join each node's children with ``and_`` or ``or_``.
+
+        A join gets one lazy iterable of its children's results, in order,
+        so ``all`` and ``any`` stop at the first child that settles the node.
+        """
         raise NotImplementedError
+
+    def evaluate(self, s: Coalition) -> bool:
+        # The first leaf weighed checks the universe.
+        return self.fold(lambda g: g.weight_sum(s) >= g.quota, all, any)
+
+    def leaves(self) -> list[WeightedGame]:
+        """The weighted leaves, in construction order."""
+        flatten = lambda parts: list(chain.from_iterable(parts))
+        return self.fold(lambda g: [g], flatten, flatten)
 
 
 @dataclass(frozen=True)
@@ -162,12 +169,6 @@ class WeightedGame(GameExpr):
             m ^= low
         return total
 
-    def evaluate(self, s: Coalition) -> bool:
-        return self.weight_sum(s) >= self.quota
-
-    def leaves(self) -> Iterator[WeightedGame]:
-        yield self
-
     def fold(self, leaf, and_, or_):
         return leaf(self)
 
@@ -197,19 +198,8 @@ class Node(GameExpr):
         self.children = children
         self.n = children[0].n
 
-    def evaluate(self, s: Coalition) -> bool:
-        check_universe(self.n, s.n)
-        if self.op == AND:
-            return all(c.evaluate(s) for c in self.children)
-        return any(c.evaluate(s) for c in self.children)
-
-    def leaves(self) -> Iterator[WeightedGame]:
-        for child in self.children:
-            yield from child.leaves()
-
     def fold(self, leaf, and_, or_):
-        parts = (c.fold(leaf, and_, or_) for c in self.children)
-        return reduce(and_ if self.op == AND else or_, parts)
+        return (and_ if self.op == AND else or_)(c.fold(leaf, and_, or_) for c in self.children)
 
     def __repr__(self) -> str:
         sep = " & " if self.op == AND else " | "

@@ -27,7 +27,7 @@ bounded however large the difference is.
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations
 from operator import and_, or_
 from typing import Iterable, Optional, Sequence
@@ -199,9 +199,10 @@ def find_certificate(
 
     row_full = ((1 << (1 << lo)) - 1).to_bytes((1 << width) >> 3, "little")
     full = int.from_bytes(row_full * (1 << (inner - lo)), "little")
+    join_and, join_or = partial(reduce, and_), partial(reduce, or_)
     for k in range(1 << (len(free) - inner)):
-        p = expr.fold(lambda g: at_least(g, 0, k), and_, or_)
-        hits = p and p & expr.fold(lambda g: full ^ at_least(g, 1, k), and_, or_)
+        p = expr.fold(lambda g: at_least(g, 0, k), join_and, join_or)
+        hits = p and p & expr.fold(lambda g: full ^ at_least(g, 1, k), join_and, join_or)
         if hits:
             bit = (hits & -hits).bit_length() - 1
             r = k << inner | bit >> width << lo | bit & ((1 << width) - 1)

@@ -29,6 +29,7 @@ coalitions (``evaluate_many`` in that probe, ``weights_of`` in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, reduce
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -331,7 +332,8 @@ def min_member_weight(game: WeightedGame, table: Table, base: int = 0) -> Option
 def evaluate_many(expr: GameExpr, masks: np.ndarray) -> np.ndarray:
     """Vectorized evaluation of an expression on an array of coalition masks."""
     masks = np.asarray(masks, dtype=np.int64)
-    return expr.fold(lambda g: weights_of(g, masks) >= g.quota, np.logical_and, np.logical_or)
+    and_, or_ = partial(reduce, np.logical_and), partial(reduce, np.logical_or)
+    return expr.fold(lambda g: weights_of(g, masks) >= g.quota, and_, or_)
 
 
 # --- public sweep operations ------------------------------------------------

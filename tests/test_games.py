@@ -1,6 +1,7 @@
 """Core types: coalitions, weighted games, boolean combinations."""
 
 import random
+from functools import partial, reduce
 from operator import and_, or_
 
 import pytest
@@ -134,7 +135,11 @@ class TestExpressions:
     def test_leaves_in_construction_order(self):
         a, b, c = unit_game(1, 2), unit_game(2, 2), WeightedGame((2, 1), 2)
         expr = any_of(all_of(a, b), c)
-        assert list(expr.leaves()) == [a, b, c]
+        assert expr.leaves() == [a, b, c]
+        # The 1,364 games of 2018 without the UK under one AND node.
+        rule = data.build_eu_rule(data.builtin_table("2018"), exclude=["United Kingdom"])
+        games = decompose.analyze_rule(rule).games
+        assert all_of(*games).leaves() == list(games)
 
     def test_as_expr(self):
         g, h = unit_game(1, 3), unit_game(2, 3)
@@ -160,8 +165,8 @@ class TestExpressions:
     )
     def test_evaluate_short_circuits(self, op, first, weight_sums):
         # On {0} the first child settles the node (AND: it loses, OR: it
-        # wins), so the second is never weighed.  A fold that weighs every
-        # leaf costs twice as much per coalition on the no-UK rule.
+        # wins), so the second is never weighed: ``all`` and ``any`` stop
+        # early because each join gets its children lazily.
         node = Node(op, (first, unit_game(1, 2)))
         assert node.evaluate(Coalition(0b01, 2)) == (op == OR)
         assert len(weight_sums) == 1
@@ -172,9 +177,28 @@ class TestExpressions:
         join = rng.choice((all_of, any_of))
         expr = join(oracles.random_expr(rng, n), oracles.random_expr(rng, n))
         for m in range(1 << n):
-            assert expr.fold(lambda g: oracles.wins(g, m), and_, or_) == oracles.wins(expr, m)
-        table = expr.fold(lambda g: oracles.table_of(oracles.winning_masks(g, n)), and_, or_)
+            assert expr.fold(lambda g: oracles.wins(g, m), all, any) == oracles.wins(expr, m)
+        table = expr.fold(
+            lambda g: oracles.table_of(oracles.winning_masks(g, n)),
+            partial(reduce, and_),
+            partial(reduce, or_),
+        )
         assert table == oracles.table_of(oracles.winning_masks(expr, n))
+
+    def test_join_reads_only_what_it_takes(self):
+        # Each join gets one lazy iterable of its children's results, so a
+        # join that reads only its first child leaves the others unmapped.
+        a, b = unit_game(1, 2), unit_game(2, 2)
+        mapped = []
+
+        def record(g):
+            mapped.append(g)
+            return g
+
+        first = lambda parts: next(iter(parts))
+        assert all_of(a, b).fold(record, first, first) is a
+        assert any_of(all_of(a, b), b).fold(record, first, first) is a
+        assert mapped == [a, a]
 
     def test_node_arity_and_universe(self):
         g = unit_game(1, 3)
