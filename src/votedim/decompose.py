@@ -9,7 +9,7 @@ that admit all gap coalitions; the coalitions the boosted intersection
 over-admits are then fenced off one veto game apiece.
 
 No 2^n-bit table is built.  The gap survey streams ``~first & second`` a
-block of 2^22 coalitions at a time and folds its count, core, minimum
+block of 2^20 coalitions at a time and folds its count, core, minimum
 weight and members.  With boost u >= 0, quota q and weights w, the boosted
 intersection wins exactly ``[w(S) >= q] or ([w(S) >= q - u] and core ⊆ S)``,
 so the over-admitted coalitions are ``core ∪ T`` for the T over the

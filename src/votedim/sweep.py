@@ -3,7 +3,7 @@
 The engine's working representation is a *win table*: a little-endian
 ``uint64`` array of max(1, 2^n / 64) words whose bit m is set iff the
 coalition with bit-mask m wins (for n < 6 one word, unused high bits zero).
-A game expression is folded one block of 2^22 coalitions (512 KB) at a
+A game expression is folded one block of 2^20 coalitions (128 KB) at a
 time, in ascending order: ``equivalent`` compares two folds block by block
 and stops at the first block that differs, the gap survey streams blocks
 through ``expr_blocks``, and ``expr_table`` fills a whole table block by
@@ -36,11 +36,14 @@ import numpy as np
 
 from .games import AND, Coalition, GameExpr, Node, WeightedGame, check_universe
 
-# Win table rows: 2^11 coalitions, whole words once n >= 6.
+# Win table rows: 2^11 coalitions, whole words once n >= 6.  Rows of 2^10
+# made the fold 30-50 % slower.
 _RANK_BITS = 11
-# Coalitions per fold block: 2^22, i.e. 64 K words.  At least 6 (whole
-# words); rows shrink to the block when it is smaller than a row.
-_BLOCK_BITS = 22
+# Coalitions per fold block: 2^20, i.e. 16 K words, 128 KB.  Every block,
+# node scratch and veto-closure buffer has this size, so a fold's buffers
+# stay in L2.  At least 6 (whole words); rows shrink to the block when it
+# is smaller than a row.
+_BLOCK_BITS = 20
 # Table words unpacked at a time when listing members.
 _MEMBER_WORDS = 1 << 15
 
@@ -227,7 +230,7 @@ def _blocks(fill: BlockFill, n: int, table: Optional[np.ndarray] = None) -> Iter
 
 
 def expr_blocks(expr: GameExpr) -> Iterator[np.ndarray]:
-    """The expression's win table a block of 2^22 coalitions at a time, in one reused buffer."""
+    """The expression's win table one 2^20-coalition block at a time, in one reused buffer."""
     return _blocks(_fold(expr, {}), expr.n)
 
 

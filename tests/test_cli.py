@@ -1,5 +1,6 @@
 """Command-line workflows: analyze, verify, lower-bound; exit-code contract."""
 
+import io
 import json
 import os
 import re
@@ -7,13 +8,14 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from votedim import decompose
+from votedim import cli, decompose
 from votedim.cli import main
 
 TOY16 = """\
@@ -272,6 +274,32 @@ class TestAnalyze:
         result = run("analyze", "--data", toys["five"], "--exclude", "C,D,E,E")
         assert result.exit_code == 0
         assert "excluded: C, D, E\n" in result.stdout
+
+
+class TestJsonStream:
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_batches_join_to_one_dump(self, toys, batch, monkeypatch):
+        # Batches of 1 and 3 encoder chunks put a boundary inside every
+        # nesting level of the report: lists of lists, dicts, None.
+        report = analyze_json("--data", toys["toy16"], "--exclude", "Light12")
+        monkeypatch.setattr(cli, "_JSON_BATCH", batch)
+        out = io.StringIO()
+        cli._echo_json(report, file=out)
+        assert out.getvalue() == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+    def test_rendering_memory(self):
+        # The no-UK report: 782 KB of JSON, 1,364 games of 27 weights each.
+        # The renderer holds one batch of 2^12 encoder chunks, 0.32 MiB in
+        # tracemalloc; batches of 2^16 chunks held 4.35 MiB.
+        report = analyze_json("--data", "builtin:2018", "--exclude", "United Kingdom")
+        with open(os.devnull, "w", encoding="utf-8") as sink:
+            tracemalloc.start()
+            try:
+                cli._echo_json(report, file=sink)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= 2**20
 
 
 class TestInputErrors:

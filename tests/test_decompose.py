@@ -254,27 +254,30 @@ class TestUnionAsIntersection:
     def test_frontier_needs_no_whole_table_pass(self):
         # 2018 without the UK, n = 27: 20 gap coalitions, 8,890 over-admitted
         # coalitions, 1,351 of them maximal.  numpy reports its buffers to
-        # tracemalloc.  The rewrite holds one block of gap rows per game, the
-        # 2^15-bit sub-cube tables and the probe of the frontier masks and
-        # their extensions: 0.15 tables.  Probing all 8,890 over-admitted
-        # masks read 0.33; the whole-table rewrite held 2.13.
+        # tracemalloc.  The rewrite holds one 128 KB block of gap rows per
+        # game, the 2^15-bit sub-cube tables and the probe of the frontier
+        # masks and their extensions: 0.099 tables (0.145 with 512 KB
+        # blocks).  Probing all 8,890 over-admitted masks read 0.33; the
+        # whole-table rewrite held 2.13.  The bound leaves 27 %.
         rule = data.build_eu_rule(data.builtin_table("2018"), exclude=["United Kingdom"])
         dec, peak = traced_rewrite(rule)
         assert len(dec.frontier) == 1351
-        assert peak < 0.25 * (1 << rule.n) / 8
+        assert peak < 0.125 * (1 << rule.n) / 8
 
     def test_gap_survey_needs_no_whole_table(self):
         # 2014, n = 28: 10 gap coalitions, a 22-player core and one
-        # over-admitted coalition.  The streamed survey reads 0.07 tables;
-        # the whole-table rewrite held 2.13.
+        # over-admitted coalition.  The streamed survey reads 0.050 tables
+        # with 128 KB blocks, 0.073 with 512 KB blocks; the whole-table
+        # rewrite held 2.13.  The bound leaves 29 %.
         rule = data.build_eu_rule(data.builtin_table("2014"))
         dec, peak = traced_rewrite(rule)
         assert len(dec.common_core_players()) == 22 and len(dec.frontier) == 1
-        assert peak < 0.5 * (1 << rule.n) / 8
+        assert peak < 0.065 * (1 << rule.n) / 8
 
     def test_synthetic_30_player_table(self):
         # The 2018 rows plus two synthetic members, n = 30: one 2^30-bit
-        # table would take 128 MB.
+        # table would take 128 MB.  The analysis peaks at 2.04 MiB with
+        # 128 KB blocks, 2.63 MiB with 512 KB blocks.  The bound leaves 23 %.
         table = data.load_table((DATA / "synthetic30.csv").read_text(encoding="utf-8"))
         rule = data.build_eu_rule(table)
         tracemalloc.start()
@@ -288,7 +291,7 @@ class TestUnionAsIntersection:
         assert result.gap.count == 11
         assert len(result.gap.common_core.members()) == 24
         assert len(result.frontier) == 2
-        assert peak < 32 * 2**20
+        assert peak < 2.5 * 2**20
 
     @settings(deadline=None)
     @given(st.integers(2, 8), rngs)

@@ -2,11 +2,15 @@
 
 Each command runs in process from the repository root, so the relative
 paths below (which ``analyze`` echoes in its ``dataset`` field) do not tie
-a digest to the checkout's location.  A change that alters one of these
+a digest to the checkout's location.  The no-UK ``analyze --json`` report
+is also checked through a child process's stdout.  A change that alters one of these
 outputs on purpose updates its digest and says so in CHANGES.md.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -140,3 +144,20 @@ def test_output_is_pinned(args, stdout_sha256, stderr, exit_code, monkeypatch):
     assert result.exit_code == exit_code, result.output
     assert result.stderr == stderr
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == stdout_sha256
+
+
+def test_json_through_process_stdout(tmp_path):
+    # ``CliRunner`` hands the command a ``BytesIO``; the no-UK report, the
+    # largest pinned output, also goes through a real process's stdout,
+    # written to a file as the benchmark reads it.
+    args = ("analyze", "--json", *NO_UK)
+    stdout_sha256 = next(g[1] for g in GOLDEN if g[0] == args)
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = tmp_path / "stdout"
+    with open(out, "wb") as f:
+        code = subprocess.run(
+            [sys.executable, "-m", "votedim.cli", *args], stdout=f, cwd=ROOT, env=env
+        ).returncode
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == stdout_sha256

@@ -247,35 +247,39 @@ class TestPredicates:
     def test_verify_fold_memory(self):
         # ``verify`` on 2018 without the UK, n = 27: the rule against its
         # 1,364 games, folded block by block over all 2^27 coalitions.  numpy
-        # reports its buffers to tracemalloc; analysis and fold peak at 0.34
-        # tables (5.5 MB).  The 12 boosted copies share one gather, and two
-        # low halves of 0.5 MB row patterns serve both sides.  One row
-        # pattern block per copy read 0.73, the whole-table fold 4.13.
+        # reports its buffers to tracemalloc; analysis and fold peak at 0.168
+        # tables (2.7 MB) with 128 KB blocks, 0.34 with 512 KB blocks.  The
+        # 12 boosted copies share one gather, and two low halves of 0.5 MB
+        # row patterns serve both sides.  One row pattern block per copy
+        # read 0.73, the whole-table fold 4.13.  The bound leaves 31 %.
         rule = data.build_eu_rule(data.builtin_table("2018"), exclude=["United Kingdom"])
         result, peak = traced_verify(rule)
         assert result
-        assert peak <= 0.45 * (1 << rule.n) / 8
+        assert peak <= 0.22 * (1 << rule.n) / 8
 
     def test_verify_fold_memory_2014(self):
         # n = 28: the 17 of the 22 boosted copies that are boosted above the
         # 11 low players share one gather, and both sides hold seven low
-        # halves of 0.5 MB row patterns: 0.24 tables (7.7 MB).  One row
-        # pattern block per distinct leaf read 0.52, the whole-table fold 4.08.
+        # halves of 0.5 MB row patterns: 0.152 tables (4.9 MB) with 128 KB
+        # blocks, 0.24 with 512 KB blocks.  One row pattern block per
+        # distinct leaf read 0.52, the whole-table fold 4.08.  The bound
+        # leaves 32 %.
         rule = data.build_eu_rule(data.builtin_table("2014"))
         result, peak = traced_verify(rule)
         assert result
-        assert peak <= 0.35 * (1 << rule.n) / 8
+        assert peak <= 0.20 * (1 << rule.n) / 8
 
     def test_verify_synthetic_30_player_table(self):
         # The 2018 rows plus two synthetic members, n = 30: one 2^30-bit
-        # table would take 128 MB.  Analysis and fold peak at 7.8 MB (17.6 MB
-        # with one row pattern block per distinct leaf).
+        # table would take 128 MB.  Analysis and fold peak at 5.1 MiB with
+        # 128 KB blocks, 7.8 MiB with 512 KB blocks (17.6 MiB with one row
+        # pattern block per distinct leaf).  The bound leaves 28 %.
         table = data.load_table((DATA / "synthetic30.csv").read_text(encoding="utf-8"))
         rule = data.build_eu_rule(table)
         result, peak = traced_verify(rule)
         assert rule.n == 30
         assert result
-        assert peak < 12 * 2**20
+        assert peak < 6.5 * 2**20
 
     def test_maximal_satisfying_in_one_word(self):
         # Coalitions of size 2 or 3 out of 4 players, all in one word: a stray
