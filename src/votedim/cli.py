@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import sys
-from typing import IO, TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional
 
 import click
 
@@ -142,12 +142,12 @@ def _analyze_or_exit(rule: data.EuRule, swap_roles: bool) -> decompose.Decomposi
         raise click.UsageError(str(e))
 
 
-def _echo_json(report: dict, file: Optional[IO[str]] = None) -> None:
+def _echo_json(report: dict) -> None:
     """The report as indented JSON with sorted keys, streamed in batches of encoder chunks."""
     chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
     while batch := "".join(itertools.islice(chunks, _JSON_BATCH)):
-        click.echo(batch, file=file, nl=False)
-    click.echo(file=file)
+        click.echo(batch, nl=False)
+    click.echo()
 
 
 def _render_text(report: dict) -> str:

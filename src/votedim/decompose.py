@@ -143,32 +143,33 @@ def gap_summary(first: WeightedGame, second: WeightedGame) -> GapSummary:
     """Exact survey of the coalitions losing ``first`` but winning ``second``.
 
     The gap table ``~first & second`` is streamed a block at a time and
-    never held whole.  The fold counts each block and, while the core is
-    non-empty, intersects the block's members into it and weighs them.  It
-    keeps the non-zero gap words of each block while the count stays within
-    ``GAP_MEMBER_CAP`` and lists their members at the end, so once the core
-    (which only shrinks) is empty and the count is past the cap, a block is
-    only counted.
+    never held whole.  A block without a gap coalition is skipped.  The fold
+    counts each other block's run of non-zero words and, while the core is
+    non-empty, intersects its members into it and weighs them.  It keeps
+    the runs while the count stays within ``GAP_MEMBER_CAP`` and lists their
+    members at the end, so once the core (which only shrinks) is empty and
+    the count is past the cap, a block is only counted.
     """
     n = check_universe(first.n, second.n)
-    count, core, base = 0, (1 << n) - 1, 0
+    count, core = 0, (1 << n) - 1
     lightest: list[int] = []
     listed: Optional[list[tuple[np.ndarray, np.ndarray]]] = []
-    for gap, wins in zip(sweep.expr_blocks(first), sweep.expr_blocks(second)):
+    for k, (gap, wins) in enumerate(zip(sweep.expr_blocks(first), sweep.expr_blocks(second))):
         gap = np.bitwise_and(np.invert(gap, out=gap), wins, out=gap)
-        nonzero = np.flatnonzero(gap)
-        words = gap[nonzero]
+        index = np.flatnonzero(gap)
+        if not index.size:
+            continue
+        words, index = gap[index], index + k * gap.size
         count += int(np.bitwise_count(words).sum(dtype=np.int64))
         if count > GAP_MEMBER_CAP:
             listed = None
         elif listed is not None:
-            listed.append((words, nonzero + base))
-        if core and nonzero.size:
-            core &= sweep.players_in_all(gap, n, base)
+            listed.append((words, index))
+        if core:
+            core &= sweep.players_in_all(words, index, n)
             # An empty core makes the rewrite inapplicable: no boost is priced.
             if core:
-                lightest.append(sweep.min_member_weight(first, gap, base))
-        base += gap.size
+                lightest.append(sweep.min_member_weight(first, words, index))
     if count == 0:
         return GapSummary(0, Coalition(core, n), None, None, ())
     min_weight = boost = members = None
@@ -177,9 +178,7 @@ def gap_summary(first: WeightedGame, second: WeightedGame) -> GapSummary:
         boost = first.quota - min_weight
     if listed is not None:
         words, index = (np.concatenate(part) for part in zip(*listed))
-        # Bit b of listed word i is coalition index[i] * 64 + b.
-        bits = np.concatenate(list(sweep.member_chunks(words, np.arange(words.size))))
-        masks = (index[bits >> 6] << 6) | (bits & 63)
+        masks = np.concatenate(list(sweep.member_chunks(words, index)))
         members = tuple(Coalition(m, n) for m in masks.tolist())
     return GapSummary(count, Coalition(core, n), min_weight, boost, members)
 

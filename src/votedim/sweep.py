@@ -21,7 +21,9 @@ selects other blocked masks.  Closures and the maximality thinning of
 a ``reshape(-1, 2, 2^(j-6))`` view for player j >= 6, in-word shifts under
 a constant mask for j < 6.  Both veto fences list their frontier with
 ``maximal_members`` and re-check it with ``checked_maximal``, one probe of
-the listed masks and their one-player extensions.  Batches of single
+the listed masks and their one-player extensions.  Table statistics read a
+*run*, a table's non-zero words and their word indices, and only
+``member_chunks`` turns it into coalition masks.  Batches of single
 coalitions (``evaluate_many`` in that probe, ``weights_of`` in
 ``min_member_weight``) read their weights off two partial-sum tables.
 """
@@ -41,11 +43,9 @@ from .games import AND, Coalition, GameExpr, Node, WeightedGame, check_universe
 _RANK_BITS = 11
 # Coalitions per fold block: 2^20, i.e. 16 K words, 128 KB.  Every block,
 # node scratch and veto-closure buffer has this size, so a fold's buffers
-# stay in L2.  At least 6 (whole words); rows shrink to the block when it
-# is smaller than a row.
+# stay in L2; members are unpacked a block of words at a time.  At least 6
+# (whole words); rows shrink to the block when it is smaller than a row.
 _BLOCK_BITS = 20
-# Table words unpacked at a time when listing members.
-_MEMBER_WORDS = 1 << 15
 
 class Table(np.ndarray):
     """A win table: ``uint64`` words, bit m of the array = coalition m."""
@@ -275,23 +275,22 @@ def up_closure(table: Table, n: int) -> Table:
     return _spread(table, table, n, down=False)
 
 
-def member_chunks(
-    words: np.ndarray, nonzero: np.ndarray, base: int = 0
-) -> Iterator[np.ndarray]:
-    """Member masks in the ``nonzero`` words, ascending, a chunk at a time.
+def member_chunks(words: np.ndarray, index: np.ndarray) -> Iterator[np.ndarray]:
+    """Member masks of the run ``words`` at word indices ``index``, ascending, a block at a time.
 
-    ``words`` is a table or a run of its words starting at word ``base``.
+    Bit b of table word i is coalition 64 i + b.
     """
-    for start in range(0, nonzero.size, _MEMBER_WORDS):
-        index = nonzero[start : start + _MEMBER_WORDS]
-        bits = np.unpackbits(words[index].view(np.uint8), bitorder="little")
+    step = _block_shape(_BLOCK_BITS)[1]
+    for start in range(0, words.size, step):
+        bits = np.unpackbits(words[start : start + step].view(np.uint8), bitorder="little")
         pos = np.flatnonzero(bits)
-        yield ((index[pos >> 6] + base) << 6) | (pos & 63)
+        yield (index[start:][pos >> 6] << 6) | (pos & 63)
 
 
 def member_array(table: Table) -> np.ndarray:
     """Set-bit indices (coalition masks) of a table, ascending, as one ``int64`` array."""
-    chunks = list(member_chunks(table, np.flatnonzero(table)))
+    index = np.flatnonzero(table)
+    chunks = list(member_chunks(table[index], index))
     return np.concatenate(chunks) if chunks else np.empty(0, np.int64)
 
 
@@ -300,18 +299,13 @@ def table_members(table: Table) -> list[int]:
     return member_array(table).tolist()
 
 
-def players_in_all(table: Table, n: int, base: int = 0) -> int:
-    """Bit-mask of players present in every member coalition of the table.
-
-    ``table`` is a table or a run of its words starting at word ``base``.
-    The intersection over an empty table is the whole player set.
-    """
-    nonzero = np.flatnonzero(table)
-    if nonzero.size == 0:
+def players_in_all(words: np.ndarray, index: np.ndarray, n: int) -> int:
+    """Bit-mask of players present in every member of a run; all players for an empty run."""
+    if index.size == 0:
         return (1 << n) - 1
     # Players 0..5 are bits inside a word, players 6.. are bits of its index.
-    union_word = np.bitwise_or.reduce(table.view(np.ndarray)[nonzero])
-    common_index = int(np.bitwise_and.reduce(nonzero + base))
+    union_word = np.bitwise_or.reduce(words)
+    common_index = int(np.bitwise_and.reduce(index))
     mask = (common_index << 6) & ((1 << n) - 1)
     for j in range(min(n, 6)):
         if not union_word & _pattern(j, False):
@@ -326,9 +320,9 @@ def weights_of(game: WeightedGame, masks: np.ndarray) -> np.ndarray:
     return low + subset_sums(game.weights[lo:])[masks >> lo]
 
 
-def min_member_weight(game: WeightedGame, table: Table, base: int = 0) -> Optional[int]:
-    """Minimum weight (under ``game``) over the coalitions in the table (or run at ``base``)."""
-    chunks = member_chunks(table, np.flatnonzero(table), base)
+def min_member_weight(game: WeightedGame, words: np.ndarray, index: np.ndarray) -> Optional[int]:
+    """Minimum weight (under ``game``) over the members of a run; None for an empty run."""
+    chunks = member_chunks(words, index)
     return min((int(weights_of(game, m).min()) for m in chunks), default=None)
 
 
@@ -363,11 +357,10 @@ def equivalent(a: GameExpr, b: GameExpr) -> EquivalenceResult:
     pairs = zip(_blocks(_fold(a, halves), a.n), _blocks(_fold(b, halves), b.n))
     for k, (left, right) in enumerate(pairs):
         diff = np.bitwise_xor(left, right, out=left)
-        nonzero = np.flatnonzero(diff)
-        if nonzero.size:
-            word = int(diff[nonzero[0]])
-            lowest = ((k * diff.size + int(nonzero[0])) << 6) + (word & -word).bit_length() - 1
-            return EquivalenceResult(False, Coalition(lowest, a.n))
+        index = np.flatnonzero(diff)[:1]
+        if index.size:
+            lowest = next(member_chunks(diff[index], index + k * diff.size))[0]
+            return EquivalenceResult(False, Coalition(int(lowest), a.n))
     return EquivalenceResult(True, None)
 
 

@@ -53,6 +53,12 @@ def int_to_table(bits: int, n: int):
     return raw.copy().view(Table)
 
 
+def run_of(table) -> tuple[np.ndarray, np.ndarray]:
+    """A table's non-zero words and their word indices, the sweep's run form."""
+    index = np.flatnonzero(table)
+    return np.asarray(table)[index], index
+
+
 def down_set(masks: Iterable[int]) -> set[int]:
     """Every subset of every mask."""
     out = set()

@@ -6,12 +6,16 @@ is surveyed from two whole 2^n-bit win tables, and the over-admitted set is
 cut from the complement of the first game with one more whole table at the
 lowered quota q - u.  The only edits are that ``sweep.checked_maximal`` now
 takes the (up, down) pair and the maximal members of the over-admitted
-table instead of a predicate and the table, and that ``Decomposition`` no
-longer takes a method tag: it derives the tag from the gap.
+table instead of a predicate and the table, that ``Decomposition`` no
+longer takes a method tag: it derives the tag from the gap, and that
+``sweep.players_in_all`` and ``sweep.min_member_weight`` take the table's
+run of non-zero words and their indices (``oracles.run_of``) instead of
+the table.
 """
 
 from typing import Optional
 
+import oracles
 from votedim import decompose, sweep
 from votedim.decompose import (
     Decomposition,
@@ -37,12 +41,13 @@ def summarize_gap(first: WeightedGame, table: sweep.Table) -> GapSummary:
     """Gap statistics read from the gap table, which is left unchanged."""
     n = first.n
     count = table.bit_count()
-    core = Coalition(sweep.players_in_all(table, n), n)
+    run = oracles.run_of(table)
+    core = Coalition(sweep.players_in_all(*run, n), n)
     if count == 0:
         return GapSummary(0, core, None, None, ())
     min_weight = boost = None
     if core.mask:
-        min_weight = sweep.min_member_weight(first, table)
+        min_weight = sweep.min_member_weight(first, *run)
         assert min_weight is not None
         boost = first.quota - min_weight
     members: Optional[tuple[Coalition, ...]] = None

@@ -1,5 +1,6 @@
 """Command-line workflows: analyze, verify, lower-bound; exit-code contract."""
 
+import contextlib
 import io
 import json
 import os
@@ -284,7 +285,8 @@ class TestJsonStream:
         report = analyze_json("--data", toys["toy16"], "--exclude", "Light12")
         monkeypatch.setattr(cli, "_JSON_BATCH", batch)
         out = io.StringIO()
-        cli._echo_json(report, file=out)
+        with contextlib.redirect_stdout(out):
+            cli._echo_json(report)
         assert out.getvalue() == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
     def test_rendering_memory(self):
@@ -292,10 +294,10 @@ class TestJsonStream:
         # The renderer holds one batch of 2^12 encoder chunks, 0.32 MiB in
         # tracemalloc; batches of 2^16 chunks held 4.35 MiB.
         report = analyze_json("--data", "builtin:2018", "--exclude", "United Kingdom")
-        with open(os.devnull, "w", encoding="utf-8") as sink:
+        with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
             tracemalloc.start()
             try:
-                cli._echo_json(report, file=sink)
+                cli._echo_json(report)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

@@ -150,8 +150,8 @@ class TestAgainstOracles:
         common = (1 << n) - 1
         for m in members:
             common &= m
-        assert sweep.players_in_all(t, n) == common
-        assert sweep.min_member_weight(game, t) == min(
+        assert sweep.players_in_all(*oracles.run_of(t), n) == common
+        assert sweep.min_member_weight(game, *oracles.run_of(t)) == min(
             (oracles.weight_of(game.weights, m) for m in members), default=None
         )
         flipped = oracles.table_to_int(sweep.complement(t, n))
@@ -201,8 +201,9 @@ class TestAgainstBigIntEngine:
             t = table(bits, n)
             assert sweep.table_members(t) == bigint_engine.table_members(bits, n)
             assert t.bit_count() == bits.bit_count()
-            assert sweep.players_in_all(t, n) == bigint_engine.players_in_all(bits, n)
-            assert sweep.min_member_weight(game, t) == bigint_engine.min_member_weight(
+            run = oracles.run_of(t)
+            assert sweep.players_in_all(*run, n) == bigint_engine.players_in_all(bits, n)
+            assert sweep.min_member_weight(game, *run) == bigint_engine.min_member_weight(
                 game, bits
             )
             got = sweep._maximal_bits(table(bits, n), n)
@@ -729,10 +730,11 @@ class TestAgainstTableRewrite:
     @pytest.mark.parametrize("cap", [10, 3000])
     @pytest.mark.parametrize("core", [False, True])
     def test_gap_above_the_member_cap(self, cap, core, monkeypatch):
-        # n = 13 has four table rows.  With one row per block and one word per
-        # member chunk the count crosses the cap mid-stream.  Players 0-5 and
-        # 11 are heavy, so the lightest gap coalition, {6, 12}, sits in the
-        # second word of its row, and the first word of every row is heavier.
+        # n = 13 has 128 table words.  With 2^6-coalition blocks each block,
+        # and each member chunk, is one word, so the count crosses the cap
+        # mid-stream.  Players 0-5 and 11 are heavy, so the lightest gap
+        # coalition, {6, 12}, sits in word 65, the second word of its 32-word
+        # row, and the first word of every row is heavier.
         n = 13
         first = WeightedGame((5,) * 6 + (1,) * 5 + (5, 1), 41)
         second = unit_game(1, n)
@@ -740,8 +742,7 @@ class TestAgainstTableRewrite:
             # Wins with player 12 and one more: 4,094 gap coalitions, core {12}.
             second = WeightedGame((1,) * (n - 1) + (n - 1,), n)
         monkeypatch.setattr(decompose, "GAP_MEMBER_CAP", cap)
-        monkeypatch.setattr(sweep, "_MEMBER_WORDS", 1)
-        got = assert_same_rewrite(first, second, bits=sweep._RANK_BITS)
+        got = assert_same_rewrite(first, second, bits=6)
         gap = got.gap if core else got
         assert gap.members is None
         assert gap.count == (4094 if core else 8190)

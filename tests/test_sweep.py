@@ -155,12 +155,26 @@ class TestTableQueries:
         assert sweep.table_members(wide) == [3, 64, 65, 200, 255]
         assert wide.bit_count() == 5
 
+    def test_member_chunks_of_a_run_with_gaps(self, monkeypatch):
+        # A 16-player table with members in words 0 (full), 3 (one bit), 4
+        # (the top bit) and 900 (lowest and top bits).  With 2^6-coalition
+        # blocks each word is its own unpack chunk.
+        masks = [*range(64), 3 * 64 + 17, 4 * 64 + 63, 900 * 64, 900 * 64 + 63]
+        words, index = oracles.run_of(oracles.int_to_table(oracles.table_of(masks), 16))
+        assert index.tolist() == [0, 3, 4, 900]
+        monkeypatch.setattr(sweep, "_BLOCK_BITS", 6)
+        chunks = list(sweep.member_chunks(words, index))
+        assert [c.tolist() for c in chunks] == [masks[:64], masks[64:65], masks[65:66], masks[66:]]
+        # Any sub-run decodes on its own word indices.
+        tail = sweep.member_chunks(words[2:], index[2:])
+        assert np.concatenate(list(tail)).tolist() == masks[65:]
+
     def test_players_in_all(self):
         # Members {0,1} and {1,2}: only player 1 is common.
         table = oracles.int_to_table((1 << 0b011) | (1 << 0b110), 3)
-        assert sweep.players_in_all(table, 3) == 0b010
+        assert sweep.players_in_all(*oracles.run_of(table), 3) == 0b010
         # Empty table: full mask by convention.
-        assert sweep.players_in_all(oracles.int_to_table(0, 3), 3) == 0b111
+        assert sweep.players_in_all(*oracles.run_of(oracles.int_to_table(0, 3)), 3) == 0b111
 
     @given(st.integers(1, 9), rngs)
     def test_min_member_weight(self, n, rng):
@@ -174,13 +188,13 @@ class TestTableQueries:
             ),
             default=None,
         )
-        got = sweep.min_member_weight(game, oracles.int_to_table(table, n))
+        got = sweep.min_member_weight(game, *oracles.run_of(oracles.int_to_table(table, n)))
         assert got == expected
 
     def test_min_member_weight_tiny_universe(self):
         game = WeightedGame((3, 5), 4)
-        assert sweep.min_member_weight(game, oracles.int_to_table(0b1000, 2)) == 8
-        assert sweep.min_member_weight(game, oracles.int_to_table(0, 2)) is None
+        assert sweep.min_member_weight(game, *oracles.run_of(oracles.int_to_table(0b1000, 2))) == 8
+        assert sweep.min_member_weight(game, *oracles.run_of(oracles.int_to_table(0, 2))) is None
 
     @given(st.integers(1, 9), rngs)
     def test_maximal_elements(self, n, rng):
@@ -243,6 +257,21 @@ class TestPredicates:
         # third player's weight matters.
         assert result.counterexample == Coalition(0b101, 3)
         assert bool(sweep.equivalent(a, a))
+
+    @pytest.mark.parametrize("top", [0, 4])
+    def test_equivalent_counterexample_is_lowest_differing_mask(self, top, monkeypatch):
+        # The games differ where player 2 joins exactly one of players 0 and
+        # 1 (and player 7, when it weighs 4): several bits of the first
+        # differing word, which is word 0, or word 2 in the third 2^6-block.
+        n = 8
+        a = WeightedGame((1, 1, 1, 0, 0, 0, 0, top), top + 2)
+        b = WeightedGame((1, 1, 0, 0, 0, 0, 0, top), top + 2)
+        differ = sorted(oracles.winning_masks(a, n) ^ oracles.winning_masks(b, n))
+        first_word = [m for m in differ if m >> 6 == differ[0] >> 6]
+        assert differ[0] >> 6 == (2 if top else 0) and len(first_word) > 1
+        monkeypatch.setattr(sweep, "_BLOCK_BITS", 6)
+        assert sweep.equivalent(a, b).counterexample == Coalition(differ[0], n)
+        assert sweep.equivalent(b, a).counterexample == Coalition(differ[0], n)
 
     def test_verify_fold_memory(self):
         # ``verify`` on 2018 without the UK, n = 27: the rule against its
