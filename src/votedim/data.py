@@ -131,7 +131,10 @@ def load_table(text: str) -> PopulationTable:
                 f"line {lineno}: rank and population must be integers "
                 f"(no thousands separators), got {rank_s!r}, {population_s!r}"
             ) from None
-        rows.append(CountryRow(rank, country, population))
+        try:
+            rows.append(CountryRow(rank, country, population))
+        except ValueError as err:
+            raise ValueError(f"line {lineno}: {err}") from None
     return PopulationTable(tuple(rows))
 
 

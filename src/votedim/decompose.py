@@ -8,9 +8,9 @@ players, boosting each core player's weight by a fixed amount yields games
 that admit all gap coalitions; the coalitions the boosted intersection
 over-admits are then fenced off one veto game apiece.
 
-No 2^n-bit table is built.  The gap survey streams ``~first & second`` a
-block of 2^20 coalitions at a time and folds its count, core, minimum
-weight and members.  With boost u >= 0, quota q and weights w, the boosted
+No 2^n-bit table is built.  The gap survey folds the ``sweep.runs`` of
+``~first & second`` into their count, core, minimum weight and members.
+With boost u >= 0, quota q and weights w, the boosted
 intersection wins exactly ``[w(S) >= q] or ([w(S) >= q - u] and core ⊆ S)``,
 so the over-admitted coalitions are ``core ∪ T`` for the T over the
 r = n - |core| other players with ``w1(T) >= q1 - u - w1(core)``,
@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .games import Coalition, GameExpr, WeightedGame, all_of, any_of, check_universe
+from .games import Coalition, GameExpr, WeightedGame, all_of, any_of
 from . import sweep
 from .data import EuRule
 
@@ -139,27 +139,24 @@ def veto_game(blocked: Coalition) -> WeightedGame:
     return WeightedGame(weights, 1)
 
 
+def _lose_win(lose: np.ndarray, win: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return np.bitwise_and(np.invert(lose, out=out), win, out=out)
+
+
 def gap_summary(first: WeightedGame, second: WeightedGame) -> GapSummary:
     """Exact survey of the coalitions losing ``first`` but winning ``second``.
 
-    The gap table ``~first & second`` is streamed a block at a time and
-    never held whole.  A block without a gap coalition is skipped.  The fold
-    counts each other block's run of non-zero words and, while the core is
-    non-empty, intersects its members into it and weighs them.  It keeps
-    the runs while the count stays within ``GAP_MEMBER_CAP`` and lists their
-    members at the end, so once the core (which only shrinks) is empty and
-    the count is past the cap, a block is only counted.
+    It folds the runs of ``~first & second`` from ``sweep.runs``: a block
+    without a gap coalition never reaches the fold, and an empty gap takes
+    the same path.  Each run is counted and, while the core is non-empty,
+    intersected into the core and weighed.  Runs are kept for listing while
+    the count stays within ``GAP_MEMBER_CAP``.
     """
-    n = check_universe(first.n, second.n)
+    n = first.n
     count, core = 0, (1 << n) - 1
     lightest: list[int] = []
     listed: Optional[list[tuple[np.ndarray, np.ndarray]]] = []
-    for k, (gap, wins) in enumerate(zip(sweep.expr_blocks(first), sweep.expr_blocks(second))):
-        gap = np.bitwise_and(np.invert(gap, out=gap), wins, out=gap)
-        index = np.flatnonzero(gap)
-        if not index.size:
-            continue
-        words, index = gap[index], index + k * gap.size
+    for words, index in sweep.runs(first, second, _lose_win):
         count += int(np.bitwise_count(words).sum(dtype=np.int64))
         if count > GAP_MEMBER_CAP:
             listed = None
@@ -170,16 +167,11 @@ def gap_summary(first: WeightedGame, second: WeightedGame) -> GapSummary:
             # An empty core makes the rewrite inapplicable: no boost is priced.
             if core:
                 lightest.append(sweep.min_member_weight(first, words, index))
-    if count == 0:
-        return GapSummary(0, Coalition(core, n), None, None, ())
-    min_weight = boost = members = None
-    if core:
-        min_weight = min(lightest)
-        boost = first.quota - min_weight
-    if listed is not None:
-        words, index = (np.concatenate(part) for part in zip(*listed))
-        masks = np.concatenate(list(sweep.member_chunks(words, index)))
-        members = tuple(Coalition(m, n) for m in masks.tolist())
+    min_weight = min(lightest, default=None) if core else None
+    boost = None if min_weight is None else first.quota - min_weight
+    members = None if listed is None else tuple(
+        Coalition(m, n) for run in listed for c in sweep.member_chunks(*run) for m in c.tolist()
+    )
     return GapSummary(count, Coalition(core, n), min_weight, boost, members)
 
 

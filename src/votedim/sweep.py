@@ -4,13 +4,14 @@ The engine's working representation is a *win table*: a little-endian
 ``uint64`` array of max(1, 2^n / 64) words whose bit m is set iff the
 coalition with bit-mask m wins (for n < 6 one word, unused high bits zero).
 A game expression is folded one block of 2^20 coalitions (128 KB) at a
-time, in ascending order: ``equivalent`` compares two folds block by block
-and stops at the first block that differs, the gap survey streams blocks
-through ``expr_blocks``, and ``expr_table`` fills a whole table block by
+time, in ascending order.  Only ``runs`` pairs two folds: it combines
+their blocks into *runs*, a block's non-zero words and their word
+indices, read by ``equivalent`` (the first run of the XOR) and the gap
+survey.  ``expr_table`` fills a whole table block by
 block with the same fold.  A weighted leaf's block is gathered in rows
 (Horowitz & Sahni's sorted halves): the low 11 players' sums are sorted
 once into 2^11 + 1 patterns "sorted rank >= r" (0.5 MB per distinct vector
-of low weights, shared by both sides of ``equivalent``), and a binary
+of low weights, shared by both folds of ``runs``), and a binary
 search gives each row's rank; the row thresholds come from two small
 partial-sum tables, one for the row bits inside the block and one for the
 block index.  The weighted children of a node with equal low weights share
@@ -22,9 +23,8 @@ a ``reshape(-1, 2, 2^(j-6))`` view for player j >= 6, in-word shifts under
 a constant mask for j < 6.  Both veto fences list their frontier with
 ``maximal_members`` and re-check it with ``checked_maximal``, one probe of
 the listed masks and their one-player extensions.  Table statistics read a
-*run*, a table's non-zero words and their word indices, and only
-``member_chunks`` turns it into coalition masks.  Batches of single
-coalitions (``evaluate_many`` in that probe, ``weights_of`` in
+run; only ``member_chunks`` turns one into coalition masks.  Batches of
+single coalitions (``evaluate_many`` in that probe, ``weights_of`` in
 ``min_member_weight``) read their weights off two partial-sum tables.
 """
 
@@ -229,11 +229,6 @@ def _blocks(fill: BlockFill, n: int, table: Optional[np.ndarray] = None) -> Iter
         yield fill(k, table[k * words : (k + 1) * words] if buffer is None else buffer)
 
 
-def expr_blocks(expr: GameExpr) -> Iterator[np.ndarray]:
-    """The expression's win table one 2^20-coalition block at a time, in one reused buffer."""
-    return _blocks(_fold(expr, {}), expr.n)
-
-
 def expr_table(expr: GameExpr) -> Table:
     """Win table of a boolean game expression, filled block by block."""
     table = _empty(expr.n)
@@ -273,6 +268,20 @@ def down_closure(table: Table, n: int) -> Table:
 def up_closure(table: Table, n: int) -> Table:
     """Add every superset of every member, in place."""
     return _spread(table, table, n, down=False)
+
+
+def runs(
+    a: GameExpr, b: GameExpr, combine: Callable[..., np.ndarray]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each block's run of ``combine(left, right, out=left)``, skipping all-zero blocks."""
+    check_universe(a.n, b.n)
+    halves: LowHalves = {}
+    pairs = zip(_blocks(_fold(a, halves), a.n), _blocks(_fold(b, halves), b.n))
+    for k, (left, right) in enumerate(pairs):
+        block = combine(left, right, out=left)
+        index = np.flatnonzero(block)
+        if index.size:
+            yield block[index], index + k * block.size
 
 
 def member_chunks(words: np.ndarray, index: np.ndarray) -> Iterator[np.ndarray]:
@@ -346,21 +355,10 @@ class EquivalenceResult:
 
 
 def equivalent(a: GameExpr, b: GameExpr) -> EquivalenceResult:
-    """Exhaustively compare two expressions over all 2^n coalitions.
-
-    The two folds run block by block and stop at the first block that
-    differs.  Returns the smallest differing coalition mask (numeric order)
-    if any.
-    """
-    check_universe(a.n, b.n)
-    halves: LowHalves = {}
-    pairs = zip(_blocks(_fold(a, halves), a.n), _blocks(_fold(b, halves), b.n))
-    for k, (left, right) in enumerate(pairs):
-        diff = np.bitwise_xor(left, right, out=left)
-        index = np.flatnonzero(diff)[:1]
-        if index.size:
-            lowest = next(member_chunks(diff[index], index + k * diff.size))[0]
-            return EquivalenceResult(False, Coalition(int(lowest), a.n))
+    """Exhaustively compare two expressions; the counterexample is the smallest differing mask."""
+    for words, index in runs(a, b, np.bitwise_xor):
+        lowest = next(member_chunks(words[:1], index[:1]))[0]
+        return EquivalenceResult(False, Coalition(int(lowest), a.n))
     return EquivalenceResult(True, None)
 
 

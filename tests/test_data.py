@@ -73,9 +73,11 @@ class TestLoadTable:
             data.load_table("rank,country,population\n1,X\n")
         with pytest.raises(ValueError, match="integers"):
             data.load_table("rank,country,population\n1,X,12.5\n")
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="line 2: population of 'X' must be positive"):
             data.load_table("rank,country,population\n1,X,0\n")
-        with pytest.raises(ValueError, match="non-empty"):
+        with pytest.raises(ValueError, match="line 2: rank must be a positive"):
+            data.load_table("rank,country,population\n0,X,10\n")
+        with pytest.raises(ValueError, match="line 2: country name must be non-empty"):
             data.load_table("rank,country,population\n1,,10\n")
         with pytest.raises(ValueError, match="empty CSV"):
             data.load_table("")

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from votedim import data, sweep
 from votedim.decompose import analyze_rule
-from votedim.games import Coalition, WeightedGame, all_of, any_of, unit_game
+from votedim.games import Coalition, UniverseMismatchError, WeightedGame, all_of, any_of, unit_game
 
 rngs = st.integers(0, 2**32 - 1).map(random.Random)
 DATA = Path(__file__).resolve().parent / "data"
@@ -272,6 +272,32 @@ class TestPredicates:
         monkeypatch.setattr(sweep, "_BLOCK_BITS", 6)
         assert sweep.equivalent(a, b).counterexample == Coalition(differ[0], n)
         assert sweep.equivalent(b, a).counterexample == Coalition(differ[0], n)
+
+    @settings(max_examples=60)
+    @given(st.integers(6, 10), st.sampled_from([6, 7]), rngs)
+    def test_runs_decode_to_the_oracle(self, n, block_bits, rng):
+        # Blocks of one or two words, so a pair of folds gives many runs, the
+        # later ones included, and usually some blocks with no set bit.
+        a, b = oracles.random_expr(rng, n), oracles.random_expr(rng, n)
+        wins_a, wins_b = oracles.winning_masks(a, n), oracles.winning_masks(b, n)
+        cases = [(np.bitwise_xor, wins_a ^ wins_b), (np.bitwise_and, wins_a & wins_b)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sweep, "_BLOCK_BITS", block_bits)
+            for combine, expected in cases:
+                runs = list(sweep.runs(a, b, combine))
+                index = np.concatenate([i for _, i in runs]).tolist() if runs else []
+                assert index == sorted(set(index))
+                assert all(words.all() for words, _ in runs)
+                # One run per block holding a member, and none for the others.
+                blocks = [i[0] >> (block_bits - 6) for _, i in runs]
+                assert blocks == sorted({m >> block_bits for m in expected})
+                assert all(np.all(i >> (block_bits - 6) == i[0] >> (block_bits - 6)) for _, i in runs)
+                masks = [m for run in runs for c in sweep.member_chunks(*run) for m in c.tolist()]
+                assert masks == sorted(expected)
+
+    def test_runs_universe_mismatch(self):
+        with pytest.raises(UniverseMismatchError):
+            next(sweep.runs(unit_game(1, 3), unit_game(4, 4), np.bitwise_xor))
 
     def test_verify_fold_memory(self):
         # ``verify`` on 2018 without the UK, n = 27: the rule against its
