@@ -12,7 +12,7 @@ as a boolean expression over them.
 import csv
 import io
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from typing import Iterable, Optional
@@ -47,15 +47,14 @@ class CountryRow:
 class PopulationTable:
     """An ordered population table; ranks are 1-based and strictly increasing.
 
-    Populations must be non-increasing down the table (ties are tolerated
-    with a warning, keeping input order).  Excluding members keeps the
+    Populations must be non-increasing down the table (ties keep input
+    order; ``load_table`` warns about them).  Excluding members keeps the
     survivors' original ranks, so labels remain stable across scenarios.
     """
 
     rows: tuple[CountryRow, ...]
-    enforce_order: InitVar[bool] = True
 
-    def __post_init__(self, enforce_order: bool) -> None:
+    def __post_init__(self) -> None:
         if not self.rows:
             raise ValueError("population table must have at least one row")
         names = set()
@@ -68,20 +67,12 @@ class PopulationTable:
                 raise ValueError(
                     f"ranks must strictly increase: {prev.rank} then {cur.rank}"
                 )
-            if not enforce_order:
-                continue
             if cur.population > prev.population:
                 raise ValueError(
                     f"populations must not increase down the table: rank "
                     f"{prev.rank} has {prev.population} but rank {cur.rank} "
                     f"has {cur.population}; sort the rows by descending "
                     "population and number the ranks in that order"
-                )
-            if cur.population == prev.population:
-                warnings.warn(
-                    f"population tie between ranks {prev.rank} and {cur.rank}; "
-                    "keeping input order",
-                    stacklevel=3,
                 )
 
     @property
@@ -102,8 +93,7 @@ class PopulationTable:
         rows = tuple(r for r in self.rows if r.country not in wanted)
         if not rows:
             raise ValueError("cannot exclude every member")
-        # The source table already passed the order check.
-        return PopulationTable(rows, enforce_order=False)
+        return PopulationTable(rows)
 
 
 def load_table(text: str) -> PopulationTable:
@@ -135,7 +125,14 @@ def load_table(text: str) -> PopulationTable:
             rows.append(CountryRow(rank, country, population))
         except ValueError as err:
             raise ValueError(f"line {lineno}: {err}") from None
-    return PopulationTable(tuple(rows))
+    table = PopulationTable(tuple(rows))
+    for prev, cur in zip(rows, rows[1:]):
+        if cur.population == prev.population:
+            warnings.warn(
+                f"population tie between ranks {prev.rank} and {cur.rank}; keeping input order",
+                stacklevel=2,
+            )
+    return table
 
 
 def builtin_table(year: str) -> PopulationTable:

@@ -12,11 +12,9 @@ import sys
 import time
 from importlib import resources
 
-from click.testing import CliRunner
-
 import oracles
+from cli_runner import invoke
 from votedim import data, decompose, lowerbound, sweep
-from votedim.cli import main as cli_main
 from votedim.games import Coalition, any_of, all_of, unit_game
 
 ALL_RANKS = tuple(range(1, 29))
@@ -116,8 +114,7 @@ def test_criterion_2_2016_2017_2018_reproduction():
 
 def test_criterion_3_2018_without_uk():
     start = time.perf_counter()
-    result = CliRunner().invoke(
-        cli_main,
+    result = invoke(
         [
             "analyze",
             "--data",

@@ -14,10 +14,9 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from votedim import cli, decompose
-from votedim.cli import main
+from cli_runner import invoke
+from votedim import cli, decompose, lowerbound
 
 TOY16 = """\
 rank,country,population
@@ -110,7 +109,7 @@ def toys(tmp_path_factory):
 
 
 def run(*args):
-    return CliRunner().invoke(main, list(args))
+    return invoke(args)
 
 
 def analyze_json(*args):
@@ -460,10 +459,13 @@ class TestLowerBound:
         assert "rank 99 is not in the table" in result.stderr
 
     def test_non_integer_rank(self, toys, tmp_path):
-        path = self.write(tmp_path, "1,two,3\n")
-        result = run("lower-bound", "verify", "--data", toys["toy16"], "--coalitions", path)
-        assert result.exit_code == 2
-        assert "coalitions.txt:1" in result.stderr
+        for line in ("1,two,3", "1,2,"):
+            path = self.write(tmp_path, f"{line}\n")
+            result = run("lower-bound", "verify", "--data", toys["toy16"], "--coalitions", path)
+            assert result.exit_code == 2
+            assert "coalitions.txt:1" in result.stderr
+            expected = f"{path}:1: ranks must be comma-separated integers, got {line!r}"
+            assert expected in result.stderr
 
     def test_rank_listed_twice(self, toys, tmp_path):
         # A repeated rank is an input error, not a silently smaller coalition.
@@ -541,6 +543,19 @@ class TestLowerBound:
         )
         assert run(*args).stdout == run(*args).stdout
 
+    def test_negative_seed(self, toys):
+        # A negative number is an option's value, not an option.
+        args = ("lower-bound", "search", "--data", toys["toy16"], "--budget", "4", "--seed", "-3")
+        assert run(*args).exit_code == 0
+
+    def test_interrupt_aborts(self, toys, monkeypatch):
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(lowerbound, "search_certificate_set", interrupt)
+        result = run("lower-bound", "search", "--data", toys["toy16"])
+        assert (result.exit_code, result.stderr) == (1, "\nAborted!\n")
+
     def test_search_budget_validation(self, toys):
         result = run("lower-bound", "search", "--data", toys["toy16"], "--budget", "0")
         assert result.exit_code == 2
@@ -570,7 +585,7 @@ class TestLowerBound:
         args = ("lower-bound", "search", "--data", toys["toy16"], "--pair-budget", "5")
         result = run(*args)
         assert result.exit_code == 2
-        assert "No such option" in result.stderr and "--pair-budget" in result.stderr
+        assert "unrecognized arguments: --pair-budget" in result.stderr
 
 
 def test_no_command_starts_a_thread(toys, tmp_path, monkeypatch):
@@ -614,7 +629,8 @@ for args in (
     ["lower-bound", "verify", *{no_uk!r}, "--coalitions", {str(certs)!r}],
     ["lower-bound", "search", *{no_uk!r}, "--budget", "8"],
 ):
-    votedim.cli.main.main(args=args, prog_name="votedim", standalone_mode=False)
+    votedim.cli.main(args)
+assert "click" not in sys.modules
 print("numpy loaded:", "numpy" in sys.modules)
 """
     result = run_python(certificates, Path(toys["toy16"]).parent)
@@ -626,7 +642,8 @@ print("numpy loaded:", "numpy" in sys.modules)
 import sys
 import votedim.cli
 assert "numpy" not in sys.modules
-votedim.cli.main.main(args=["analyze", "--data", {toys["toy16"]!r}], standalone_mode=False)
+votedim.cli.main(["analyze", "--data", {toys["toy16"]!r}])
+assert "click" not in sys.modules
 print("numpy loaded:", "numpy" in sys.modules)
 """
     result = run_python(analyze, Path(toys["toy16"]).parent)
@@ -634,6 +651,17 @@ print("numpy loaded:", "numpy" in sys.modules)
     expected = run("analyze", "--data", toys["toy16"])
     assert expected.exit_code == 0
     assert result.stdout == expected.stdout + "numpy loaded: True\n"
+
+
+def test_closed_stdout_exits_quietly():
+    # ``votedim analyze --json ... | head -c 100``: the reader leaves early.
+    args = ["analyze", "--json", "--data", "builtin:2018", "--exclude", "United Kingdom"]
+    argv = [sys.executable, "-m", "votedim.cli", *args]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert (proc.wait(timeout=60), stderr) == (1, b"")
 
 
 def test_help_lists_commands():

@@ -3,6 +3,7 @@
 import csv
 import io
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -93,9 +94,14 @@ class TestLoadTable:
 
     def test_tie_warns_and_keeps_order(self):
         text = "rank,country,population\n1,X,10\n2,Y,10\n"
-        with pytest.warns(UserWarning, match="tie"):
+        with pytest.warns(UserWarning, match="tie") as record:
             table = data.load_table(text)
         assert [r.country for r in table.rows] == ["X", "Y"]
+        # The warning points at the caller of ``load_table``.
+        assert [w.filename for w in record] == [__file__]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert table.exclude(["X"]).member_count == 1
 
     def test_duplicate_country(self):
         with pytest.raises(ValueError, match="duplicate"):

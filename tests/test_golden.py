@@ -14,9 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from votedim.cli import main
+from cli_runner import invoke
 
 ROOT = Path(__file__).resolve().parent.parent
 NO_UK = ("--data", "builtin:2018", "--exclude", "United Kingdom")
@@ -140,14 +139,14 @@ GOLDEN = [
 )
 def test_output_is_pinned(args, stdout_sha256, stderr, exit_code, monkeypatch):
     monkeypatch.chdir(ROOT)
-    result = CliRunner().invoke(main, list(args))
+    result = invoke(args)
     assert result.exit_code == exit_code, result.output
     assert result.stderr == stderr
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == stdout_sha256
 
 
 def test_json_through_process_stdout(tmp_path):
-    # ``CliRunner`` hands the command a ``BytesIO``; the no-UK report, the
+    # ``invoke`` hands the command a ``StringIO``; the no-UK report, the
     # largest pinned output, also goes through a real process's stdout,
     # written to a file as the benchmark reads it.
     args = ("analyze", "--json", *NO_UK)

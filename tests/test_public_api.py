@@ -1,5 +1,6 @@
 """The package's public surface."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,13 @@ def test_every_exported_name_resolves():
     missing = [name for name in votedim.__all__ if not hasattr(votedim, name)]
     assert missing == []
     assert len(set(votedim.__all__)) == len(votedim.__all__)
+
+
+def test_numpy_is_the_only_dependency():
+    # Read as text: ``tomllib`` is not in Python 3.10, which requires-python allows.
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    block = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S).group(1)
+    assert re.findall(r'"([^"]*)"', block) == ["numpy>=2.0"]
 
 
 def test_readme_library_example_runs(capsys):
