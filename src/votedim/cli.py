@@ -1,10 +1,10 @@
 """Command-line interface: analyze, verify, and certificate workflows.
 
 Exit codes: 0 success, 1 verification or certification failure (also a
-closed stdout or an interrupt), 2 input error, 3 rewrite inapplicable (gap
-coalitions share no player).  The rewrite and the sweeps, with numpy, load
-only in the commands that run them: the certificate commands never import
-them.
+closed stdout or an interrupt), 2 input error (``main`` maps every
+``ValueError`` to it), 3 rewrite inapplicable (gap coalitions share no
+player).  The rewrite and the sweeps, with numpy, load only in the
+commands that run them: the certificate commands never import them.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import itertools
 import json
 import os
 import sys
+import warnings
 from typing import TYPE_CHECKING, Optional
 
 from . import data, lowerbound
@@ -30,18 +31,14 @@ EXIT_INAPPLICABLE = 3
 _JSON_BATCH = 1 << 12
 
 
-class UsageError(Exception):
-    """An input error: ``main`` reports it with the command's usage and exits 2."""
-
-
 def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8-sig") as f:
             return f.read()
     except OSError as e:
-        raise UsageError(f"cannot read {path}: {e.strerror}")
+        raise ValueError(f"cannot read {path}: {e.strerror}")
     except UnicodeDecodeError as e:
-        raise UsageError(f"cannot read {path}: not UTF-8 text ({e.reason})")
+        raise ValueError(f"cannot read {path}: not UTF-8 text ({e.reason})")
 
 
 def _load_table(data_ref: str) -> data.PopulationTable:
@@ -49,22 +46,16 @@ def _load_table(data_ref: str) -> data.PopulationTable:
         try:
             return data.builtin_table(data_ref.removeprefix("builtin:"))
         except KeyError as e:
-            raise UsageError(str(e.args[0]))
+            raise ValueError(e.args[0])
+    text = _read_text(data_ref)
     try:
-        return data.load_table(_read_text(data_ref))
+        return data.load_table(text)
     except ValueError as e:
-        raise UsageError(f"{data_ref}: {e}")
+        raise ValueError(f"{data_ref}: {e}")
 
 
 def _parse_exclude(exclude: str) -> tuple[str, ...]:
     return tuple(dict.fromkeys(s.strip() for s in exclude.split(",") if s.strip()))
-
-
-def _build_rule(table: data.PopulationTable, excluded: tuple[str, ...]) -> data.EuRule:
-    try:
-        return data.build_eu_rule(table, exclude=excluded)
-    except ValueError as e:
-        raise UsageError(str(e))
 
 
 def _labels(rule: data.EuRule, coalitions) -> list[list[int]]:
@@ -122,6 +113,7 @@ def _alternate_section(
 
 
 def _analyze_or_exit(rule: data.EuRule, swap_roles: bool) -> decompose.Decomposition:
+    """The rewrite; an empty core exits 3 here, before ``main`` maps ``ValueError`` to 2."""
     from . import decompose
 
     try:
@@ -132,9 +124,6 @@ def _analyze_or_exit(rule: data.EuRule, swap_roles: bool) -> decompose.Decomposi
             file=sys.stderr,
         )
         sys.exit(EXIT_INAPPLICABLE)
-    except ValueError as e:
-        # A boosted copy can leave the exact-integer envelope of games.py.
-        raise UsageError(str(e))
 
 
 def _echo_json(report: dict) -> None:
@@ -198,10 +187,8 @@ def _join(values) -> str:
     return ",".join(str(v) for v in values)
 
 
-def analyze(args: argparse.Namespace) -> None:
+def analyze(args: argparse.Namespace, table: data.PopulationTable, rule: data.EuRule) -> None:
     """Rewrite the rule as an intersection and report the dimension bound."""
-    table = _load_table(args.data)
-    rule = _build_rule(table, args.exclude)
     result = _analyze_or_exit(rule, args.swap_roles)
     report = {
         "dataset": args.data,
@@ -234,11 +221,10 @@ def analyze(args: argparse.Namespace) -> None:
         sys.stdout.write(_render_text(report))
 
 
-def verify(args: argparse.Namespace) -> None:
+def verify(args: argparse.Namespace, table: data.PopulationTable, rule: data.EuRule) -> None:
     """Exhaustively check the emitted intersection against the rule."""
     from . import sweep
 
-    rule = _build_rule(_load_table(args.data), args.exclude)
     games = _analyze_or_exit(rule, False).games
     check = sweep.equivalent(rule.expr, all_of(*games))
     if check:
@@ -268,19 +254,19 @@ def _read_coalition_file(path: str, rule: data.EuRule) -> list[Coalition]:
         try:
             ranks = [int(tok) for tok in body.split(",")]
         except ValueError:
-            raise UsageError(f"{where}: ranks must be comma-separated integers, got {body!r}")
+            raise ValueError(f"{where}: ranks must be comma-separated integers, got {body!r}")
         try:
             mask = rule.mask_from_labels(ranks)
         except ValueError as e:
-            raise UsageError(f"{where}: {e}")
+            raise ValueError(f"{where}: {e}")
         if mask in first_line:
-            raise UsageError(
+            raise ValueError(
                 f"{where}: duplicate coalition {{{_join(rule.label_members(mask))}}} "
                 f"(same as line {first_line[mask]})"
             )
         first_line[mask] = lineno
     if not first_line:
-        raise UsageError(f"{path}: no coalitions found")
+        raise ValueError(f"{path}: no coalitions found")
     return [Coalition(mask, rule.n) for mask in first_line]
 
 
@@ -304,24 +290,20 @@ def _echo_certificates_or_exit(rule: data.EuRule, report: lowerbound.Certificate
         sys.exit(EXIT_FAILURE)
 
 
-def lower_bound_verify(args: argparse.Namespace) -> None:
+def lower_bound_verify(
+    args: argparse.Namespace, table: data.PopulationTable, rule: data.EuRule
+) -> None:
     """Check that a coalition set is losing and pairwise incompatible."""
-    rule = _build_rule(_load_table(args.data), args.exclude)
     coalitions = _read_coalition_file(args.coalitions, rule)
-    try:
-        report = lowerbound.verify_certificate_set(rule.expr, coalitions)
-    except ValueError as e:
-        raise UsageError(str(e))
+    report = lowerbound.verify_certificate_set(rule.expr, coalitions)
     _echo_certificates_or_exit(rule, report)
 
 
-def lower_bound_search(args: argparse.Namespace) -> None:
+def lower_bound_search(
+    args: argparse.Namespace, table: data.PopulationTable, rule: data.EuRule
+) -> None:
     """Find a largest pairwise-incompatible set in a seeded pool of maximal losers."""
-    rule = _build_rule(_load_table(args.data), args.exclude)
-    try:
-        report = lowerbound.search_certificate_set(rule.expr, args.budget, args.seed)
-    except ValueError as e:
-        raise UsageError(str(e))
+    report = lowerbound.search_certificate_set(rule.expr, args.budget, args.seed)
     _echo_certificates_or_exit(rule, report)
 
 
@@ -377,10 +359,16 @@ def main(args: Optional[list[str]] = None, prog_name: str = "votedim") -> None:
     parsed = parser.parse_args(args)
     try:
         try:
-            parsed.run(parsed)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                table = _load_table(parsed.data)
+            for w in caught:
+                print(f"{parsed.parser.prog}: warning: {w.message}", file=sys.stderr)
+            rule = data.build_eu_rule(table, exclude=parsed.exclude)
+            parsed.run(parsed, table, rule)
         finally:
             sys.stdout.flush()
-    except UsageError as e:
+    except ValueError as e:
         parsed.parser.error(str(e))
     except BrokenPipeError:
         # The reader closed stdout: the rest goes to devnull, so shutdown's flush cannot fail.

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from cli_runner import invoke
-from votedim import cli, decompose, lowerbound
+from votedim import cli, data, decompose, lowerbound
 
 TOY16 = """\
 rank,country,population
@@ -303,31 +303,62 @@ class TestJsonStream:
         assert peak <= 2**20
 
 
+@pytest.fixture(scope="module")
+def commands(tmp_path_factory):
+    """The four commands by name, with the options each needs besides ``--data``."""
+    ranks = tmp_path_factory.mktemp("coalitions") / "rank1.txt"
+    ranks.write_text("1\n", encoding="utf-8")
+    return {
+        "analyze": (),
+        "verify": (),
+        "lower-bound verify": ("--coalitions", str(ranks)),
+        "lower-bound search": (),
+    }
+
+
+def test_tie_warning_is_one_stderr_line(commands, tmp_path):
+    # Ranks 5 and 6 of TOY16 tied: the table loads, with a warning.
+    tied = tmp_path / "toy16_tied.csv"
+    tied.write_text(TOY16.replace("Light02,11", "Light02,12"), encoding="utf-8")
+    for name, options in commands.items():
+        result = run(*name.split(), *options, "--data", str(tied))
+        assert result.stderr.splitlines()[:1] == [
+            f"votedim {name}: warning: population tie between ranks 5 and 6; keeping input order"
+        ]
+        assert "UserWarning" not in result.stderr
+        assert ".py:" not in result.stderr
+
+
 class TestInputErrors:
-    def test_unknown_builtin_year(self):
-        result = run("analyze", "--data", "builtin:1999")
-        assert result.exit_code == 2
-        assert "no builtin table" in result.stderr
+    @staticmethod
+    def assert_rejected(commands, message, *args):
+        """Every command exits 2 with no output and ``message`` as its last stderr line."""
+        for name, options in commands.items():
+            result = run(*name.split(), *options, *args)
+            assert result.exit_code == 2, (name, result.output)
+            assert result.stdout == ""
+            assert result.stderr.splitlines()[-1] == f"votedim {name}: error: {message}"
 
-    def test_missing_file(self):
-        result = run("analyze", "--data", "/nonexistent/table.csv")
-        assert result.exit_code == 2
-        assert "cannot read" in result.stderr
+    def test_unknown_builtin_year(self, commands):
+        message = "no builtin table '1999'; choose from 2014, 2016, 2017, 2018"
+        self.assert_rejected(commands, message, "--data", "builtin:1999")
 
-    def test_malformed_csv(self, tmp_path):
+    def test_missing_file(self, commands):
+        path = "/nonexistent/table.csv"
+        message = f"cannot read {path}: No such file or directory"
+        self.assert_rejected(commands, message, "--data", path)
+
+    def test_malformed_csv(self, commands, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("country;population\n", encoding="utf-8")
-        result = run("analyze", "--data", str(bad))
-        assert result.exit_code == 2
-        assert "bad.csv" in result.stderr
+        message = f"{bad}: expected header 'rank,country,population', got 'country;population'"
+        self.assert_rejected(commands, message, "--data", str(bad))
 
-    def test_data_not_utf8(self, tmp_path):
+    def test_data_not_utf8(self, commands, tmp_path):
         latin = tmp_path / "latin1.csv"
         latin.write_bytes("rank,country,population\n1,Françe,10\n".encode("latin-1"))
-        result = run("analyze", "--data", str(latin))
-        assert result.exit_code == 2
-        assert f"cannot read {latin}: not UTF-8 text" in result.stderr
-        assert "Traceback" not in result.output
+        message = f"cannot read {latin}: not UTF-8 text (invalid continuation byte)"
+        self.assert_rejected(commands, message, "--data", str(latin))
 
     def test_data_byte_order_mark(self, toys, tmp_path):
         # Spreadsheet "CSV UTF-8" exports start with a UTF-8 byte-order mark.
@@ -338,17 +369,30 @@ class TestInputErrors:
         plain.pop("dataset")
         assert with_bom == plain
 
-    def test_unknown_excluded_country(self, toys):
-        result = run("analyze", "--data", toys["toy16"], "--exclude", "Atlantis")
-        assert result.exit_code == 2
-        assert "unknown countries: Atlantis" in result.stderr
+    def test_unknown_excluded_country(self, toys, commands):
+        args = ("--data", toys["toy16"], "--exclude", "Atlantis")
+        self.assert_rejected(commands, "unknown countries: Atlantis", *args)
 
-    def test_unordered_table(self, toys):
-        result = run("analyze", "--data", toys["unordered"])
-        assert result.exit_code == 2
-        assert "must not increase" in result.stderr
-        assert "sort the rows by descending population" in result.stderr
-        assert "allow_unordered" not in result.stderr
+    def test_unordered_table(self, toys, commands):
+        message = (
+            f"{toys['unordered']}: populations must not increase down the table: rank 1 has 2 "
+            "but rank 2 has 3; sort the rows by descending population and number the ranks "
+            "in that order"
+        )
+        self.assert_rejected(commands, message, "--data", toys["unordered"])
+
+    def test_more_than_32_players(self, commands, tmp_path):
+        big = tmp_path / "big33.csv"
+        big.write_text(
+            "rank,country,population\n" + "".join(f"{i},C{i},{100 - i}\n" for i in range(1, 34)),
+            encoding="utf-8",
+        )
+        self.assert_rejected(commands, "player count must be in 1..32, got 33", "--data", str(big))
+
+    def test_one_member_left(self, commands):
+        rest = ",".join(row.country for row in data.builtin_table("2014").rows[1:])
+        args = ("--data", "builtin:2014", "--exclude", rest)
+        self.assert_rejected(commands, "need at least 2 members, got 1", *args)
 
     @pytest.mark.parametrize("command", ["analyze", "verify"])
     def test_boost_beyond_the_weight_envelope(self, toys, command):

@@ -293,6 +293,27 @@ class TestUnionAsIntersection:
         assert len(result.frontier) == 2
         assert peak < 2.5 * 2**20
 
+    def test_every_single_member_exit(self):
+        # Each bundled year with one member excluded, under the derived
+        # quotas: (bound, frontier count) by excluded rank.  None is
+        # inapplicable, and only the exit of rank 2, 3 or 4 gives a large
+        # bound.  Rank 3 in 2018 is the UK: the bundled no-UK result.
+        head = {
+            "2014": [(28, 6), (496, 481), (845, 831), (300, 284), (41, 20), (27, 5)],
+            "2016": [(29, 7), (840, 826), (1377, 1364), (859, 845), (41, 20), (39, 18)],
+            "2017": [(29, 7), (837, 823), (1370, 1357), (860, 846), (41, 20), (39, 18)],
+            "2018": [(41, 20), (1388, 1375), (1364, 1351), (861, 847), (41, 20), (40, 19)],
+        }
+        tail = {"2014": (23, 1), "2016": (24, 2), "2017": (24, 2), "2018": (24, 2)}
+        for year, expected in head.items():
+            table = data.builtin_table(year)
+            exits = []
+            for row in table.rows:
+                result = decompose.analyze_rule(data.build_eu_rule(table, exclude=[row.country]))
+                exits.append((len(result.games), len(result.frontier)))
+            assert exits == expected + [tail[year]] * 22, year
+        assert data.builtin_table("2018").rows[2].country == "United Kingdom"
+
     @settings(deadline=None)
     @given(st.integers(2, 8), rngs)
     def test_random_pairs(self, n, rng):
