@@ -138,7 +138,7 @@ def load_table(text: str) -> PopulationTable:
 def builtin_table(year: str) -> PopulationTable:
     """One of the bundled EU tables: 2014, 2016, 2017 or 2018."""
     if year not in BUILTIN_YEARS:
-        raise KeyError(f"no builtin table {year!r}; choose from {', '.join(BUILTIN_YEARS)}")
+        raise ValueError(f"no builtin table {year!r}; choose from {', '.join(BUILTIN_YEARS)}")
     text = resources.files(__package__).joinpath(f"data/eu{year}.csv").read_text("utf-8")
     return load_table(text)
 

@@ -12,13 +12,13 @@ No 2^n-bit table is built.  The gap survey folds the ``sweep.runs`` of
 ``~first & second`` into their count, core, minimum weight and members.
 With boost u >= 0, quota q and weights w, the boosted
 intersection wins exactly ``[w(S) >= q] or ([w(S) >= q - u] and core ⊆ S)``,
-so the over-admitted coalitions are ``core ∪ T`` for the T over the
-r = n - |core| other players with ``w1(T) >= q1 - u - w1(core)``,
-``w1(T) < q1 - w1(core)`` and ``w2(T) < q2 - w2(core)``: three win tables
-of 2^r bits, whose maximal members give the frontier.  The shortcut only
-finds the frontier: the emitted games are still the boosted copies and the
-vetoes, and ``verify`` folds every one of them, with its own weights and
-quota, over all 2^n coalitions.
+so every over-admitted coalition, losing ``first``, holds the core.
+``sweep.maximal_satisfying`` lists the frontier on the sub-cube of the
+r = n - |core| other players, where every boosted copy restricts to the
+same game: two tables of 2^r bits, for it and for ``first | second``.
+The shortcut only finds the frontier: the emitted games are still the
+boosted copies and the vetoes, and ``verify`` folds every one of them,
+with its own weights and quota, over all 2^n coalitions.
 """
 
 from dataclasses import dataclass, replace
@@ -175,18 +175,6 @@ def gap_summary(first: WeightedGame, second: WeightedGame) -> GapSummary:
     return GapSummary(count, Coalition(core, n), min_weight, boost, members)
 
 
-def _sub_cube_winners(game: WeightedGame, quota: int, rest: list[int]) -> sweep.Table:
-    """Win table, over the players in ``rest``, of the T with w(core ∪ T) >= quota.
-
-    The core is every player outside ``rest``; bit i of T is player ``rest[i]``.
-    """
-    weights = tuple(game.weights[j] for j in rest)
-    quota -= game.total_weight - sum(weights)
-    if quota <= 0:
-        return sweep.full_table(len(rest))
-    return sweep.win_table(WeightedGame(weights, quota))
-
-
 def _boosted_games(
     base: WeightedGame, core: Coalition, boost: int
 ) -> tuple[WeightedGame, ...]:
@@ -207,9 +195,9 @@ def union_as_intersection(first: WeightedGame, second: WeightedGame) -> Decompos
     admits every union winner, and its excess winners (the frontier) are
     removed by one veto game each.
 
-    The over-admitted set comes from the closed form (module docstring) on
-    the sub-cube of the non-core players; its maximal members, re-checked
-    with one probe against the unfused games, are the frontier.
+    ``sweep.maximal_satisfying`` lists the frontier on the sub-cube of the
+    non-core players (module docstring) and re-checks it with one probe
+    against the unfused games.
 
     Raises
     ------
@@ -224,18 +212,9 @@ def union_as_intersection(first: WeightedGame, second: WeightedGame) -> Decompos
         raise EmptyCoreError(gap)
     assert gap.boost is not None
     boosted = _boosted_games(first, gap.common_core, gap.boost)
-
-    # Over-admitted: core ∪ T reaching q - u but losing first and second.
-    rest = [j for j in range(first.n) if j not in gap.common_core]
-    sub = _sub_cube_winners(first, first.quota - gap.boost, rest)
-    sub &= sweep.complement(_sub_cube_winners(first, first.quota, rest), len(rest))
-    sub &= sweep.complement(_sub_cube_winners(second, second.quota, rest), len(rest))
-    # Scatter T back to full masks; rest is ascending, so the order is kept.
-    bits = sweep.maximal_members(sub, len(rest))
-    masks = np.full(bits.size, gap.common_core.mask, dtype=np.int64)
-    for i, j in enumerate(rest):
-        masks |= (bits >> i & 1) << j
-    frontier = sweep.checked_maximal(all_of(*boosted), any_of(first, second), masks)
+    frontier = sweep.maximal_satisfying(
+        all_of(*boosted), any_of(first, second), gap.common_core.mask
+    )
     games = boosted + tuple(veto_game(s) for s in frontier)
     return Decomposition(games, gap, tuple(frontier))
 

@@ -62,19 +62,6 @@ class Coalition:
     def __iter__(self) -> Iterator[int]:
         return iter(self.members())
 
-    def _binary(self, other: "Coalition") -> None:
-        if not isinstance(other, Coalition):
-            raise TypeError(f"expected Coalition, got {type(other).__name__}")
-        check_universe(self.n, other.n)
-
-    def union(self, other: "Coalition") -> "Coalition":
-        self._binary(other)
-        return Coalition(self.mask | other.mask, self.n)
-
-    def intersection(self, other: "Coalition") -> "Coalition":
-        self._binary(other)
-        return Coalition(self.mask & other.mask, self.n)
-
     def __repr__(self) -> str:
         return f"Coalition({{{', '.join(map(str, self.members()))}}}, n={self.n})"
 

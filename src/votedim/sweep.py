@@ -21,11 +21,12 @@ selects other blocked masks.  Closures and the maximality thinning of
 ``maximal_members`` are the bitset subset-sum (zeta) transform: halves of
 a ``reshape(-1, 2, 2^(j-6))`` view for player j >= 6, in-word shifts under
 a constant mask for j < 6.  Both veto fences list their frontier with
-``maximal_members`` and re-check it with ``checked_maximal``, one probe of
-the listed masks and their one-player extensions.  Table statistics read a
-run; only ``member_chunks`` turns one into coalition masks.  Batches of
-single coalitions (``evaluate_many`` in that probe, ``weights_of`` in
-``min_member_weight``) read their weights off two partial-sum tables.
+``maximal_satisfying``, which tables both sides on the sub-cube outside a
+core the frontier holds and re-checks it with one probe.  Table statistics
+read a run; only ``member_chunks`` turns one into coalition masks.
+Batches of single coalitions (``evaluate_many`` in that probe,
+``weights_of`` in ``min_member_weight``) read their weights off two
+partial-sum tables.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .games import AND, Coalition, GameExpr, Node, WeightedGame, check_universe
+from .games import AND, Coalition, GameExpr, Node, WeightedGame, all_of, any_of, check_universe
 
 # Win table rows: 2^11 coalitions, whole words once n >= 6.  Rows of 2^10
 # made the fold 30-50 % slower.
@@ -394,9 +395,41 @@ def checked_maximal(up: GameExpr, down: GameExpr, masks: np.ndarray) -> list[Coa
     return [Coalition(m, n) for m in masks.tolist()]
 
 
-def maximal_satisfying(up: GameExpr, down: GameExpr) -> list[Coalition]:
-    """Inclusion-maximal coalitions winning ``up`` and losing ``down``, ascending by mask."""
+def maximal_satisfying(up: GameExpr, down: GameExpr, core: int = 0) -> list[Coalition]:
+    """Inclusion-maximal coalitions winning ``up`` and losing ``down``, ascending by mask.
+
+    Every such coalition must hold the mask ``core`` (0: no restriction):
+    both expressions are tabled on the other players, each quota lowered by
+    w(core).  A leaf the core alone wins becomes None, which an AND drops
+    and which makes an OR None.
+    """
     n = check_universe(up.n, down.n)
-    sat = expr_table(up)
-    sat &= complement(expr_table(down), n)
-    return checked_maximal(up, down, maximal_members(sat, n))
+    rest = sorted(set(range(n)) - set(Coalition(core, n)))
+
+    def leaf(g: WeightedGame) -> Optional[WeightedGame]:
+        weights = tuple(g.weights[j] for j in rest)
+        quota = g.quota - (g.total_weight - sum(weights))
+        return WeightedGame(weights, quota) if quota > 0 else None
+
+    def join(op: Callable[..., GameExpr], parts: Iterable[Optional[GameExpr]]):
+        # Equal children, as the boosted copies of one game become, are joined once.
+        kept = list(dict.fromkeys(parts))
+        if None in kept and op is any_of:
+            return None
+        kept = [p for p in kept if p is not None]
+        return op(*kept) if kept else None
+
+    def table(expr: GameExpr) -> Table:
+        sub = expr.fold(leaf, partial(join, all_of), partial(join, any_of))
+        if sub is None:
+            return full_table(len(rest))
+        return win_table(sub) if isinstance(sub, WeightedGame) else expr_table(sub)
+
+    sat = table(up)
+    sat &= complement(table(down), len(rest))
+    masks = maximal_members(sat, len(rest))
+    # Bit i moves to player rest[i] >= i, highest first: none is overwritten, none reordered.
+    for i, j in reversed(list(enumerate(rest))):
+        masks = masks & ~(1 << i) | (masks >> i & 1) << j
+    masks |= core
+    return checked_maximal(up, down, masks)

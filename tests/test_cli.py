@@ -302,6 +302,23 @@ class TestJsonStream:
                 tracemalloc.stop()
         assert peak <= 2**20
 
+    def test_rendering_writes_few_batches(self):
+        # Under PYTHONUNBUFFERED=1 every write is a system call.  The no-UK
+        # report is 87,300 encoder chunks, one write each under json.dump;
+        # the renderer joins them into 23 writes.
+        report = analyze_json("--data", "builtin:2018", "--exclude", "United Kingdom")
+        writes = []
+
+        class Counting(io.StringIO):
+            def write(self, text):
+                writes.append(len(text))
+                return super().write(text)
+
+        with contextlib.redirect_stdout(Counting()) as out:
+            cli._echo_json(report)
+        assert out.getvalue() == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert len(writes) <= 64
+
 
 @pytest.fixture(scope="module")
 def commands(tmp_path_factory):

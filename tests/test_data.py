@@ -49,7 +49,7 @@ class TestBuiltinTables:
         assert rows[13].country == "Sweden"
 
     def test_unknown_year(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="no builtin table '1999'; choose from 2014, 2016"):
             data.builtin_table("1999")
 
 

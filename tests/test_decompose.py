@@ -40,6 +40,23 @@ def traced_rewrite(rule):
     return dec, peak
 
 
+@pytest.fixture
+def built_tables(monkeypatch):
+    """The expressions tabled through ``sweep.expr_table``, in call order.
+
+    ``win_table`` calls it too, so every win table built is listed.
+    """
+    built = []
+    expr_table = sweep.expr_table
+
+    def counting(expr):
+        built.append(expr)
+        return expr_table(expr)
+
+    monkeypatch.setattr(sweep, "expr_table", counting)
+    return built
+
+
 class TestVetoGame:
     def test_empty_block_rejects_only_empty_coalition(self):
         game = veto_game(Coalition(0, 4))
@@ -234,22 +251,27 @@ class TestUnionAsIntersection:
         assert [s.members() for s in dec.frontier] == [(0,)]
         assert sweep.equivalent(dec.intersection(), any_of(first, second))
 
-    def test_table_count_does_not_grow_with_the_core(self, monkeypatch):
-        built = []
-        win_table = sweep.win_table
-
-        def counting(game):
-            built.append(game)
-            return win_table(game)
-
-        monkeypatch.setattr(sweep, "win_table", counting)
+    def test_table_count_does_not_grow_with_the_core(self, built_tables):
         # Only supersets of {0..6} win the second game: a 7-player core.
         first = WeightedGame((1, 1, 1, 1, 1, 1, 1, 3), 8)
         second = WeightedGame((1, 1, 1, 1, 1, 1, 1, 0), 7)
         dec = union_as_intersection(first, second)
         assert dec.method == METHOD_CORE_BOOST
         assert dec.common_core_players() == tuple(range(7))
-        assert len(built) <= 3
+        assert len(built_tables) <= 2
+
+    @pytest.mark.parametrize(
+        "year, exclude, r",
+        [("2014", [], 6), ("2016", [], 6), ("2017", [], 6), ("2018", [], 6),
+         ("2018", ["United Kingdom"], 15)],
+    )
+    def test_bundled_rules_build_two_sub_cube_tables(self, year, exclude, r, built_tables):
+        # All boosted copies restrict to one game on the core's sub-cube, so
+        # the frontier takes one win table for it and one for the union of
+        # the population and veto games, of 2^r bits for the r non-core players.
+        decompose.analyze_rule(data.build_eu_rule(data.builtin_table(year), exclude=exclude))
+        assert [e.n for e in built_tables] == [r, r]
+        assert isinstance(built_tables[0], WeightedGame)
 
     def test_frontier_needs_no_whole_table_pass(self):
         # 2018 without the UK, n = 27: 20 gap coalitions, 8,890 over-admitted
@@ -399,6 +421,16 @@ class TestRefineByVetoes:
         assert oracles.winning_masks(dec.intersection(), 4) == (
             oracles.winning_masks(target, 4)
         )
+
+    def test_veto_leaves_share_one_table(self, built_tables):
+        # "At least 6 of 12 players" written as 792 vetoes, one per 5-player
+        # set: the target is one 2^12-bit table, not one per veto leaf.
+        n = 12
+        fives = [m for m in range(1 << n) if m.bit_count() == 5]
+        target = all_of(*(veto_game(Coalition(m, n)) for m in fives))
+        dec = refine_by_vetoes(target, unit_game(1, n))
+        assert [s.mask for s in dec.frontier] == fives
+        assert [e.n for e in built_tables] == [n, n]
 
     @settings(deadline=None)
     @given(st.integers(2, 7), rngs)

@@ -22,14 +22,6 @@ from votedim.games import (
     unit_game,
 )
 
-members_and_n = st.integers(1, 12).flatmap(
-    lambda n: st.tuples(
-        st.just(n),
-        st.sets(st.integers(0, n - 1)),
-        st.sets(st.integers(0, n - 1)),
-    )
-)
-
 
 @pytest.fixture
 def weight_sums(monkeypatch):
@@ -62,17 +54,6 @@ class TestCoalition:
             Coalition(1 << 5, 5)
         with pytest.raises(ValueError):
             Coalition(0, 0)
-
-    @given(members_and_n)
-    def test_set_operations_match_python_sets(self, arg):
-        n, xs, ys = arg
-        a, b = (Coalition(sum(1 << j for j in js), n) for js in (xs, ys))
-        assert set(a.union(b).members()) == xs | ys
-        assert set(a.intersection(b).members()) == xs & ys
-
-    def test_universe_mismatch(self):
-        with pytest.raises(UniverseMismatchError):
-            Coalition(0, 3).union(Coalition(0, 4))
 
 
 class TestWeightedGame:
