@@ -9,6 +9,7 @@ EU Council qualified-majority rule.
 """
 
 import os
+from importlib import import_module
 
 # The engine makes no BLAS call: keep OpenBLAS from starting a helper thread
 # per core when numpy loads.  A value already set wins, and a process that
@@ -31,13 +32,6 @@ from .data import (
     build_eu_rule,
     builtin_table,
     load_table,
-)
-from .lowerbound import (
-    CertificateSetReport,
-    IncompatibilityCertificate,
-    find_certificate,
-    search_certificate_set,
-    verify_certificate_set,
 )
 
 __all__ = [
@@ -72,12 +66,21 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-# The rewrite's names are the exported names not imported above: they load
-# ``decompose``, and with it numpy, on first use (PEP 562), so certificate
-# work never pays for the array library.
+# The exported names not imported above load their module on first use
+# (PEP 562): the certificate names load ``lowerbound``, the rest load
+# ``decompose`` and with it numpy.  Certificate work never pays for the
+# array library, and a sweep never compiles the certificate search.
+_LOWERBOUND_NAMES = (
+    "CertificateSetReport",
+    "IncompatibilityCertificate",
+    "find_certificate",
+    "search_certificate_set",
+    "verify_certificate_set",
+)
+
+
 def __getattr__(name: str):
     if name in __all__:
-        from . import decompose
-
-        return getattr(decompose, name)
+        module = "lowerbound" if name in _LOWERBOUND_NAMES else "decompose"
+        return getattr(import_module(f".{module}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -3,25 +3,25 @@
 Exit codes: 0 success, 1 verification or certification failure (also a
 closed stdout or an interrupt), 2 input error (``main`` maps every
 ``ValueError`` to it), 3 rewrite inapplicable (gap coalitions share no
-player).  The rewrite and the sweeps, with numpy, load only in the
-commands that run them: the certificate commands never import them.
+player).  Each command loads only what it runs: the rewrite and the
+sweeps, with numpy, in ``analyze`` and ``verify``; the certificate search
+in the two ``lower-bound`` commands; ``json`` in ``analyze --json``.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import sys
 import warnings
 from typing import TYPE_CHECKING, Optional
 
-from . import data, lowerbound
+from . import data
 from .games import Coalition, all_of
 
 if TYPE_CHECKING:
-    from . import decompose
+    from . import decompose, lowerbound
 
 EXIT_FAILURE = 1
 EXIT_INAPPLICABLE = 3
@@ -128,6 +128,8 @@ def _analyze_or_exit(rule: data.EuRule, swap_roles: bool) -> decompose.Decomposi
 
 def _echo_json(report: dict) -> None:
     """The report as indented JSON with sorted keys, streamed in batches of encoder chunks."""
+    import json
+
     chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
     while batch := "".join(itertools.islice(chunks, _JSON_BATCH)):
         sys.stdout.write(batch)
@@ -201,8 +203,8 @@ def analyze(args: argparse.Namespace, table: data.PopulationTable, rule: data.Eu
             "population_quota_scaled": rule.population_game.quota,
             "scale": rule.scale,
             "total_population": rule.total_population,
-            "member_fraction": str(data.MEMBER_FRACTION),
-            "population_fraction": str(data.POPULATION_FRACTION),
+            "member_fraction": "%d/%d" % data.MEMBER_FRACTION,
+            "population_fraction": "%d/%d" % data.POPULATION_FRACTION,
             "blocking_minority": data.BLOCKING_MINORITY,
         },
         "swap_roles": args.swap_roles,
@@ -294,6 +296,8 @@ def lower_bound_verify(
     args: argparse.Namespace, table: data.PopulationTable, rule: data.EuRule
 ) -> None:
     """Check that a coalition set is losing and pairwise incompatible."""
+    from . import lowerbound
+
     coalitions = _read_coalition_file(args.coalitions, rule)
     report = lowerbound.verify_certificate_set(rule.expr, coalitions)
     _echo_certificates_or_exit(rule, report)
@@ -303,6 +307,8 @@ def lower_bound_search(
     args: argparse.Namespace, table: data.PopulationTable, rule: data.EuRule
 ) -> None:
     """Find a largest pairwise-incompatible set in a seeded pool of maximal losers."""
+    from . import lowerbound
+
     report = lowerbound.search_certificate_set(rule.expr, args.budget, args.seed)
     _echo_certificates_or_exit(rule, report)
 

@@ -12,22 +12,20 @@ as a boolean expression over them.
 import csv
 import io
 import warnings
-from dataclasses import dataclass, field
-from fractions import Fraction
 from importlib import resources
 from typing import Iterable, Optional
 
-from .games import GameExpr, WeightedGame, all_of, any_of, unit_game
+from .games import GameExpr, Record, WeightedGame, all_of, any_of, unit_game
 
 BUILTIN_YEARS = ("2014", "2016", "2017", "2018")
 
 _CSV_HEADER = ("rank", "country", "population")
 
 
-@dataclass(frozen=True)
-class CountryRow:
+class CountryRow(Record):
     """One member state: rank by descending population, name, population."""
 
+    __slots__ = ("rank", "country", "population")
     rank: int
     country: str
     population: int
@@ -43,8 +41,7 @@ class CountryRow:
             raise ValueError("country name must be non-empty")
 
 
-@dataclass(frozen=True)
-class PopulationTable:
+class PopulationTable(Record):
     """An ordered population table; ranks are 1-based and strictly increasing.
 
     Populations must be non-increasing down the table (ties keep input
@@ -52,6 +49,7 @@ class PopulationTable:
     survivors' original ranks, so labels remain stable across scenarios.
     """
 
+    __slots__ = ("rows",)
     rows: tuple[CountryRow, ...]
 
     def __post_init__(self) -> None:
@@ -143,17 +141,18 @@ def builtin_table(year: str) -> PopulationTable:
     return load_table(text)
 
 
-# The Lisbon thresholds: 55% of the members (quota by ceiling) holding 65%
-# of the population (exact rational comparison) approve; a blocking minority
-# needs at least BLOCKING_MINORITY states, so a proposal with fewer
-# rejectors passes regardless of population.
-MEMBER_FRACTION = Fraction(11, 20)
-POPULATION_FRACTION = Fraction(13, 20)
+# The Lisbon thresholds, as (numerator, denominator): 55% of the members
+# (quota by ceiling) holding 65% of the population (exact integer
+# comparison) approve; a blocking minority needs at least BLOCKING_MINORITY
+# states, so a proposal with fewer rejectors passes regardless of population.
+MEMBER_FRACTION = (11, 20)
+POPULATION_FRACTION = (13, 20)
 BLOCKING_MINORITY = 4
 
 
 def member_quota(m: int) -> int:
-    return -(-MEMBER_FRACTION.numerator * m // MEMBER_FRACTION.denominator)
+    numerator, denominator = MEMBER_FRACTION
+    return -(-numerator * m // denominator)
 
 
 def veto_quota(m: int) -> int:
@@ -165,8 +164,7 @@ def veto_quota(m: int) -> int:
     return max(1, m - (BLOCKING_MINORITY - 1))
 
 
-@dataclass(frozen=True)
-class EuRule:
+class EuRule(Record):
     """The qualified-majority rule over one table, with its components.
 
     ``expr`` is ``count AND (population OR veto)``.  Player index ``j``
@@ -175,7 +173,11 @@ class EuRule:
     fractional threshold is an exact integer quota.
     """
 
-    expr: GameExpr = field(repr=False)
+    __slots__ = (
+        "expr", "count_game", "population_game", "veto_game", "labels",
+        "member_quota", "veto_quota", "scale", "total_population",
+    )
+    expr: GameExpr
     count_game: WeightedGame
     population_game: WeightedGame
     veto_game: WeightedGame
@@ -232,23 +234,14 @@ def build_eu_rule(
             raise ValueError(
                 f"{name} quota {q} is not satisfiable by {m} members"
             )
-    scale = POPULATION_FRACTION.denominator
+    numerator, scale = POPULATION_FRACTION
     weights = tuple(scale * r.population for r in table.rows)
     total = table.total
-    population_game = WeightedGame(
-        weights, POPULATION_FRACTION.numerator * total
-    )
+    population_game = WeightedGame(weights, numerator * total)
     count_game = unit_game(member_q, m)
     veto = unit_game(veto_q, m)
     expr = all_of(count_game, any_of(population_game, veto))
+    labels = tuple(r.rank for r in table.rows)
     return EuRule(
-        expr=expr,
-        count_game=count_game,
-        population_game=population_game,
-        veto_game=veto,
-        labels=tuple(r.rank for r in table.rows),
-        member_quota=member_q,
-        veto_quota=veto_q,
-        scale=scale,
-        total_population=total,
+        expr, count_game, population_game, veto, labels, member_q, veto_q, scale, total
     )

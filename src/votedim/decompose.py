@@ -21,12 +21,11 @@ boosted copies and the vetoes, and ``verify`` folds every one of them,
 with its own weights and quota, over all 2^n coalitions.
 """
 
-from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .games import Coalition, GameExpr, WeightedGame, all_of, any_of
+from .games import Coalition, GameExpr, Record, WeightedGame, all_of, any_of
 from . import sweep
 from .data import EuRule
 
@@ -62,8 +61,7 @@ class ContainmentError(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class GapSummary:
+class GapSummary(Record):
     """Exact statistics of the gap set between two weighted games.
 
     The gap set of ``(first, second)`` holds every coalition that loses
@@ -90,6 +88,7 @@ class GapSummary:
         ``count`` exceeded the materialization cap.
     """
 
+    __slots__ = ("count", "common_core", "min_weight", "boost", "members")
     count: int
     common_core: Coalition
     min_weight: Optional[int]
@@ -97,8 +96,7 @@ class GapSummary:
     members: Optional[tuple[Coalition, ...]]
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """An intersection of weighted games equivalent to the rewritten input.
 
     ``games`` intersect to the input; ``frontier`` lists the coalitions
@@ -106,6 +104,7 @@ class Decomposition:
     populated by the union rewrite and None for the veto-only refinement.
     """
 
+    __slots__ = ("games", "gap", "frontier")
     games: tuple[WeightedGame, ...]
     gap: Optional[GapSummary]
     frontier: tuple[Coalition, ...]
@@ -229,7 +228,7 @@ def analyze_rule(rule: EuRule, swap_roles: bool = False) -> Decomposition:
     if swap_roles:
         first, second = second, first
     dec = union_as_intersection(first, second)
-    return replace(dec, games=(rule.count_game,) + dec.games)
+    return Decomposition((rule.count_game,) + dec.games, dec.gap, dec.frontier)
 
 
 def refine_by_vetoes(target: GameExpr, candidate: GameExpr) -> Decomposition:

@@ -9,9 +9,9 @@ engine's ``uint64`` word-array win tables (bit m % 64 of word m // 64).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
 from itertools import chain
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 MAX_PLAYERS = 32
 
@@ -31,20 +31,83 @@ def check_universe(n_left: int, n_right: int) -> int:
     return n_left
 
 
-@dataclass(frozen=True, order=True)
-class Coalition:
-    """A subset of the n players, as a bit-set of 0-based player indices."""
+class Record:
+    """An immutable record whose fields are its ``__slots__``, set positionally in order.
 
+    ``__post_init__`` validates a new record.  Records are equal when they
+    are of one class with equal fields, hash by their fields, and refuse
+    assignment with ``AttributeError``.  ``Coalition`` and ``WeightedGame``,
+    made and hashed on the search's hot paths, write out their own
+    constructor, equality and hash.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *fields) -> None:
+        if len(fields) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+@total_ordering
+class Coalition(Record):
+    """A subset of the n players, as a bit-set of 0-based player indices.
+
+    Coalitions order by ``(mask, n)``.
+    """
+
+    __slots__ = ("mask", "n")
     mask: int
     n: int
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_PLAYERS:
-            raise ValueError(f"player count must be in 1..{MAX_PLAYERS}, got {self.n}")
-        if not 0 <= self.mask < (1 << self.n):
-            raise ValueError(
-                f"coalition mask {self.mask:#x} has members outside 0..{self.n - 1}"
-            )
+    def __init__(self, mask: int, n: int) -> None:
+        if not 1 <= n <= MAX_PLAYERS:
+            raise ValueError(f"player count must be in 1..{MAX_PLAYERS}, got {n}")
+        if not 0 <= mask < (1 << n):
+            raise ValueError(f"coalition mask {mask:#x} has members outside 0..{n - 1}")
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.mask == other.mask and self.n == other.n
+
+    def __hash__(self) -> int:
+        return hash((self.mask, self.n))
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.mask, self.n) < (other.mask, other.n)
 
     @classmethod
     def grand(cls, n: int) -> "Coalition":
@@ -103,8 +166,7 @@ class GameExpr:
         return self.fold(lambda g: [g], flatten, flatten)
 
 
-@dataclass(frozen=True)
-class WeightedGame(GameExpr):
+class WeightedGame(Record, GameExpr):
     """A weighted majority game [quota; w_1, ..., w_n] over integer weights.
 
     A coalition wins iff its weight sum meets the quota (>=, no tie layer),
@@ -114,28 +176,39 @@ class WeightedGame(GameExpr):
     point.
     """
 
+    __slots__ = ("weights", "quota")
     weights: tuple[int, ...]
     quota: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        n = len(self.weights)
+    def __init__(self, weights: Iterable[int], quota: int) -> None:
+        weights = tuple(map(int, weights))
+        n = len(weights)
         if not 1 <= n <= MAX_PLAYERS:
             raise ValueError(f"player count must be in 1..{MAX_PLAYERS}, got {n}")
-        if any(w < 0 for w in self.weights):
+        if any(w < 0 for w in weights):
             raise ValueError("weights must be non-negative")
-        if self.quota < 1:
-            raise ValueError(f"quota must be >= 1, got {self.quota}")
-        total = sum(self.weights)
-        if self.quota > total:
+        if quota < 1:
+            raise ValueError(f"quota must be >= 1, got {quota}")
+        total = sum(weights)
+        if quota > total:
             raise ValueError(
-                f"quota {self.quota} exceeds total weight {total}: grand coalition would lose"
+                f"quota {quota} exceeds total weight {total}: grand coalition would lose"
             )
-        if total + self.quota >= MAX_TOTAL_WEIGHT:
+        if total + quota >= MAX_TOTAL_WEIGHT:
             raise ValueError(
                 "weights too large for the exact integer engine "
-                f"(total weight + quota must stay below 2^61, got {total + self.quota})"
+                f"(total weight + quota must stay below 2^61, got {total + quota})"
             )
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "quota", quota)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.quota == other.quota and self.weights == other.weights
+
+    def __hash__(self) -> int:
+        return hash((self.weights, self.quota))
 
     @property
     def n(self) -> int:

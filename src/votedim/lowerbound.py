@@ -26,13 +26,12 @@ bounded however large the difference is.
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import combinations
 from operator import and_, or_
 from typing import Iterable, Optional, Sequence
 
-from .games import Coalition, GameExpr, WeightedGame, check_universe
+from .games import Coalition, GameExpr, Record, WeightedGame, check_universe
 
 # Selector bits searched per chunk: each leaf and side is one 2^_CHUNK_BITS-bit
 # int (128 KB) per chunk, however large the symmetric difference.
@@ -46,8 +45,7 @@ STATUS_NO_CERTIFICATE = "no-certificate"
 STATUS_NOT_ATTEMPTED = "not-attempted"
 
 
-@dataclass(frozen=True)
-class IncompatibilityCertificate:
+class IncompatibilityCertificate(Record):
     """A witness that no single weighted game keeps both ``a`` and ``b`` losing.
 
     ``x`` selects part of the symmetric difference Δ, and the two halves of
@@ -58,6 +56,7 @@ class IncompatibilityCertificate:
     winning halves contradict two losing originals.
     """
 
+    __slots__ = ("a", "b", "x")
     a: Coalition
     b: Coalition
     x: Coalition
@@ -76,18 +75,17 @@ class IncompatibilityCertificate:
         return Coalition((self.a.mask | self.b.mask) ^ self.x.mask, self.a.n)
 
 
-@dataclass(frozen=True)
-class PairOutcome:
+class PairOutcome(Record):
     """Certificate search result for the coalition pair at indices (i, j)."""
 
+    __slots__ = ("i", "j", "status", "certificate")
     i: int
     j: int
     status: str
     certificate: Optional[IncompatibilityCertificate]
 
 
-@dataclass(frozen=True)
-class CertificateSetReport:
+class CertificateSetReport(Record):
     """Outcome of checking a coalition set for pairwise incompatibility.
 
     ``lower_bound`` is the set size when every coalition is losing and
@@ -95,6 +93,7 @@ class CertificateSetReport:
     "unknown", never "compatible".
     """
 
+    __slots__ = ("coalitions", "losing", "pairs")
     coalitions: tuple[Coalition, ...]
     losing: tuple[bool, ...]
     pairs: tuple[PairOutcome, ...]
@@ -152,7 +151,9 @@ def find_certificate(
     that contain its largest player (the swap ``x ↔ Δ \\ x``
     yields the same pair), so the first hit is deterministic.
 
-    Returns None when no split certifies.
+    Returns None when no split certifies.  A leaf joined to the root by
+    ANDs alone that ``a`` and ``b`` together weigh below twice its quota
+    settles that before any split is tried.
     """
     check_universe(expr.n, a.n)
     check_universe(expr.n, b.n)
@@ -164,6 +165,14 @@ def find_certificate(
         a, b = b, a
     base = a.mask & b.mask
     delta = (a.mask | b.mask) ^ base
+    on_base, on_delta = Coalition(base, expr.n), Coalition(delta, expr.n)
+    leaves = dict.fromkeys(expr.leaves())
+    sums = {g: (g.weight_sum(on_base), g.weight_sum(on_delta)) for g in leaves}
+    # Both halves win every leaf joined to the root by ANDs alone, and
+    # w(p) + w(q) = w(a) + w(b) = 2 w(a ∩ b) + w(Δ) under any weights: a leaf
+    # that a and b together weigh below twice its quota rules out every split.
+    if not expr.fold(lambda g: 2 * sums[g][0] + sums[g][1] >= 2 * g.quota, all, lambda _: True):
+        return None
     free = [j for j in range(expr.n) if delta >> j & 1][:-1]
     lo = min(len(free), max(3, -(-len(free) // 2)), _CHUNK_BITS, _LOW_BITS)
     inner = min(len(free), _CHUNK_BITS)
@@ -176,8 +185,7 @@ def find_certificate(
         # p = base | x wins the leaf iff w(x) >= q - w(base), and
         # q = base | (Δ \ x) iff not w(x) >= w(base) + w(Δ) - q + 1.  Split
         # w(x) into low, row and chunk parts: one low bound per row and side.
-        w_base = game.weight_sum(Coalition(base, expr.n))
-        w_delta = game.weight_sum(Coalition(delta, expr.n))
+        w_base, w_delta = sums[game]
         low = tuple(game.weights[d] for d in free[:lo])
         if low not in halves:
             halves[low] = _low_half(low, width)
@@ -188,7 +196,7 @@ def find_certificate(
             (game.quota - w_base, w_base + w_delta - game.quota + 1),
         )
 
-    tables = {game: leaf_tables(game) for game in dict.fromkeys(expr.leaves())}
+    tables = {game: leaf_tables(game) for game in sums}
 
     def at_least(game: WeightedGame, side: int, k: int) -> int:
         # Bit r of chunk k: w(x) reaches the side's bound (side 0: p wins the
@@ -241,7 +249,7 @@ def verify_certificate_set(
         return PairOutcome(i, j, STATUS_CERTIFIED, cert)
 
     outcomes = tuple(attempt(i, j) for i, j in combinations(range(len(coalitions)), 2))
-    return CertificateSetReport(coalitions=coalitions, losing=losing, pairs=outcomes)
+    return CertificateSetReport(coalitions, losing, outcomes)
 
 
 def _loser_pool(expr: GameExpr, k: int, seed: int) -> list[int]:

@@ -31,13 +31,14 @@ partial-sum tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial, reduce
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .games import AND, Coalition, GameExpr, Node, WeightedGame, all_of, any_of, check_universe
+from .games import (
+    AND, Coalition, GameExpr, Node, Record, WeightedGame, all_of, any_of, check_universe
+)
 
 # Win table rows: 2^11 coalitions, whole words once n >= 6.  Rows of 2^10
 # made the fold 30-50 % slower.
@@ -346,8 +347,8 @@ def evaluate_many(expr: GameExpr, masks: np.ndarray) -> np.ndarray:
 # --- public sweep operations ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EquivalenceResult:
+class EquivalenceResult(Record):
+    __slots__ = ("equal", "counterexample")
     equal: bool
     counterexample: Optional[Coalition]
 

@@ -679,19 +679,23 @@ def run_python(code: str, cwd) -> subprocess.CompletedProcess:
 
 
 def test_only_sweeping_commands_load_numpy(toys):
-    # The certificate commands run on the standard library alone; numpy
-    # loads when a command sweeps, and loading it late changes no output.
+    # The certificate commands run on the standard library alone, and load
+    # none of the heavier parts of it; numpy loads when a command sweeps,
+    # and loading it late changes no output.  The certificate search loads
+    # only in the commands that run it.
     no_uk = ["--data", "builtin:2018", "--exclude", "United Kingdom"]
     certs = resources.files("votedim") / "certs" / "eu2018_noUK_8.txt"
     certificates = f"""
 import sys
+before = set(sys.modules)
 import votedim, votedim.cli
 for args in (
     ["lower-bound", "verify", *{no_uk!r}, "--coalitions", {str(certs)!r}],
     ["lower-bound", "search", *{no_uk!r}, "--budget", "8"],
 ):
     votedim.cli.main(args)
-assert "click" not in sys.modules
+heavy = {{"click", "dataclasses", "inspect", "fractions", "decimal", "json"}}
+assert not heavy & (set(sys.modules) - before), sorted(heavy & set(sys.modules))
 print("numpy loaded:", "numpy" in sys.modules)
 """
     result = run_python(certificates, Path(toys["toy16"]).parent)
@@ -705,6 +709,7 @@ import votedim.cli
 assert "numpy" not in sys.modules
 votedim.cli.main(["analyze", "--data", {toys["toy16"]!r}])
 assert "click" not in sys.modules
+assert "votedim.lowerbound" not in sys.modules
 print("numpy loaded:", "numpy" in sys.modules)
 """
     result = run_python(analyze, Path(toys["toy16"]).parent)

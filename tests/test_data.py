@@ -132,8 +132,8 @@ class TestExclude:
 
 class TestRuleConfig:
     def test_defaults(self):
-        assert data.MEMBER_FRACTION == Fraction(11, 20)
-        assert data.POPULATION_FRACTION == Fraction(13, 20)
+        assert data.MEMBER_FRACTION == (11, 20)
+        assert data.POPULATION_FRACTION == (13, 20)
         assert data.BLOCKING_MINORITY == 4
 
     def test_quota_derivation(self):

@@ -1,6 +1,5 @@
 """Union-to-intersection rewriting and veto-based refinement."""
 
-import dataclasses
 import random
 import tracemalloc
 from pathlib import Path
@@ -456,4 +455,4 @@ class TestDecompositionValidation:
 
     def test_fields_are_games_gap_frontier(self):
         # The method tag is derived from the gap, not stored.
-        assert [f.name for f in dataclasses.fields(Decomposition)] == ["games", "gap", "frontier"]
+        assert Decomposition.__slots__ == ("games", "gap", "frontier")

@@ -650,6 +650,31 @@ class TestSplitSearch:
             got, expected = split_search(rule.expr, a, b, rule.expr.n)
         assert got == expected
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 12), rngs)
+    def test_pairs_an_and_leaf_rules_out(self, n, rng):
+        # ``first`` is joined to the root by ANDs alone, directly or through a
+        # nested AND; the leaves under the OR may weigh anything.  When a and b
+        # together weigh below twice its quota, no split certifies, and the
+        # search returns before it builds a row pattern.
+        first = oracles.random_game(rng, n)
+        union = any_of(*(oracles.random_game(rng, n) for _ in range(rng.randint(2, 3))))
+        if rng.random() < 0.5:
+            expr = all_of(first, union)
+        else:
+            expr = all_of(union, all_of(oracles.random_game(rng, n), first))
+        for _ in range(200):
+            a, b = rng.getrandbits(n), rng.getrandbits(n)
+            light = oracles.weight_of(first.weights, a) + oracles.weight_of(first.weights, b)
+            if light < 2 * first.quota and not (oracles.wins(expr, a) or oracles.wins(expr, b)):
+                break
+        else:
+            return
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lowerbound, "_low_half", None)
+            got, expected = split_search(expr, a, b, n)
+        assert got == expected is None
+
     def test_first_hit_in_a_high_chunk(self):
         # With C = _CHUNK_BITS and n = C + 2, p must hold player 0 or 1 and
         # player C; player C + 1, the last of the difference, always sits in

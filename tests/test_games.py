@@ -1,5 +1,7 @@
-"""Core types: coalitions, weighted games, boolean combinations."""
+"""Core types: records, coalitions, weighted games, boolean combinations."""
 
+import copy
+import pickle
 import random
 from functools import partial, reduce
 from operator import and_, or_
@@ -8,13 +10,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from votedim import data, decompose
+from votedim import data, decompose, lowerbound, sweep
 from votedim.games import (
     AND,
     OR,
     Coalition,
     GameExpr,
     Node,
+    Record,
     UniverseMismatchError,
     WeightedGame,
     all_of,
@@ -35,6 +38,74 @@ def weight_sums(monkeypatch):
 
     monkeypatch.setattr(WeightedGame, "weight_sum", counted)
     return calls
+
+
+def sample_records() -> list[Record]:
+    """One record of every record class in the package."""
+    rule = data.build_eu_rule(data.builtin_table("2014"))
+    a, b = Coalition(0b0011, 4), Coalition(0b1100, 4)
+    cert = lowerbound.IncompatibilityCertificate(a, b, Coalition(0b0101, 4))
+    outcome = lowerbound.PairOutcome(0, 1, lowerbound.STATUS_CERTIFIED, cert)
+    gap = decompose.GapSummary(1, a, 2, 3, (a,))
+    return [
+        a,
+        rule.population_game,
+        rule,
+        data.builtin_table("2014"),
+        data.CountryRow(1, "X", 10),
+        sweep.EquivalenceResult(False, b),
+        cert,
+        outcome,
+        lowerbound.CertificateSetReport((a, b), (True, True), (outcome,)),
+        gap,
+        decompose.Decomposition((rule.count_game,), gap, ()),
+    ]
+
+
+class TestRecords:
+    def test_equal_fields_give_equal_records_and_hashes(self):
+        for record in sample_records():
+            fields = [getattr(record, name) for name in type(record).__slots__]
+            twin = type(record)(*fields)
+            assert twin is not record
+            assert twin == record and hash(twin) == hash(record)
+            assert copy.copy(record) == record
+            if not isinstance(record, data.EuRule):  # its ``expr`` node equals only itself
+                assert pickle.loads(pickle.dumps(record)) == record
+
+    def test_records_of_different_classes_are_never_equal(self):
+        class Pair(Record):
+            __slots__ = ("mask", "n")
+
+        assert Pair(3, 4) != Coalition(3, 4) and Coalition(3, 4) != Pair(3, 4)
+        assert Coalition(3, 4) != (3, 4)
+        records = sample_records()
+        for i, left in enumerate(records):
+            assert [right for right in records[i + 1 :] if right == left] == []
+
+    def test_coalitions_order_by_mask_then_n(self):
+        coalitions = [Coalition(3, 4), Coalition(1, 4), Coalition(1, 2), Coalition(0, 5)]
+        assert sorted(coalitions) == [
+            Coalition(0, 5), Coalition(1, 2), Coalition(1, 4), Coalition(3, 4)
+        ]
+        assert Coalition(1, 2) < Coalition(1, 4) <= Coalition(1, 4) < Coalition(3, 2)
+        assert Coalition(3, 2) > Coalition(1, 4) >= Coalition(1, 4)
+        with pytest.raises(TypeError):
+            Coalition(1, 2) < (1, 2)
+
+    def test_field_assignment_raises(self):
+        for record in sample_records():
+            for name in type(record).__slots__:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(record, name)
+            with pytest.raises(AttributeError):
+                record.extra = None
+
+    def test_field_count_is_checked(self):
+        with pytest.raises(TypeError):
+            data.CountryRow(1, "X")
 
 
 class TestCoalition:

@@ -45,6 +45,18 @@ def wide_two_chamber_game():
     )
 
 
+def searched_no_uk_pair(n: int) -> tuple[Coalition, Coalition]:
+    """Two 15-member losers of 2018 without the UK, sharing its 3 smallest members.
+
+    The even and the odd players among the other 24 split their difference.
+    """
+    base = 0b111 << 24
+    return (
+        Coalition(base | sum(1 << j for j in range(0, 24, 2)), n),
+        Coalition(base | sum(1 << j for j in range(1, 24, 2)), n),
+    )
+
+
 class TestCertificateValidation:
     def test_valid_certificate(self):
         a = Coalition(0b0011, 4)
@@ -157,6 +169,43 @@ class TestFindCertificate:
             tracemalloc.stop()
         assert cert is None
         assert peak < 32 * (1 << lowerbound._CHUNK_BITS) // 8
+
+    def test_memory_is_bounded_by_the_chunk_on_a_searched_pair(self):
+        # The pair above never reaches the split search: the count game's sum
+        # test settles it (13 + 13 members < 2 * 15).  This one passes that
+        # test, 15 + 15 members, and still has no certificate, because both
+        # halves cannot hold 65 % of the population: all 2^23 splits of its
+        # 24-player difference are searched, in 2^3 chunks, under the same budget.
+        rule = data.build_eu_rule(data.builtin_table("2018"), ["United Kingdom"])
+        a, b = searched_no_uk_pair(rule.n)
+        tracemalloc.start()
+        try:
+            cert = find_certificate(rule.expr, a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cert is None
+        assert peak < 32 * (1 << lowerbound._CHUNK_BITS) // 8
+
+    def test_sum_test_settles_a_pair_before_any_row_pattern(self, monkeypatch):
+        # On 2018 without the UK the count game (quota 15) sits under the root
+        # AND, so two losers of 14 members cannot split into two winning halves.
+        rule = data.build_eu_rule(data.builtin_table("2018"), ["United Kingdom"])
+        low_half, calls = lowerbound._low_half, []
+
+        def spy(weights, width):
+            calls.append(weights)
+            return low_half(weights, width)
+
+        monkeypatch.setattr(lowerbound, "_low_half", spy)
+        a = Coalition((1 << 14) - 1, rule.n)
+        b = Coalition(((1 << 14) - 1) << 13, rule.n)
+        assert len(a) + len(b) < 2 * rule.member_quota
+        assert find_certificate(rule.expr, a, b) is None
+        assert calls == []
+        # A pair that passes the test is searched.
+        assert find_certificate(rule.expr, *searched_no_uk_pair(rule.n)) is None
+        assert calls != []
 
     def test_certificate_contradicts_grid_oracle(self):
         # Where a certificate exists, the exhaustive weight grid agrees that

@@ -1,5 +1,6 @@
 """The package's public surface."""
 
+import ast
 import re
 import subprocess
 import sys
@@ -46,3 +47,29 @@ assert "numpy" in sys.modules
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_modules_import_no_dataclasses_fractions_or_eager_json():
+    # Every command pays for what its modules import: records are slots
+    # classes, the Lisbon fractions are integer pairs, and ``json`` loads
+    # inside the one function that writes a JSON report.
+    found = set()
+    for path in sorted(Path(votedim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        in_function = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                found.add((path.name, module.split(".")[0], id(node) in in_function))
+    assert {f for f in found if f[1] in ("dataclasses", "fractions")} == set()
+    assert {f for f in found if f[1] == "json"} == {("cli.py", "json", True)}
