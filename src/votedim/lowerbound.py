@@ -22,14 +22,20 @@ row patterns are one leaf's bitset over the chunk, the AND/OR tree folds
 those with ``&`` and ``|``, and the lowest set bit of ``P & Q`` is the
 first certifying split.  Chunks run in ascending order, so memory stays
 bounded however large the difference is.
+
+``certifiable`` decides whether a split exists without searching, when
+every leaf weighs the difference uniformly or by one common vector W (every
+rule the CLI builds): a split then wins or loses by its size and its W-sum
+alone.  ``search_certificate_set`` takes its pool's adjacency from it and
+runs the split search only where it gives no answer, and on its clique.
 """
 
 import random
-from bisect import bisect_left
-from functools import partial, reduce
-from itertools import combinations
-from operator import and_, or_
-from typing import Iterable, Optional, Sequence
+from bisect import bisect_left, bisect_right
+from functools import cache, partial, reduce
+from itertools import accumulate, chain, combinations, product
+from operator import and_, itemgetter, or_
+from typing import Callable, Iterable, Optional, Sequence
 
 from .games import Coalition, GameExpr, Record, WeightedGame, check_universe
 
@@ -39,6 +45,9 @@ _CHUNK_BITS = 20
 # Low players per row: at most 2^11 + 1 row patterns of 256 bytes per distinct
 # vector of low-player weights.
 _LOW_BITS = 11
+# Branch-and-bound nodes one pair may take in ``certifiable`` before it leaves
+# the pair to the split search.
+_NODE_CAP = 1 << 9
 
 STATUS_CERTIFIED = "certified"
 STATUS_NO_CERTIFICATE = "no-certificate"
@@ -221,6 +230,122 @@ def find_certificate(
     return None
 
 
+def _sum_within(weights: list[int], top: list[int], stack: list[tuple]) -> Optional[bool]:
+    """Whether some entry (i, k, lo, hi) of ``stack`` has k of ``weights[i:]`` summing into [lo, hi].
+
+    ``weights`` descend and ``top[k]`` sums the first k of them, so the k
+    largest and the k smallest of ``weights[i:]`` bound every k-subset sum,
+    and either one inside [lo, hi] answers.  Between them, branch on
+    ``weights[i]``.  None past ``_NODE_CAP`` nodes.
+    """
+    d = len(weights)
+    for _ in range(_NODE_CAP):
+        if not stack:
+            return False
+        i, k, lo, hi = stack.pop()
+        big, small = top[i + k] - top[i], top[d] - top[d - k]
+        if big < lo or small > hi:
+            continue
+        if lo <= small or big <= hi:
+            return True
+        stack += [(i + 1, k, lo, hi), (i + 1, k - 1, lo - weights[i], hi - weights[i])]
+    return None if stack else False
+
+
+def _pair_decider(expr: GameExpr) -> Callable[[Coalition, Coalition], Optional[bool]]:
+    """``certifiable`` for one expression, with the work that depends on it alone done once.
+
+    The expression becomes a union of terms, each an AND of leaves (indices
+    into ``leaves``; two terms for every rule the CLI builds), so a pair
+    needs no fold.  A leaf weighs a ∩ b as (w(a) + w(b) - w(Δ)) / 2, with
+    w(a) and w(b) cached per coalition.
+    """
+    n, leaves = expr.n, list(dict.fromkeys(expr.leaves()))
+    index = {game: i for i, game in enumerate(leaves)}
+    terms = expr.fold(
+        lambda game: [(index[game],)],
+        lambda parts: [sum(term, ()) for term in product(*parts)],
+        lambda parts: list(chain.from_iterable(parts)),
+    )
+    weight = cache(lambda i, mask: leaves[i].weight_sum(Coalition(mask, n)))
+
+    def decide(a: Coalition, b: Coalition) -> Optional[bool]:
+        check_universe(check_universe(n, a.n), b.n)
+        delta = a.mask ^ b.mask
+        on_delta = [j for j in range(n) if delta >> j & 1]
+        d = len(on_delta)
+        if d < 2:
+            # One side of every split is a ∩ b, a subset of a loser.
+            return False
+        pick, common, bounds = itemgetter(*on_delta), [], []
+        # Per leaf (s0, lo): p wins it iff s >= s0 and W(x) >= lo, so never if s0 > d.
+        for i, game in enumerate(leaves):
+            on = pick(game.weights)
+            need = game.quota - (weight(i, a.mask) + weight(i, b.mask) - sum(on)) // 2
+            if on.count(on[0]) < d:
+                common.append(on)
+                bounds.append((0, need))
+            else:
+                c = on[0]
+                bounds.append((0 if need <= 0 else -(-need // c) if need <= c * d else d + 1, 0))
+        if len(set(common)) > 1:
+            return None
+        boxes = []
+        for term in terms:
+            s0 = lo = 0
+            for i in term:
+                s0, lo = max(s0, bounds[i][0]), max(lo, bounds[i][1])
+            boxes.append((s0, lo))
+        weights = sorted(common[0] if common else [0] * d, reverse=True)
+        top = list(accumulate(weights, initial=0))
+        bottom = list(accumulate(reversed(weights), initial=0))
+        stack = []
+        for s0, lo in boxes:
+            # From first on, the s heaviest weights reach lo.
+            first = max(s0, bisect_left(top, lo))
+            for t0, up in boxes:
+                # Both halves win for s in [s0, d - t0] and W(x) in [lo, hi].
+                # Up to last, the s lightest weights stay within hi.
+                hi = top[d] - up
+                last = min(d - t0, bisect_right(bottom, hi) - 1)
+                if first > last or lo > hi:
+                    continue
+                # The s lightest weigh more as s grows: if any in [first, last]
+                # lie in [lo, hi], the last do.  The s heaviest need no test: the
+                # two boxes taken the other way round mirror x to Δ \ x, and the
+                # s heaviest here are the d - s lightest there.
+                if bottom[last] >= lo:
+                    return True
+                # Unless the mirrored boxes answer, each such s has [lo, hi]
+                # strictly between its extremes.
+                stack += [(0, s, lo, hi) for s in range(first, last + 1)]
+        return _sum_within(weights, top, stack)
+
+    return decide
+
+
+def certifiable(expr: GameExpr, a: Coalition, b: Coalition) -> Optional[bool]:
+    """Whether ``find_certificate(expr, a, b)`` certifies, decided by arithmetic.
+
+    Both coalitions must lose (not checked).  It answers when every leaf's
+    weights on the symmetric difference Δ are either all equal or one
+    common vector W, and returns None otherwise, or when the branch and
+    bound passes ``_NODE_CAP`` nodes.
+
+    Then whether ``p = (a ∩ b) ∪ x`` wins depends on s = |x| and W(x) alone:
+    a uniform leaf bounds s from below, a W leaf bounds W(x) from below, and
+    the terms of the expression make the winning x a union of boxes
+    "s >= s0 and W(x) >= lo".  ``q = (a ∩ b) ∪ (Δ \\ x)`` wins iff
+    (d - s, T - W(x)) lies in one, with d = |Δ| and T = W(Δ), so the pair
+    certifies iff some s-subset of Δ has its W-sum in a box of p met with a
+    mirrored box of q.  The s-subset sums range from the s smallest weights
+    to the s largest; a W-interval that holds an extreme is reached, one
+    that misses the range is not, and one strictly between them goes to
+    ``_sum_within``.
+    """
+    return _pair_decider(expr)(a, b)
+
+
 def verify_certificate_set(
     expr: GameExpr, coalitions: Sequence[Coalition]
 ) -> CertificateSetReport:
@@ -309,18 +434,21 @@ def search_certificate_set(
     """A largest pairwise-incompatible set within a seeded pool of maximal losers.
 
     The pool holds at most ``pool_budget`` maximal losers (``_loser_pool``).
-    Each of its k(k-1)/2 pairs is searched once, keeping only one adjacency
-    bit per certified pair.  The report is ``verify_certificate_set`` of a
-    maximum clique of those pairs, in pool order, so its pairs are searched
-    a second time.  Exact over the pool only: no claim about the losers
-    outside it.
+    Each of its k(k-1)/2 pairs gets one adjacency bit, from ``certifiable``
+    or, where that gives no answer, from ``find_certificate``.  The report
+    is ``verify_certificate_set`` of a maximum clique of those pairs, in
+    pool order, so the split search runs on the clique's pairs.  Exact over
+    the pool only: no claim about the losers outside it.
     """
     if pool_budget < 1:
         raise ValueError("budget must be positive")
     pool = [Coalition(m, expr.n) for m in _loser_pool(expr, pool_budget, seed)]
-    adjacent = [0] * len(pool)
+    adjacent, decide = [0] * len(pool), _pair_decider(expr)
     for i, j in combinations(range(len(pool)), 2):
-        if find_certificate(expr, pool[i], pool[j]) is not None:
+        bit = decide(pool[i], pool[j])
+        if bit is None:
+            bit = find_certificate(expr, pool[i], pool[j]) is not None
+        if bit:
             adjacent[i] |= 1 << j
             adjacent[j] |= 1 << i
     clique = _max_clique(adjacent)

@@ -104,6 +104,17 @@ def gap_masks(first: WeightedGame, second: WeightedGame) -> list[int]:
     ]
 
 
+def pair_certifiable(expr, a: int, b: int, n: int) -> bool:
+    """Does some x within the symmetric difference Δ of masks ``a`` and ``b``
+    make both ``(a & b) | x`` and ``(a & b) | (Δ ^ x)`` win?"""
+    base, delta = a & b, a ^ b
+    return any(
+        wins(expr, base | x) and wins(expr, base | (delta ^ x))
+        for x in range(1 << n)
+        if not x & ~delta
+    )
+
+
 def random_game(rng: random.Random, n: int, max_weight: int = 8) -> WeightedGame:
     while True:
         weights = tuple(rng.randint(0, max_weight) for _ in range(n))

@@ -2,23 +2,38 @@
 
 import random
 import tracemalloc
+from itertools import accumulate, combinations
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from greedy_clique import greedy_clique
 from votedim import data, lowerbound, sweep
-from votedim.games import Coalition, UniverseMismatchError, WeightedGame, all_of, unit_game
+from votedim.games import (
+    Coalition,
+    UniverseMismatchError,
+    WeightedGame,
+    all_of,
+    any_of,
+    unit_game,
+)
 from votedim.lowerbound import (
     IncompatibilityCertificate,
     STATUS_CERTIFIED,
     STATUS_NO_CERTIFICATE,
     STATUS_NOT_ATTEMPTED,
+    certifiable,
     find_certificate,
     search_certificate_set,
     verify_certificate_set,
 )
+
+
+DATA = Path(__file__).resolve().parent / "data"
+SUM_WITHIN = lowerbound._sum_within
 
 
 def two_chamber_game():
@@ -43,6 +58,36 @@ def wide_two_chamber_game():
         WeightedGame((1,) * 16 + (0,) * 16, 8),
         WeightedGame((0,) * 16 + (1,) * 16, 7),
     )
+
+
+def pool_rule(name: str):
+    """The rule of a bundled year, of 2018 without the UK, or of synthetic32.csv."""
+    if name == "noUK":
+        return data.build_eu_rule(data.builtin_table("2018"), ["United Kingdom"])
+    if name == "synthetic32":
+        return data.build_eu_rule(data.load_table((DATA / "synthetic32.csv").read_text(encoding="utf-8")))
+    return data.build_eu_rule(data.builtin_table(name))
+
+
+def unit_and_vector_tree(rng: random.Random, n: int, weights: tuple[int, ...], depth: int = 2):
+    """A random AND/OR tree whose leaves weigh every player 1, or by ``weights``.
+
+    Quotas lie between a third and two thirds of the leaf's total weight.
+    """
+    if depth == 0 or rng.random() < 0.3:
+        leaf = rng.choice(((1,) * n, weights))
+        total = sum(leaf)
+        return WeightedGame(leaf, rng.randint(total // 3 + 1, 2 * total // 3 + 1))
+    children = [unit_and_vector_tree(rng, n, weights, depth - 1) for _ in range(rng.randint(2, 3))]
+    return rng.choice((all_of, any_of))(*children)
+
+
+def checked_sum_within(weights, top, stack):
+    """``lowerbound._sum_within``, once every entry is checked to need a branch."""
+    for i, k, lo, hi in stack:
+        # The k lightest weigh below lo and the k heaviest above hi.
+        assert i == 0 and top[-1] - top[len(weights) - k] < lo <= hi < top[k]
+    return SUM_WITHIN(weights, top, stack)
 
 
 def searched_no_uk_pair(n: int) -> tuple[Coalition, Coalition]:
@@ -150,33 +195,23 @@ class TestFindCertificate:
         assert cert is not None
         assert game.evaluate(cert.p) and game.evaluate(cert.q)
 
-    def test_memory_is_bounded_by_the_chunk(self):
-        # No certificate at |Δ| = 26 on 2018 without the UK: both 13-member
-        # halves miss the 15-member quota, and two disjoint coalitions cannot
-        # both reach it, so all 2^25 splits are tried, in 2^5 chunks.  The
-        # search holds 2^11 + 1 row patterns of 256 bytes per distinct vector
-        # of low-player weights (two here, unit and population weights, about
-        # 0.6 MB each) and, per chunk, a few bitsets of 2^_CHUNK_BITS bits.
-        # Budget: 32 such bitsets, 4 MB at the default chunk, whatever |Δ|.
+    def test_memory_is_bounded_by_the_chunk_on_a_searched_pair(self, monkeypatch):
+        # This pair passes the count game's sum test, 15 + 15 members against a
+        # quota of 15, and still has no certificate, because both halves cannot
+        # hold 65 % of the population: all 2^23 splits of its 24-player
+        # difference are searched, in 2^3 chunks.  The search holds 2^11 + 1
+        # row patterns of 256 bytes per distinct vector of low-player weights
+        # (two here, unit and population weights, about 0.6 MB each) and, per
+        # chunk, a few bitsets of 2^_CHUNK_BITS bits.  Budget: 32 such
+        # bitsets, 4 MB at the default chunk, whatever |Δ|.
         rule = data.build_eu_rule(data.builtin_table("2018"), ["United Kingdom"])
-        a = Coalition(sum(1 << j for j in range(0, 26, 2)), rule.n)
-        b = Coalition(sum(1 << j for j in range(1, 26, 2)), rule.n)
-        tracemalloc.start()
-        try:
-            cert = find_certificate(rule.expr, a, b)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert cert is None
-        assert peak < 32 * (1 << lowerbound._CHUNK_BITS) // 8
+        low_half, calls = lowerbound._low_half, []
 
-    def test_memory_is_bounded_by_the_chunk_on_a_searched_pair(self):
-        # The pair above never reaches the split search: the count game's sum
-        # test settles it (13 + 13 members < 2 * 15).  This one passes that
-        # test, 15 + 15 members, and still has no certificate, because both
-        # halves cannot hold 65 % of the population: all 2^23 splits of its
-        # 24-player difference are searched, in 2^3 chunks, under the same budget.
-        rule = data.build_eu_rule(data.builtin_table("2018"), ["United Kingdom"])
+        def spy(weights, width):
+            calls.append(weights)
+            return low_half(weights, width)
+
+        monkeypatch.setattr(lowerbound, "_low_half", spy)
         a, b = searched_no_uk_pair(rule.n)
         tracemalloc.start()
         try:
@@ -185,6 +220,7 @@ class TestFindCertificate:
         finally:
             tracemalloc.stop()
         assert cert is None
+        assert len(calls) == 2
         assert peak < 32 * (1 << lowerbound._CHUNK_BITS) // 8
 
     def test_sum_test_settles_a_pair_before_any_row_pattern(self, monkeypatch):
@@ -215,6 +251,161 @@ class TestFindCertificate:
         assert not oracles.single_weighted_game_exists(game, 0b0011, 0b1100, 4)
         weighted = unit_game(3, 4)
         assert oracles.single_weighted_game_exists(weighted, 0b0011, 0b1100, 4)
+
+
+class TestCertifiable:
+    @pytest.mark.parametrize("name", ["2014", "2016", "2017", "2018", "noUK", "synthetic32"])
+    def test_matches_the_split_search_on_every_pool_pair(self, name):
+        # One decider for the whole pool, as the search uses it.
+        expr = pool_rule(name).expr
+        pool = [Coalition(m, expr.n) for m in lowerbound._loser_pool(expr, 32, 1)]
+        decide = lowerbound._pair_decider(expr)
+        for a, b in combinations(pool, 2):
+            assert decide(a, b) == (find_certificate(expr, a, b) is not None)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 12), st.integers(0, 2**32 - 1))
+    # Pairs whose deciding box has its lightest sum on the interval's lower end.
+    @example(10, 13)
+    @example(12, 14)
+    def test_matches_the_oracle_on_unit_and_one_vector_trees(self, n, seed):
+        rng = random.Random(seed)
+        # Spread-out weights, or weights alike but for a few players.
+        spread = rng.choice(((0, 1, 2, 3, 5, 8, 13, 21), (1, 1, 1, 1, 1, 1, 1, 2)))
+        weights = tuple(rng.choice(spread) for _ in range(n - 1)) + (1,)
+        expr = unit_and_vector_tree(rng, n, weights)
+        losers = [m for m in range(1 << n) if not oracles.wins(expr, m)]
+        masks = lowerbound._loser_pool(expr, 8, seed) + rng.choices(losers, k=2)
+        # A cap that no pair of at most 12 players reaches.
+        with mock.patch.object(lowerbound, "_NODE_CAP", 1 << 14), mock.patch.object(
+            lowerbound, "_sum_within", checked_sum_within
+        ):
+            for a, b in combinations(masks, 2):
+                want = oracles.pair_certifiable(expr, a, b, n)
+                pair = Coalition(a, n), Coalition(b, n)
+                assert certifiable(expr, *pair) == want
+                assert (find_certificate(expr, *pair) is not None) == want
+
+    @pytest.mark.parametrize("weights", [(1, 1, 1, 1, 0), (2, 1, 1, 1, 1, 1), (1, 1, 3, 1, 1, 1, 1)])
+    def test_a_weighted_game_certifies_no_pair(self, weights):
+        # One weighted game keeps every pair of its losers losing, whatever its
+        # quota.  Weights alike but for one player make no uniform leaf.
+        n = len(weights)
+        for quota in range(1, sum(weights) + 1):
+            game = WeightedGame(weights, quota)
+            losers = [Coalition(m, n) for m in range(1 << n) if not game.evaluate(Coalition(m, n))]
+            decide = lowerbound._pair_decider(game)
+            assert {decide(a, b) for a, b in combinations(losers, 2)} <= {False}
+
+    def test_two_vectors_on_the_difference_are_not_answered(self):
+        a, b = Coalition(0b00110, 5), Coalition(0b11000, 5)
+        mixed = all_of(WeightedGame((0, 1, 2, 3, 4), 6), WeightedGame((0, 4, 3, 2, 1), 6))
+        assert not mixed.evaluate(a) and not mixed.evaluate(b)
+        assert certifiable(mixed, a, b) is None
+        # Weights that differ only outside the difference are one vector on it.
+        same = all_of(WeightedGame((0, 1, 2, 3, 4), 6), WeightedGame((9, 1, 2, 3, 4), 15))
+        assert certifiable(same, a, b) == (find_certificate(same, a, b) is not None)
+
+    @pytest.mark.parametrize("light, expected", [((1, 2, 3, 4), True), ((2, 2, 2, 4), False)])
+    def test_an_inner_interval_goes_to_the_branch_and_bound(self, monkeypatch, light, expected):
+        # a holds the two players of weight 10, too few for the count quota 3;
+        # b the four light ones, 10 of the 30 units and short of the quota 15.
+        # Both halves win iff they hold 3 players and exactly 15 units, and the
+        # 3-player sums run from the 3 lightest to 10 + 10 + 4 = 24, so 15 lies
+        # strictly between the extremes.  1 + 4 + 10 reaches it; with the even
+        # light weights the sums jump from 14 to 16.
+        expr = all_of(unit_game(3, 6), WeightedGame((10, 10) + light, 15))
+        a, b = Coalition(0b000011, 6), Coalition(0b111100, 6)
+        within, stacks = lowerbound._sum_within, []
+
+        def spy(weights, top, stack):
+            stacks.append(list(stack))
+            return within(weights, top, stack)
+
+        monkeypatch.setattr(lowerbound, "_sum_within", spy)
+        assert certifiable(expr, a, b) is expected
+        assert stacks == [[(0, 3, 15, 15)]]
+        assert oracles.pair_certifiable(expr, a.mask, b.mask, 6) is expected
+        assert (find_certificate(expr, a, b) is not None) is expected
+
+    def test_only_strictly_inner_intervals_reach_the_branch_and_bound(self, monkeypatch):
+        seen = []
+
+        def spy(weights, top, stack):
+            seen.extend(stack)
+            return checked_sum_within(weights, top, stack)
+
+        monkeypatch.setattr(lowerbound, "_sum_within", spy)
+        expr = pool_rule("noUK").expr
+        pool = [Coalition(m, expr.n) for m in lowerbound._loser_pool(expr, 32, 1)]
+        decide = lowerbound._pair_decider(expr)
+        for a, b in combinations(pool, 2):
+            decide(a, b)
+        assert seen
+
+    def test_an_extreme_inside_the_interval_answers_at_once(self, monkeypatch):
+        # The 3 heaviest of these weigh 24 and the 3 lightest 6, so one node
+        # settles [20, 24], [6, 9] and [25, 30]; [15, 15] needs a branch.
+        monkeypatch.setattr(lowerbound, "_NODE_CAP", 1)
+        weights = [10, 10, 4, 3, 2, 1]
+        top = list(accumulate(weights, initial=0))
+        assert lowerbound._sum_within(weights, top, [(0, 3, 20, 24)]) is True
+        assert lowerbound._sum_within(weights, top, [(0, 3, 6, 9)]) is True
+        assert lowerbound._sum_within(weights, top, [(0, 3, 25, 30)]) is False
+        assert lowerbound._sum_within(weights, top, [(0, 3, 15, 15)]) is None
+
+    def test_a_pair_past_the_node_cap_is_not_answered(self):
+        # 24 even weights that halve to the odd 4,333.  Both halves must hold
+        # 12 players and exactly 4,333 units, which no subset reaches, and the
+        # branch and bound's bounds cannot see parity.
+        n = 24
+        weights = tuple(2 * (100 + 7 * j + (j == 0)) for j in range(n))
+        expr = all_of(unit_game(12, n), WeightedGame(weights, sum(weights) // 2))
+        a = Coalition(((1 << 11) - 1) << 13, n)  # the 11 heaviest: too few
+        b = Coalition((1 << 13) - 1, n)  # the 13 lightest: too light
+        assert certifiable(expr, a, b) is None
+        assert find_certificate(expr, a, b) is None
+
+    def test_the_search_asks_the_split_search_when_unanswered(self, monkeypatch):
+        # With no nodes allowed, every pair that needs the branch and bound is
+        # unanswered, and the search must still find the same clique.
+        expr = pool_rule("2014").expr
+        want = search_certificate_set(expr, pool_budget=16, seed=0)
+        monkeypatch.setattr(lowerbound, "_NODE_CAP", 0)
+        pool = [Coalition(m, expr.n) for m in lowerbound._loser_pool(expr, 16, 0)]
+        unanswered = [pair for pair in combinations(pool, 2) if certifiable(expr, *pair) is None]
+        search, searched = lowerbound.find_certificate, []
+
+        def spy(*args):
+            searched.append(args[1:])
+            return search(*args)
+
+        monkeypatch.setattr(lowerbound, "find_certificate", spy)
+        assert search_certificate_set(expr, pool_budget=16, seed=0) == want
+        assert unanswered
+        assert searched == unanswered + list(combinations(want.coalitions, 2))
+
+    def test_search_runs_the_split_search_on_its_clique_only(self, monkeypatch):
+        expr = pool_rule("noUK").expr
+        search, searched = lowerbound.find_certificate, []
+
+        def spy(*args):
+            searched.append(args[1:])
+            return search(*args)
+
+        monkeypatch.setattr(lowerbound, "find_certificate", spy)
+        report = search_certificate_set(expr, pool_budget=32, seed=1)
+        assert report.lower_bound == 7
+        assert searched == list(combinations(report.coalitions, 2))
+
+    def test_identical_and_neighbouring_coalitions_are_not_certifiable(self):
+        game = unit_game(3, 4)
+        assert certifiable(game, Coalition(0b0011, 4), Coalition(0b0011, 4)) is False
+        assert certifiable(game, Coalition(0b0011, 4), Coalition(0b0001, 4)) is False
+
+    def test_universe_mismatch(self):
+        with pytest.raises(UniverseMismatchError):
+            certifiable(unit_game(1, 3), Coalition(0, 4), Coalition(1, 4))
 
 
 class TestVerifyCertificateSet:
@@ -302,10 +493,11 @@ class TestSearchCertificateSet:
         assert report.lower_bound == 1
 
     def test_search_memory_peak_on_2018_without_uk(self):
-        # n = 27.  The pool is drawn without a table and the split search
-        # runs on Python-int bitsets, so nothing of 2^n bits is held.  The
-        # search peaks at 0.28 MB (0.48-0.98 MB at seeds 2, 3 and 4242); the
-        # bound, 1 MiB, is 3.7 times that.  A 2^27-bit table takes 16.8 MB.
+        # n = 27.  The pool is drawn without a table, its pairs are decided
+        # by arithmetic and the split search runs on Python-int bitsets, so
+        # nothing of 2^n bits is held.  The search peaks at 0.16 MB (0.11-0.16
+        # MB at seeds 2, 3 and 4242); the bound, 1 MiB, is 6.6 times that.  A
+        # 2^27-bit table takes 16.8 MB.
         rule = data.build_eu_rule(data.builtin_table("2018"), exclude=["United Kingdom"])
         tracemalloc.start()
         try:
