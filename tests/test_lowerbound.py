@@ -195,6 +195,24 @@ class TestFindCertificate:
         assert cert is not None
         assert game.evaluate(cert.p) and game.evaluate(cert.q)
 
+    def test_memory_is_bounded_by_the_chunk(self):
+        # No certificate at |Δ| = 26 on 2018 without the UK: both 13-member
+        # halves miss the 15-member quota, and two disjoint coalitions cannot
+        # both reach it.  The count game's sum test (13 + 13 < 2 * 15) settles
+        # the pair before any chunk, so the widest difference stays within the
+        # chunk budget below; the next test bounds a pair that is searched.
+        rule = data.build_eu_rule(data.builtin_table("2018"), ["United Kingdom"])
+        a = Coalition(sum(1 << j for j in range(0, 26, 2)), rule.n)
+        b = Coalition(sum(1 << j for j in range(1, 26, 2)), rule.n)
+        tracemalloc.start()
+        try:
+            cert = find_certificate(rule.expr, a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cert is None
+        assert peak < 32 * (1 << lowerbound._CHUNK_BITS) // 8
+
     def test_memory_is_bounded_by_the_chunk_on_a_searched_pair(self, monkeypatch):
         # This pair passes the count game's sum test, 15 + 15 members against a
         # quota of 15, and still has no certificate, because both halves cannot
