@@ -9,7 +9,6 @@ engine's ``uint64`` word-array win tables (bit m % 64 of word m // 64).
 
 from __future__ import annotations
 
-from functools import total_ordering
 from itertools import chain
 from typing import Callable, Iterable, Iterator
 
@@ -69,20 +68,13 @@ class Record:
 
     __delattr__ = __setattr__
 
-    def __reduce__(self):
-        return type(self), self._fields()
-
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
 
 
-@total_ordering
 class Coalition(Record):
-    """A subset of the n players, as a bit-set of 0-based player indices.
-
-    Coalitions order by ``(mask, n)``.
-    """
+    """A subset of the n players, as a bit-set of 0-based player indices."""
 
     __slots__ = ("mask", "n")
     mask: int
@@ -103,11 +95,6 @@ class Coalition(Record):
 
     def __hash__(self) -> int:
         return hash((self.mask, self.n))
-
-    def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.mask, self.n) < (other.mask, other.n)
 
     @classmethod
     def grand(cls, n: int) -> "Coalition":

@@ -26,8 +26,8 @@ bounded however large the difference is.
 ``certifiable`` decides whether a split exists without searching, when
 every leaf weighs the difference uniformly or by one common vector W (every
 rule the CLI builds): a split then wins or loses by its size and its W-sum
-alone.  ``search_certificate_set`` takes its pool's adjacency from it and
-runs the split search only where it gives no answer, and on its clique.
+alone.  Both commands ask it first and search only the pairs it does not
+rule out, so every certificate still comes from the split search.
 """
 
 import random
@@ -160,9 +160,7 @@ def find_certificate(
     that contain its largest player (the swap ``x ↔ Δ \\ x``
     yields the same pair), so the first hit is deterministic.
 
-    Returns None when no split certifies.  A leaf joined to the root by
-    ANDs alone that ``a`` and ``b`` together weigh below twice its quota
-    settles that before any split is tried.
+    Returns None when no split certifies, after trying every split.
     """
     check_universe(expr.n, a.n)
     check_universe(expr.n, b.n)
@@ -175,13 +173,6 @@ def find_certificate(
     base = a.mask & b.mask
     delta = (a.mask | b.mask) ^ base
     on_base, on_delta = Coalition(base, expr.n), Coalition(delta, expr.n)
-    leaves = dict.fromkeys(expr.leaves())
-    sums = {g: (g.weight_sum(on_base), g.weight_sum(on_delta)) for g in leaves}
-    # Both halves win every leaf joined to the root by ANDs alone, and
-    # w(p) + w(q) = w(a) + w(b) = 2 w(a ∩ b) + w(Δ) under any weights: a leaf
-    # that a and b together weigh below twice its quota rules out every split.
-    if not expr.fold(lambda g: 2 * sums[g][0] + sums[g][1] >= 2 * g.quota, all, lambda _: True):
-        return None
     free = [j for j in range(expr.n) if delta >> j & 1][:-1]
     lo = min(len(free), max(3, -(-len(free) // 2)), _CHUNK_BITS, _LOW_BITS)
     inner = min(len(free), _CHUNK_BITS)
@@ -194,7 +185,7 @@ def find_certificate(
         # p = base | x wins the leaf iff w(x) >= q - w(base), and
         # q = base | (Δ \ x) iff not w(x) >= w(base) + w(Δ) - q + 1.  Split
         # w(x) into low, row and chunk parts: one low bound per row and side.
-        w_base, w_delta = sums[game]
+        w_base, w_delta = game.weight_sum(on_base), game.weight_sum(on_delta)
         low = tuple(game.weights[d] for d in free[:lo])
         if low not in halves:
             halves[low] = _low_half(low, width)
@@ -205,7 +196,7 @@ def find_certificate(
             (game.quota - w_base, w_base + w_delta - game.quota + 1),
         )
 
-    tables = {game: leaf_tables(game) for game in sums}
+    tables = {game: leaf_tables(game) for game in dict.fromkeys(expr.leaves())}
 
     def at_least(game: WeightedGame, side: int, k: int) -> int:
         # Bit r of chunk k: w(x) reaches the side's bound (side 0: p wins the
@@ -351,8 +342,9 @@ def verify_certificate_set(
 ) -> CertificateSetReport:
     """Check a coalition set: all losing and pairwise certified.
 
-    Pairs are searched one at a time in index order.  Pairs that involve a
-    non-losing coalition are reported as not attempted.
+    Pairs are decided one at a time in index order: the split search runs
+    on every losing pair that ``certifiable`` does not rule out.  Pairs
+    that involve a non-losing coalition are reported as not attempted.
     """
     coalitions = tuple(coalitions)
     if not coalitions:
@@ -364,11 +356,13 @@ def verify_certificate_set(
             raise ValueError(f"duplicate coalition {set(s.members()) or '{}'}")
         seen.add(s.mask)
     losing = tuple(not expr.evaluate(s) for s in coalitions)
+    decide = _pair_decider(expr)
 
     def attempt(i: int, j: int) -> PairOutcome:
         if not (losing[i] and losing[j]):
             return PairOutcome(i, j, STATUS_NOT_ATTEMPTED, None)
-        cert = find_certificate(expr, coalitions[i], coalitions[j])
+        a, b = coalitions[i], coalitions[j]
+        cert = None if decide(a, b) is False else find_certificate(expr, a, b)
         if cert is None:
             return PairOutcome(i, j, STATUS_NO_CERTIFICATE, None)
         return PairOutcome(i, j, STATUS_CERTIFIED, cert)

@@ -655,8 +655,7 @@ class TestSplitSearch:
     def test_pairs_an_and_leaf_rules_out(self, n, rng):
         # ``first`` is joined to the root by ANDs alone, directly or through a
         # nested AND; the leaves under the OR may weigh anything.  When a and b
-        # together weigh below twice its quota, no split certifies, and the
-        # search returns before it builds a row pattern.
+        # together weigh below twice its quota, no split certifies.
         first = oracles.random_game(rng, n)
         union = any_of(*(oracles.random_game(rng, n) for _ in range(rng.randint(2, 3))))
         if rng.random() < 0.5:
@@ -670,9 +669,7 @@ class TestSplitSearch:
                 break
         else:
             return
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(lowerbound, "_low_half", None)
-            got, expected = split_search(expr, a, b, n)
+        got, expected = split_search(expr, a, b, n)
         assert got == expected is None
 
     def test_first_hit_in_a_high_chunk(self):

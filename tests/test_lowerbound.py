@@ -90,6 +90,20 @@ def checked_sum_within(weights, top, stack):
     return SUM_WITHIN(weights, top, stack)
 
 
+@pytest.fixture
+def low_halves(monkeypatch):
+    """The low-player weight vectors passed to ``lowerbound._low_half`` during the test."""
+    calls = []
+    low_half = lowerbound._low_half
+
+    def spy(weights, width):
+        calls.append(weights)
+        return low_half(weights, width)
+
+    monkeypatch.setattr(lowerbound, "_low_half", spy)
+    return calls
+
+
 def searched_no_uk_pair(n: int) -> tuple[Coalition, Coalition]:
     """Two 15-member losers of 2018 without the UK, sharing its 3 smallest members.
 
@@ -198,9 +212,8 @@ class TestFindCertificate:
     def test_memory_is_bounded_by_the_chunk(self):
         # No certificate at |Δ| = 26 on 2018 without the UK: both 13-member
         # halves miss the 15-member quota, and two disjoint coalitions cannot
-        # both reach it.  The count game's sum test (13 + 13 < 2 * 15) settles
-        # the pair before any chunk, so the widest difference stays within the
-        # chunk budget below; the next test bounds a pair that is searched.
+        # both reach it.  All 2^25 splits are searched, in 2^5 chunks, within
+        # the chunk budget of the next test.
         rule = data.build_eu_rule(data.builtin_table("2018"), ["United Kingdom"])
         a = Coalition(sum(1 << j for j in range(0, 26, 2)), rule.n)
         b = Coalition(sum(1 << j for j in range(1, 26, 2)), rule.n)
@@ -213,23 +226,16 @@ class TestFindCertificate:
         assert cert is None
         assert peak < 32 * (1 << lowerbound._CHUNK_BITS) // 8
 
-    def test_memory_is_bounded_by_the_chunk_on_a_searched_pair(self, monkeypatch):
-        # This pair passes the count game's sum test, 15 + 15 members against a
-        # quota of 15, and still has no certificate, because both halves cannot
-        # hold 65 % of the population: all 2^23 splits of its 24-player
-        # difference are searched, in 2^3 chunks.  The search holds 2^11 + 1
-        # row patterns of 256 bytes per distinct vector of low-player weights
-        # (two here, unit and population weights, about 0.6 MB each) and, per
-        # chunk, a few bitsets of 2^_CHUNK_BITS bits.  Budget: 32 such
-        # bitsets, 4 MB at the default chunk, whatever |Δ|.
+    def test_memory_is_bounded_by_the_chunk_on_a_searched_pair(self, low_halves):
+        # This pair has members enough for two count-game halves, 15 + 15
+        # against a quota of 15, and still has no certificate, because both
+        # halves cannot hold 65 % of the population: all 2^23 splits of its
+        # 24-player difference are searched, in 2^3 chunks.  The search holds
+        # 2^11 + 1 row patterns of 256 bytes per distinct vector of low-player
+        # weights (two here, unit and population weights, about 0.6 MB each)
+        # and, per chunk, a few bitsets of 2^_CHUNK_BITS bits.  Budget: 32
+        # such bitsets, 4 MB at the default chunk, whatever |Δ|.
         rule = data.build_eu_rule(data.builtin_table("2018"), ["United Kingdom"])
-        low_half, calls = lowerbound._low_half, []
-
-        def spy(weights, width):
-            calls.append(weights)
-            return low_half(weights, width)
-
-        monkeypatch.setattr(lowerbound, "_low_half", spy)
         a, b = searched_no_uk_pair(rule.n)
         tracemalloc.start()
         try:
@@ -238,28 +244,8 @@ class TestFindCertificate:
         finally:
             tracemalloc.stop()
         assert cert is None
-        assert len(calls) == 2
+        assert len(low_halves) == 2
         assert peak < 32 * (1 << lowerbound._CHUNK_BITS) // 8
-
-    def test_sum_test_settles_a_pair_before_any_row_pattern(self, monkeypatch):
-        # On 2018 without the UK the count game (quota 15) sits under the root
-        # AND, so two losers of 14 members cannot split into two winning halves.
-        rule = data.build_eu_rule(data.builtin_table("2018"), ["United Kingdom"])
-        low_half, calls = lowerbound._low_half, []
-
-        def spy(weights, width):
-            calls.append(weights)
-            return low_half(weights, width)
-
-        monkeypatch.setattr(lowerbound, "_low_half", spy)
-        a = Coalition((1 << 14) - 1, rule.n)
-        b = Coalition(((1 << 14) - 1) << 13, rule.n)
-        assert len(a) + len(b) < 2 * rule.member_quota
-        assert find_certificate(rule.expr, a, b) is None
-        assert calls == []
-        # A pair that passes the test is searched.
-        assert find_certificate(rule.expr, *searched_no_uk_pair(rule.n)) is None
-        assert calls != []
 
     def test_certificate_contradicts_grid_oracle(self):
         # Where a certificate exists, the exhaustive weight grid agrees that
@@ -482,6 +468,46 @@ class TestVerifyCertificateSet:
             verify_certificate_set(unit_game(2, 3), [Coalition(0b01, 2)])
         with pytest.raises(UniverseMismatchError):
             verify_certificate_set(unit_game(1, 3), [Coalition(0, 4)])
+
+    def test_the_decider_settles_a_pair_before_any_row_pattern(self, low_halves):
+        # On 2018 without the UK the count game (quota 15) sits under the root
+        # AND, so two losers of 14 members cannot split into two winning halves.
+        rule = data.build_eu_rule(data.builtin_table("2018"), ["United Kingdom"])
+        a = Coalition((1 << 14) - 1, rule.n)
+        b = Coalition(((1 << 14) - 1) << 13, rule.n)
+        assert len(a) + len(b) < 2 * rule.member_quota
+        report = verify_certificate_set(rule.expr, [a, b])
+        assert report.pairs[0].status == STATUS_NO_CERTIFICATE
+        assert low_halves == []
+        # The first two coalitions of the bundled 8-set are searched.
+        a = Coalition(rule.mask_from_labels([1, 2, 7, 8, *range(10, 29)]), rule.n)
+        b = Coalition(rule.mask_from_labels([2, 4, 5, 9, *range(10, 29)]), rule.n)
+        report = verify_certificate_set(rule.expr, [a, b])
+        assert report.pairs[0].status == STATUS_CERTIFIED
+        assert low_halves != []
+
+    def test_a_pair_the_decider_leaves_open_is_searched(self, monkeypatch):
+        # The two leaves weigh the difference of a and b by two distinct
+        # vectors, so the decider gives no answer; the split {1, 3} certifies.
+        # c differs from a in one player, which the decider rules out.
+        game = all_of(WeightedGame((0, 1, 2, 3, 4), 4), WeightedGame((0, 4, 3, 2, 1), 4))
+        a, b, c = Coalition(0b00110, 5), Coalition(0b11000, 5), Coalition(0b00010, 5)
+        decide = lowerbound._pair_decider(game)
+        answers = {pair: decide(*pair) for pair in combinations((a, b, c), 2)}
+        assert answers[a, b] is None and answers[a, c] is False
+        search, searched = lowerbound.find_certificate, []
+
+        def spy(*args):
+            searched.append(args[1:])
+            return search(*args)
+
+        monkeypatch.setattr(lowerbound, "find_certificate", spy)
+        report = verify_certificate_set(game, [a, b, c])
+        assert report.losing == (True, True, True)
+        assert report.pairs[0].status == STATUS_CERTIFIED
+        assert report.pairs[0].certificate.x.mask == 0b01010
+        assert report.pairs[1].status == STATUS_NO_CERTIFICATE
+        assert searched == [pair for pair, answer in answers.items() if answer is not False]
 
     def test_pairs_are_reported_in_index_order(self):
         game = two_chamber_game()
