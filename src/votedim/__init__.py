@@ -67,9 +67,9 @@ __all__ = [
 __version__ = "0.1.0"
 
 # The exported names not imported above load their module on first use
-# (PEP 562): the certificate names load ``lowerbound``, the rest load
-# ``decompose`` and with it numpy.  Certificate work never pays for the
-# array library, and a sweep never compiles the certificate search.
+# (PEP 562): the certificate names load ``lowerbound``, the rest ``decompose``.
+# Of these only ``refine_by_vetoes`` loads numpy, so certificate work and the
+# union rewrite never pay for it, and a sweep never compiles the certificate search.
 _LOWERBOUND_NAMES = (
     "CertificateSetReport",
     "IncompatibilityCertificate",

@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 verification or certification failure (also a
 closed stdout or an interrupt), 2 input error (``main`` maps every
 ``ValueError`` to it), 3 rewrite inapplicable (gap coalitions share no
-player).  Each command loads only what it runs: the rewrite and the
-sweeps, with numpy, in ``analyze`` and ``verify``; the certificate search
-in the two ``lower-bound`` commands; ``json`` in ``analyze --json``.
+player).  Each command loads only what it runs: the rewrite in ``analyze``
+and ``verify``, the sweeps with numpy in ``verify`` alone; the certificate
+search in the two ``lower-bound`` commands; ``json`` in ``analyze --json``.
 """
 
 from __future__ import annotations

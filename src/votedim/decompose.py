@@ -8,30 +8,24 @@ players, boosting each core player's weight by a fixed amount yields games
 that admit all gap coalitions; the coalitions the boosted intersection
 over-admits are then fenced off one veto game apiece.
 
-No 2^n-bit table is built.  The gap survey folds the ``sweep.runs`` of
-``~first & second`` into their count, core, minimum weight and members.
-With boost u >= 0, quota q and weights w, the boosted
-intersection wins exactly ``[w(S) >= q] or ([w(S) >= q - u] and core ⊆ S)``,
-so every over-admitted coalition, losing ``first``, holds the core.
-``sweep.maximal_satisfying`` lists the frontier on the sub-cube of the
-r = n - |core| other players, where every boosted copy restricts to the
-same game: two tables of 2^r bits, for it and for ``first | second``.
-The shortcut only finds the frontier: the emitted games are still the
-boosted copies and the vetoes, and ``verify`` folds every one of them,
-with its own weights and quota, over all 2^n coalitions.
+The union rewrite walks the players, with no table.  With boost u >= 0,
+the boosted intersection wins exactly ``[w(S) >= q] or ([w(S) >= q - u]
+and core ⊆ S)``, so every over-admitted coalition holds the core.
+``verify`` folds every emitted game itself, over all 2^n coalitions.
+Only ``refine_by_vetoes`` loads ``sweep`` (and numpy).
 """
 
+from bisect import bisect_left
 from typing import Optional
 
-import numpy as np
-
-from .games import Coalition, GameExpr, Record, WeightedGame, all_of, any_of
-from . import sweep
+from .games import MAX_PLAYERS, Coalition, GameExpr, Record, WeightedGame, all_of, check_universe
 from .data import EuRule
 
 # Gap-set members are materialized only up to this count; the summary
 # statistics (count, core, minimum weight) are exact regardless.
 GAP_MEMBER_CAP = 10**6
+# The gap survey's tail: players whose subsets it keeps as sorted sums, 2^10 per game.
+_TAIL_BITS = 10
 
 METHOD_CORE_BOOST = "core-boost"
 METHOD_VETO_FENCE = "veto-fence"
@@ -138,45 +132,117 @@ def veto_game(blocked: Coalition) -> WeightedGame:
     return WeightedGame(weights, 1)
 
 
-def _lose_win(lose: np.ndarray, win: np.ndarray, out: np.ndarray) -> np.ndarray:
-    return np.bitwise_and(np.invert(lose, out=out), win, out=out)
+def _walk_order(first: WeightedGame, second: WeightedGame, players) -> tuple[list, ...]:
+    """``players`` by descending ``first``-weight, their weights in both games, suffix sums."""
+    order = sorted(players, key=lambda j: -first.weights[j])
+    w, v = [first.weights[j] for j in order], [second.weights[j] for j in order]
+    return order, w, v, *([sum(x[i:]) for i in range(len(x) + 1)] for x in (w, v))
 
 
 def gap_summary(first: WeightedGame, second: WeightedGame) -> GapSummary:
     """Exact survey of the coalitions losing ``first`` but winning ``second``.
 
-    It folds the runs of ``~first & second`` from ``sweep.runs``: a block
-    without a gap coalition never reaches the fold, and an empty gap takes
-    the same path.  Each run is counted and, while the core is non-empty,
-    intersected into the core and weighed.  Runs are kept for listing while
-    the count stays within ``GAP_MEMBER_CAP``.
+    A walk over the players by descending ``first``-weight drops a branch
+    that wins ``first`` or cannot win ``second``, and counts one that wins
+    ``second`` at once if no completion wins ``first`` (2^remaining) or in
+    the tail (one bisection): its empty completion gives its mask to the
+    core and its weight to the minimum.  With the core empty, a tail branch
+    that cannot win ``first`` is counted too.  Counted branches are listed
+    at the end if the count is within ``GAP_MEMBER_CAP``.
     """
-    n = first.n
-    count, core = 0, (1 << n) - 1
-    lightest: list[int] = []
-    listed: Optional[list[tuple[np.ndarray, np.ndarray]]] = []
-    for words, index in sweep.runs(first, second, _lose_win):
-        count += int(np.bitwise_count(words).sum(dtype=np.int64))
-        if count > GAP_MEMBER_CAP:
-            listed = None
-        elif listed is not None:
-            listed.append((words, index))
-        if core:
-            core &= sweep.players_in_all(words, index, n)
-            # An empty core makes the rewrite inapplicable: no boost is priced.
-            if core:
-                lightest.append(sweep.min_member_weight(first, words, index))
-    min_weight = min(lightest, default=None) if core else None
-    boost = None if min_weight is None else first.quota - min_weight
-    members = None if listed is None else tuple(
-        Coalition(m, n) for run in listed for c in sweep.member_chunks(*run) for m in c.tolist()
-    )
+    n, q1, q2 = check_universe(first.n, second.n), first.quota, second.quota
+    order, w, v, w_rest, v_rest = _walk_order(first, second, range(n))
+    tail = max(0, n - _TAIL_BITS)
+    # Per tail suffix i and game, the subsets of order[i:] as sorted (sum, mask) pairs.
+    subsets = {n: ([(0, 0)], [(0, 0)])}
+    for i in range(n - 1, tail - 1, -1):
+        subsets[i] = tuple(
+            sorted(pairs + [(s + x[i], m | 1 << order[i]) for s, m in pairs])
+            for pairs, x in zip(subsets[i + 1], (w, v))
+        )
+    count, core, lightest, branches, stack = 0, (1 << n) - 1, None, [], [(0, 0, 0, 0)]
+    while stack:
+        i, mask, x, y = stack.pop()
+        if x >= q1 or y + v_rest[i] < q2:
+            continue
+        loses = x + w_rest[i] < q1
+        if y >= q2 and (loses or i >= tail):
+            count += 1 << (n - i) if loses else bisect_left(subsets[i][0], (q1 - x,))
+            core &= mask
+            lightest = x if lightest is None else min(lightest, x)
+        elif loses and i >= tail and not core:
+            count += (1 << (n - i)) - bisect_left(subsets[i][1], (q2 - y,))
+        else:
+            stack += [(i + 1, mask | 1 << order[i], x + w[i], y + v[i]), (i + 1, mask, x, y)]
+            continue
+        if count <= GAP_MEMBER_CAP:
+            branches.append((i, mask, x, y))
+    masks, listed = [], count <= GAP_MEMBER_CAP
+    for i, mask, x, y in branches if listed else ():
+        # Above the tail a branch is whole: all of order[i:tail] times all of the tail.
+        heads = [mask]
+        for j in order[i:tail]:
+            heads += [h | 1 << j for h in heads]
+        ws, vs = subsets[max(i, tail)]
+        sub = ws[: bisect_left(ws, (q1 - x,))] if y >= q2 else vs[bisect_left(vs, (q2 - y,)) :]
+        masks += [h | m for h in heads for _, m in sub]
+    members = tuple(Coalition(m, n) for m in sorted(masks)) if listed else None
+    min_weight = lightest if core else None
+    boost = None if min_weight is None else q1 - min_weight
     return GapSummary(count, Coalition(core, n), min_weight, boost, members)
 
 
-def _boosted_games(
-    base: WeightedGame, core: Coalition, boost: int
-) -> tuple[WeightedGame, ...]:
+def _frontier(first: WeightedGame, second: WeightedGame, core: Coalition, boost: int) -> list[int]:
+    """Ascending masks of the maximal coalitions that win every boosted copy but lose the union.
+
+    Each is the core and some of the other players (module docstring).  The
+    walk drops a branch once the last player it left out can no longer be
+    made to win ``first`` or ``second`` by adding it.
+    """
+    order, w, v, w_rest, v_rest = _walk_order(first, second, set(range(first.n)) - set(core))
+    a, b = first.quota - first.weight_sum(core), second.quota - second.weight_sum(core)
+    found, stack = [], [(0, core.mask, 0, 0, ())]
+    while stack:
+        i, mask, x, y, out = stack.pop()
+        if x >= a or y >= b or x + w_rest[i] < a - boost:
+            continue
+        if out and x + w_rest[i] + w[out[-1]] < a and y + v_rest[i] + v[out[-1]] < b:
+            continue
+        if i < len(order):
+            stack += [(i + 1, mask, x, y, out + (i,))]
+            stack += [(i + 1, mask | 1 << order[i], x + w[i], y + v[i], out)]
+        elif all(x + w[j] >= a or y + v[j] >= b for j in out):
+            found.append(mask)
+    return sorted(found)
+
+
+def _checked_frontier(
+    boosted: tuple[WeightedGame, ...], first: WeightedGame, second: WeightedGame, masks: list[int]
+) -> list[Coalition]:
+    """Re-check ``masks``: each wins every ``boosted`` game, loses ``first | second``, is maximal.
+
+    Every leaf weighs a mask through its own four 256-entry byte-sum tables.
+    An extension by j still wins the boosted games, which are monotone, so
+    it is tested against ``first`` and ``second`` alone, as w(S) + w_j.
+    """
+    n, w, v, tables = first.n, first.weights, second.weights, []
+    for g in (first, second, *boosted):
+        sums = [[0] for _ in range(0, MAX_PLAYERS, 8)]
+        for j, x in enumerate(g.weights):
+            sums[j >> 3] += [s + x for s in sums[j >> 3]]
+        tables.append((*sums, g.quota))
+    for m in masks:
+        b0, b1, b2, b3 = m & 255, m >> 8 & 255, m >> 16 & 255, m >> 24
+        # The weight each leaf still lacks: ``first``, ``second``, then the boosted copies.
+        a, b, *up = [q - t0[b0] - t1[b1] - t2[b2] - t3[b3] for t0, t1, t2, t3, q in tables]
+        if a <= 0 or b <= 0 or max(up) > 0:
+            raise AssertionError("a listed mask failed the predicate re-check")
+        if any(w[j] < a and v[j] < b and not m >> j & 1 for j in range(n)):
+            raise AssertionError("a listed mask has a satisfying one-player extension")
+    return [Coalition(m, n) for m in masks]
+
+
+def _boosted_games(base: WeightedGame, core: Coalition, boost: int) -> tuple[WeightedGame, ...]:
     games = []
     for k in core.members():
         weights = list(base.weights)
@@ -194,10 +260,6 @@ def union_as_intersection(first: WeightedGame, second: WeightedGame) -> Decompos
     admits every union winner, and its excess winners (the frontier) are
     removed by one veto game each.
 
-    ``sweep.maximal_satisfying`` lists the frontier on the sub-cube of the
-    non-core players (module docstring) and re-checks it with one probe
-    against the unfused games.
-
     Raises
     ------
     EmptyCoreError
@@ -211,9 +273,8 @@ def union_as_intersection(first: WeightedGame, second: WeightedGame) -> Decompos
         raise EmptyCoreError(gap)
     assert gap.boost is not None
     boosted = _boosted_games(first, gap.common_core, gap.boost)
-    frontier = sweep.maximal_satisfying(
-        all_of(*boosted), any_of(first, second), gap.common_core.mask
-    )
+    masks = _frontier(first, second, gap.common_core, gap.boost)
+    frontier = _checked_frontier(boosted, first, second, masks)
     games = boosted + tuple(veto_game(s) for s in frontier)
     return Decomposition(games, gap, tuple(frontier))
 
@@ -248,6 +309,8 @@ def refine_by_vetoes(target: GameExpr, candidate: GameExpr) -> Decomposition:
     """
     if not candidate.fold(lambda g: True, all, lambda parts: False):
         raise ValueError("candidate must be a single game or an AND-only tree")
+    from . import sweep
+
     # W(target) is contained in W(candidate) iff target == target AND candidate.
     check = sweep.equivalent(target, all_of(target, candidate))
     if not check:

@@ -34,6 +34,7 @@ import random
 from bisect import bisect_left, bisect_right
 from functools import cache, partial, reduce
 from itertools import accumulate, chain, combinations, product
+from math import prod
 from operator import and_, itemgetter, or_
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -48,6 +49,8 @@ _LOW_BITS = 11
 # Branch-and-bound nodes one pair may take in ``certifiable`` before it leaves
 # the pair to the split search.
 _NODE_CAP = 1 << 9
+# Terms (ANDs of leaves; an AND of k ORs has 2^k) past which ``certifiable`` answers None.
+_TERM_CAP = 1 << 6
 
 STATUS_CERTIFIED = "certified"
 STATUS_NO_CERTIFICATE = "no-certificate"
@@ -247,9 +250,9 @@ def _pair_decider(expr: GameExpr) -> Callable[[Coalition, Coalition], Optional[b
     """``certifiable`` for one expression, with the work that depends on it alone done once.
 
     The expression becomes a union of terms, each an AND of leaves (indices
-    into ``leaves``; two terms for every rule the CLI builds), so a pair
-    needs no fold.  A leaf weighs a ∩ b as (w(a) + w(b) - w(Δ)) / 2, with
-    w(a) and w(b) cached per coalition.
+    into ``leaves``; two for every CLI rule, none past ``_TERM_CAP``, counted
+    first), so a pair needs no fold.  A leaf weighs a ∩ b as
+    (w(a) + w(b) - w(Δ)) / 2, with w(a) and w(b) cached per coalition.
     """
     n, leaves = expr.n, list(dict.fromkeys(expr.leaves()))
     index = {game: i for i, game in enumerate(leaves)}
@@ -257,11 +260,13 @@ def _pair_decider(expr: GameExpr) -> Callable[[Coalition, Coalition], Optional[b
         lambda game: [(index[game],)],
         lambda parts: [sum(term, ()) for term in product(*parts)],
         lambda parts: list(chain.from_iterable(parts)),
-    )
+    ) if expr.fold(lambda game: 1, prod, sum) <= _TERM_CAP else None
     weight = cache(lambda i, mask: leaves[i].weight_sum(Coalition(mask, n)))
 
     def decide(a: Coalition, b: Coalition) -> Optional[bool]:
         check_universe(check_universe(n, a.n), b.n)
+        if terms is None:
+            return None
         delta = a.mask ^ b.mask
         on_delta = [j for j in range(n) if delta >> j & 1]
         d = len(on_delta)
@@ -320,8 +325,8 @@ def certifiable(expr: GameExpr, a: Coalition, b: Coalition) -> Optional[bool]:
 
     Both coalitions must lose (not checked).  It answers when every leaf's
     weights on the symmetric difference Δ are either all equal or one
-    common vector W, and returns None otherwise, or when the branch and
-    bound passes ``_NODE_CAP`` nodes.
+    common vector W, and returns None otherwise, past ``_TERM_CAP`` terms
+    of the expression, or when the branch and bound passes ``_NODE_CAP``.
 
     Then whether ``p = (a ∩ b) ∪ x`` wins depends on s = |x| and W(x) alone:
     a uniform leaf bounds s from below, a W leaf bounds W(x) from below, and

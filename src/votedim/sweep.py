@@ -6,27 +6,23 @@ coalition with bit-mask m wins (for n < 6 one word, unused high bits zero).
 A game expression is folded one block of 2^20 coalitions (128 KB) at a
 time, in ascending order.  Only ``runs`` pairs two folds: it combines
 their blocks into *runs*, a block's non-zero words and their word
-indices, read by ``equivalent`` (the first run of the XOR) and the gap
-survey.  ``expr_table`` fills a whole table block by
-block with the same fold.  A weighted leaf's block is gathered in rows
-(Horowitz & Sahni's sorted halves): the low 11 players' sums are sorted
-once into 2^11 + 1 patterns "sorted rank >= r" (0.5 MB per distinct vector
-of low weights, shared by both folds of ``runs``), and a binary
-search gives each row's rank; the row thresholds come from two small
-partial-sum tables, one for the row bits inside the block and one for the
-block index.  The weighted children of a node with equal low weights share
-one gather at the largest (AND) or least (OR) of their ranks.  The quota-1
-leaves under an AND share one down-closure, redone only for a block that
-selects other blocked masks.  Closures and the maximality thinning of
-``maximal_members`` are the bitset subset-sum (zeta) transform: halves of
-a ``reshape(-1, 2, 2^(j-6))`` view for player j >= 6, in-word shifts under
-a constant mask for j < 6.  Both veto fences list their frontier with
-``maximal_satisfying``, which tables both sides on the sub-cube outside a
-core the frontier holds and re-checks it with one probe.  Table statistics
-read a run; only ``member_chunks`` turns one into coalition masks.
-Batches of single coalitions (``evaluate_many`` in that probe,
-``weights_of`` in ``min_member_weight``) read their weights off two
-partial-sum tables.
+indices, read by ``equivalent`` (the first run of the XOR).  ``expr_table``
+fills a whole table block by block with the same fold.  A weighted leaf's
+block is gathered in rows (Horowitz & Sahni's sorted halves): the low 11
+players' sums are sorted once into 2^11 + 1 patterns "sorted rank >= r"
+(0.5 MB per distinct vector of low weights, shared by both folds of
+``runs``), and a binary search gives each row's rank; the row thresholds
+come from two small partial-sum tables, one for the row bits inside the
+block and one for the block index.  The weighted children of a node with
+equal low weights share one gather at the largest (AND) or least (OR) of
+their ranks.  The quota-1 leaves under an AND share one down-closure,
+redone only for a block that selects other blocked masks.  Closures and
+the maximality thinning of ``_maximal_bits`` are the bitset subset-sum
+(zeta) transform: halves of a ``reshape(-1, 2, 2^(j-6))`` view for player
+j >= 6, in-word shifts under a constant mask for j < 6.  The veto
+refinement lists its frontier with ``maximal_satisfying``, which tables
+both sides and re-checks the frontier with one probe, ``evaluate_many``.
+The union rewrite in ``decompose`` walks the players instead.
 """
 
 from __future__ import annotations
@@ -36,9 +32,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .games import (
-    AND, Coalition, GameExpr, Node, Record, WeightedGame, all_of, any_of, check_universe
-)
+from .games import AND, Coalition, GameExpr, Node, Record, WeightedGame, check_universe
 
 # Win table rows: 2^11 coalitions, whole words once n >= 6.  Rows of 2^10
 # made the fold 30-50 % slower.
@@ -311,7 +305,9 @@ def table_members(table: Table) -> list[int]:
 
 
 def players_in_all(words: np.ndarray, index: np.ndarray, n: int) -> int:
-    """Bit-mask of players present in every member of a run; all players for an empty run."""
+    """Bit-mask of players present in every member of a run; all players for an empty run.
+
+    Kept for ``tests/table_rewrite.py`` and ``perfbench/traced.py`` (ROADMAP item 10)."""
     if index.size == 0:
         return (1 << n) - 1
     # Players 0..5 are bits inside a word, players 6.. are bits of its index.
@@ -332,7 +328,9 @@ def weights_of(game: WeightedGame, masks: np.ndarray) -> np.ndarray:
 
 
 def min_member_weight(game: WeightedGame, words: np.ndarray, index: np.ndarray) -> Optional[int]:
-    """Minimum weight (under ``game``) over the members of a run; None for an empty run."""
+    """Minimum weight (under ``game``) over the members of a run; None for an empty run.
+
+    Kept for ``tests/table_rewrite.py`` and ``perfbench/traced.py`` (ROADMAP item 10)."""
     chunks = member_chunks(words, index)
     return min((int(weights_of(game, m).min()) for m in chunks), default=None)
 
@@ -372,11 +370,6 @@ def _maximal_bits(sat: Table, n: int) -> Table:
     return sat
 
 
-def maximal_members(table: Table, n: int) -> np.ndarray:
-    """Ascending masks of the members with no member one-player extension; thins ``table``."""
-    return member_array(_maximal_bits(table, n))
-
-
 def checked_maximal(up: GameExpr, down: GameExpr, masks: np.ndarray) -> list[Coalition]:
     """The ascending ``masks``, checked maximal among coalitions winning ``up``, losing ``down``.
 
@@ -396,41 +389,9 @@ def checked_maximal(up: GameExpr, down: GameExpr, masks: np.ndarray) -> list[Coa
     return [Coalition(m, n) for m in masks.tolist()]
 
 
-def maximal_satisfying(up: GameExpr, down: GameExpr, core: int = 0) -> list[Coalition]:
-    """Inclusion-maximal coalitions winning ``up`` and losing ``down``, ascending by mask.
-
-    Every such coalition must hold the mask ``core`` (0: no restriction):
-    both expressions are tabled on the other players, each quota lowered by
-    w(core).  A leaf the core alone wins becomes None, which an AND drops
-    and which makes an OR None.
-    """
+def maximal_satisfying(up: GameExpr, down: GameExpr) -> list[Coalition]:
+    """Inclusion-maximal coalitions winning ``up`` and losing ``down``, ascending by mask."""
     n = check_universe(up.n, down.n)
-    rest = sorted(set(range(n)) - set(Coalition(core, n)))
-
-    def leaf(g: WeightedGame) -> Optional[WeightedGame]:
-        weights = tuple(g.weights[j] for j in rest)
-        quota = g.quota - (g.total_weight - sum(weights))
-        return WeightedGame(weights, quota) if quota > 0 else None
-
-    def join(op: Callable[..., GameExpr], parts: Iterable[Optional[GameExpr]]):
-        # Equal children, as the boosted copies of one game become, are joined once.
-        kept = list(dict.fromkeys(parts))
-        if None in kept and op is any_of:
-            return None
-        kept = [p for p in kept if p is not None]
-        return op(*kept) if kept else None
-
-    def table(expr: GameExpr) -> Table:
-        sub = expr.fold(leaf, partial(join, all_of), partial(join, any_of))
-        if sub is None:
-            return full_table(len(rest))
-        return win_table(sub) if isinstance(sub, WeightedGame) else expr_table(sub)
-
-    sat = table(up)
-    sat &= complement(table(down), len(rest))
-    masks = maximal_members(sat, len(rest))
-    # Bit i moves to player rest[i] >= i, highest first: none is overwritten, none reordered.
-    for i, j in reversed(list(enumerate(rest))):
-        masks = masks & ~(1 << i) | (masks >> i & 1) << j
-    masks |= core
-    return checked_maximal(up, down, masks)
+    sat = expr_table(up)
+    sat &= complement(expr_table(down), n)
+    return checked_maximal(up, down, member_array(_maximal_bits(sat, n)))

@@ -1,4 +1,4 @@
-"""The table-based union rewrite, frozen as the reference for the streamed one.
+"""The table-based union rewrite, frozen as the reference for the walked one.
 
 This is ``decompose.union_as_intersection`` as it stood before the gap
 survey was streamed and the frontier moved to the core's sub-cube: the gap
@@ -10,7 +10,8 @@ table instead of a predicate and the table, that ``Decomposition`` no
 longer takes a method tag: it derives the tag from the gap, and that
 ``sweep.players_in_all`` and ``sweep.min_member_weight`` take the table's
 run of non-zero words and their indices (``oracles.run_of``) instead of
-the table.
+the table, and that the maximal members are listed through
+``sweep.member_array``, as ``sweep.maximal_members`` is gone.
 """
 
 from typing import Optional
@@ -81,6 +82,7 @@ def union_as_intersection(first: WeightedGame, second: WeightedGame) -> Decompos
         sat &= sweep.win_table(WeightedGame(first.weights, first.quota - boost))
     keep_supersets(sat, gap.common_core.mask)
     up = boosted[0] if len(boosted) == 1 else all_of(*boosted)
-    frontier = sweep.checked_maximal(up, any_of(first, second), sweep.maximal_members(sat, n))
+    maximal = sweep.member_array(sweep._maximal_bits(sat, n))
+    frontier = sweep.checked_maximal(up, any_of(first, second), maximal)
     games = boosted + tuple(veto_game(s) for s in frontier)
     return Decomposition(games, gap, tuple(frontier))

@@ -679,10 +679,10 @@ def run_python(code: str, cwd) -> subprocess.CompletedProcess:
 
 
 def test_only_sweeping_commands_load_numpy(toys):
-    # The certificate commands run on the standard library alone, and load
-    # none of the heavier parts of it; numpy loads when a command sweeps,
-    # and loading it late changes no output.  The certificate search loads
-    # only in the commands that run it.
+    # The certificate commands and ``analyze`` run on the standard library
+    # alone, and the certificate commands load none of the heavier parts of
+    # it; numpy loads when ``verify`` sweeps, and loading it late changes no
+    # output.  The certificate search loads only in the commands that run it.
     no_uk = ["--data", "builtin:2018", "--exclude", "United Kingdom"]
     certs = resources.files("votedim") / "certs" / "eu2018_noUK_8.txt"
     certificates = f"""
@@ -703,7 +703,7 @@ print("numpy loaded:", "numpy" in sys.modules)
     assert "certified lower bound: 8" in result.stdout
     assert result.stdout.endswith("numpy loaded: False\n")
 
-    analyze = f"""
+    sweeps = f"""
 import sys
 import votedim.cli
 assert "numpy" not in sys.modules
@@ -711,12 +711,16 @@ votedim.cli.main(["analyze", "--data", {toys["toy16"]!r}])
 assert "click" not in sys.modules
 assert "votedim.lowerbound" not in sys.modules
 print("numpy loaded:", "numpy" in sys.modules)
+votedim.cli.main(["verify", "--data", {toys["toy16"]!r}])
+print("numpy loaded:", "numpy" in sys.modules)
 """
-    result = run_python(analyze, Path(toys["toy16"]).parent)
+    result = run_python(sweeps, Path(toys["toy16"]).parent)
     assert result.returncode == 0, result.stderr
-    expected = run("analyze", "--data", toys["toy16"])
-    assert expected.exit_code == 0
-    assert result.stdout == expected.stdout + "numpy loaded: True\n"
+    analyzed, verified = run("analyze", "--data", toys["toy16"]), run("verify", "--data", toys["toy16"])
+    assert analyzed.exit_code == verified.exit_code == 0
+    assert result.stdout == (
+        analyzed.stdout + "numpy loaded: False\n" + verified.stdout + "numpy loaded: True\n"
+    )
 
 
 def test_closed_stdout_exits_quietly():

@@ -1,7 +1,10 @@
 """Union-to-intersection rewriting and veto-based refinement."""
 
 import random
+import subprocess
+import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -133,25 +136,21 @@ class TestGapSummary:
         assert capped.min_weight == full.min_weight
         assert capped.boost == full.boost
 
-    def test_fold_stops_unpacking_once_done(self, monkeypatch):
-        # 2014 with swapped roles: 45,535,773 gap coalitions and no core.
-        # The first non-empty block empties the core without unpacking a
-        # member, and past the listing cap a block is only counted.  Unpacking
-        # and weighing them all took ten times as long.
-        unpacked = []
-        member_chunks = sweep.member_chunks
-
-        def counting(*args):
-            for masks in member_chunks(*args):
-                unpacked.append(masks.size)
-                yield masks
-
-        monkeypatch.setattr(sweep, "member_chunks", counting)
+    def test_fold_stops_unpacking_once_done(self):
+        # 2014 with swapped roles: 45,535,773 gap coalitions and no core.  The
+        # walk keeps counted branches, not members, and drops them past the
+        # listing cap, so it peaks at 3.0 MiB; listing members up to the cap
+        # would hold a million of them.  The bound leaves 33 %.
         rule = data.build_eu_rule(data.builtin_table("2014"))
-        gap = gap_summary(rule.veto_game, rule.population_game)
+        tracemalloc.start()
+        try:
+            gap = gap_summary(rule.veto_game, rule.population_game)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert gap.count == 45_535_773
         assert gap.common_core.mask == 0 and gap.members is None
-        assert sum(unpacked) == 0
+        assert peak < 4 * 2**20
 
     def test_player_count_mismatch(self):
         with pytest.raises(ValueError, match="universes differ"):
@@ -216,16 +215,27 @@ class TestUnionAsIntersection:
             decompose.analyze_rule(rule, swap_roles=True)
         assert info.value.gap.count == 45_535_773
 
-    def test_empty_core_prices_no_boost(self, monkeypatch):
+    def test_empty_core_prices_no_boost(self):
         # Gap: every coalition but the empty and the grand one; no common player.
-        def refuse(game, masks):
-            raise AssertionError("gap members weighed for an empty core")
-
-        monkeypatch.setattr(sweep, "weights_of", refuse)
         with pytest.raises(EmptyCoreError) as info:
             union_as_intersection(unit_game(8, 8), unit_game(1, 8))
         assert info.value.gap.count == 254
         assert info.value.gap.min_weight is None and info.value.gap.boost is None
+
+    def test_frontier_recheck_rejects_wrong_masks(self):
+        # One "boosted" game won by any player, and a union won only by all
+        # three: the maximal coalitions in between are the three pairs.
+        check = partial(
+            decompose._checked_frontier, (unit_game(1, 3),), unit_game(3, 3), unit_game(3, 3)
+        )
+        assert [s.mask for s in check([0b011, 0b101, 0b110])] == [0b011, 0b101, 0b110]
+        # {0} is listed, but {0, 1} satisfies too.
+        with pytest.raises(AssertionError, match="extension"):
+            check([0b001])
+        # The grand coalition wins the union; the empty one loses the boosted game.
+        for mask in (0b111, 0b000):
+            with pytest.raises(AssertionError, match="re-check"):
+                check([mask])
 
     def test_boost_offset_breaks_equivalence(self):
         first = WeightedGame((2, 2, 2, 0), 4)
@@ -257,43 +267,51 @@ class TestUnionAsIntersection:
         dec = union_as_intersection(first, second)
         assert dec.method == METHOD_CORE_BOOST
         assert dec.common_core_players() == tuple(range(7))
-        assert len(built_tables) <= 2
+        assert built_tables == []
 
-    @pytest.mark.parametrize(
-        "year, exclude, r",
-        [("2014", [], 6), ("2016", [], 6), ("2017", [], 6), ("2018", [], 6),
-         ("2018", ["United Kingdom"], 15)],
-    )
-    def test_bundled_rules_build_two_sub_cube_tables(self, year, exclude, r, built_tables):
-        # All boosted copies restrict to one game on the core's sub-cube, so
-        # the frontier takes one win table for it and one for the union of
-        # the population and veto games, of 2^r bits for the r non-core players.
-        decompose.analyze_rule(data.build_eu_rule(data.builtin_table(year), exclude=exclude))
-        assert [e.n for e in built_tables] == [r, r]
-        assert isinstance(built_tables[0], WeightedGame)
+    def test_bundled_rules_load_no_numpy(self):
+        # The rewrite walks the players and builds no table, so neither the
+        # sweep engine nor numpy loads, for any bundled rule in either role.
+        code = """
+import sys
+from votedim import data, decompose
+for year in data.BUILTIN_YEARS:
+    table = data.builtin_table(year)
+    rules = [data.build_eu_rule(table)]
+    if year == "2018":
+        rules.append(data.build_eu_rule(table, exclude=["United Kingdom"]))
+    for rule in rules:
+        for swap_roles in (False, True):
+            try:
+                decompose.analyze_rule(rule, swap_roles)
+            except decompose.EmptyCoreError:
+                assert swap_roles
+assert not {"numpy", "votedim.sweep"} & set(sys.modules)
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_frontier_needs_no_whole_table_pass(self):
-        # 2018 without the UK, n = 27: 20 gap coalitions, 8,890 over-admitted
-        # coalitions, 1,351 of them maximal.  numpy reports its buffers to
-        # tracemalloc.  The rewrite holds one 128 KB block of gap rows per
-        # game, the 2^15-bit sub-cube tables and the probe of the frontier
-        # masks and their extensions: 0.099 tables (0.145 with 512 KB
-        # blocks).  Probing all 8,890 over-admitted masks read 0.33; the
-        # whole-table rewrite held 2.13.  The bound leaves 27 %.
+        # 2018 without the UK, n = 27: 20 gap coalitions, a 12-player core
+        # and 1,351 frontier coalitions.  The rewrite peaks at 0.55 MiB: the
+        # byte tables of the 14 re-checked leaves, the frontier and its veto
+        # games.  The sub-cube tables held 0.099 of a 2^27-bit table
+        # (1.6 MiB) and the whole-table rewrite 2.13.  The bound leaves 46 %.
         rule = data.build_eu_rule(data.builtin_table("2018"), exclude=["United Kingdom"])
         dec, peak = traced_rewrite(rule)
         assert len(dec.frontier) == 1351
-        assert peak < 0.125 * (1 << rule.n) / 8
+        assert peak < 0.8 * 2**20
 
     def test_gap_survey_needs_no_whole_table(self):
-        # 2014, n = 28: 10 gap coalitions, a 22-player core and one
-        # over-admitted coalition.  The streamed survey reads 0.050 tables
-        # with 128 KB blocks, 0.073 with 512 KB blocks; the whole-table
-        # rewrite held 2.13.  The bound leaves 29 %.
+        # 2014, n = 28: 10 gap coalitions, a 22-player core and one frontier
+        # coalition.  The survey alone peaks at 0.15 MiB (its tail sums); the
+        # rewrite at 0.83 MiB, nearly all of it the byte tables of the 24
+        # re-checked leaves.  The streamed survey read 0.050 of a 2^28-bit
+        # table (1.6 MiB).  The bound leaves 45 %.
         rule = data.build_eu_rule(data.builtin_table("2014"))
         dec, peak = traced_rewrite(rule)
         assert len(dec.common_core_players()) == 22 and len(dec.frontier) == 1
-        assert peak < 0.065 * (1 << rule.n) / 8
+        assert peak < 1.2 * 2**20
 
     def test_synthetic_30_player_table(self):
         # The 2018 rows plus two synthetic members, n = 30: one 2^30-bit

@@ -6,7 +6,7 @@ engine in ``bigint_engine.py`` at n = 20, where the oracles are too slow.
 The rewrite's closed-form frontier is compared with both engines' folds of
 the boosted games it emits, the rank-gather win tables with the packbits
 fill they replaced, the two-table certificate split search with the
-bit-matrix search it replaced, and the streamed union rewrite with the
+bit-matrix search it replaced, and the walked union rewrite with the
 whole-table rewrite frozen in ``table_rewrite.py``.
 """
 
@@ -697,7 +697,7 @@ def rewrite_outcome(rewrite, first: WeightedGame, second: WeightedGame):
 
 
 def assert_same_rewrite(first: WeightedGame, second: WeightedGame, bits=None):
-    """The streamed rewrite (blocks of 2^``bits`` coalitions) and the table rewrite agree."""
+    """The walked rewrite and the table rewrite (folds of 2^``bits`` coalitions) agree."""
     expected = rewrite_outcome(table_rewrite.union_as_intersection, first, second)
     with pytest.MonkeyPatch.context() as patch:
         if bits is not None:
@@ -708,7 +708,7 @@ def assert_same_rewrite(first: WeightedGame, second: WeightedGame, bits=None):
 
 
 class TestAgainstTableRewrite:
-    """The streamed gap survey and sub-cube frontier against the whole-table rewrite."""
+    """The walked gap survey and frontier against the whole-table rewrite."""
 
     @pytest.mark.parametrize("swap_roles", [False, True])
     @pytest.mark.parametrize("year", ["2014", "2016", "2017", "2018"])
@@ -737,8 +737,8 @@ class TestAgainstTableRewrite:
     @pytest.mark.parametrize("n", [2, 7, 12])
     def test_core_of_all_but_one_player(self, n):
         # The grand coalition wins every valid game, so no gap holds it and
-        # no core holds every player: r = 1 is the smallest sub-cube.  Here
-        # the gap is {0..n-2} alone.
+        # no core holds every player: the frontier walk has one player at
+        # least.  Here the gap is {0..n-2} alone.
         second = WeightedGame((1,) * (n - 1) + (0,), n - 1)
         dec = assert_same_rewrite(unit_game(n, n), second)
         assert dec.common_core_players() == tuple(range(n - 1))
@@ -752,11 +752,10 @@ class TestAgainstTableRewrite:
     @pytest.mark.parametrize("cap", [10, 3000])
     @pytest.mark.parametrize("core", [False, True])
     def test_gap_above_the_member_cap(self, cap, core, monkeypatch):
-        # n = 13 has 128 table words.  With 2^6-coalition blocks each block,
-        # and each member chunk, is one word, so the count crosses the cap
-        # mid-stream.  Players 0-5 and 11 are heavy, so the lightest gap
-        # coalition, {6, 12}, sits in word 65, the second word of its 32-word
-        # row, and the first word of every row is heavier.
+        # n = 13: the walk's first three players lie above its 10-player
+        # tail, so it counts whole branches there and bisects in the tail,
+        # crossing the cap part way.  Players 0-5 and 11 are heavy, so the
+        # lightest gap coalition is {6, 12}.
         n = 13
         first = WeightedGame((5,) * 6 + (1,) * 5 + (5, 1), 41)
         second = unit_game(1, n)
@@ -769,3 +768,97 @@ class TestAgainstTableRewrite:
         assert gap.members is None
         assert gap.count == (4094 if core else 8190)
         assert gap.min_weight == (2 if core else None)
+
+
+def walk_game(rng: random.Random, n: int) -> WeightedGame:
+    """A game of unit, {0, 1, 2} or wide weights, with some players weightless.
+
+    Every other quota lies in the top quarter of the total weight, where the
+    gap coalitions of a pair tend to share a core.
+    """
+    top = MAX_TOTAL_WEIGHT // (4 * n)
+    draw = rng.choice((lambda: 1, lambda: rng.randint(0, 2), lambda: rng.randrange(top)))
+    while True:
+        weights = [draw() for _ in range(n)]
+        for j in rng.sample(range(n), rng.randint(0, n // 2)):
+            weights[j] = 0
+        total = sum(weights)
+        if total:
+            low = rng.choice((1, total - total // 4))
+            return WeightedGame(weights, rng.randint(low, total))
+
+
+def oracle_rewrite(first: WeightedGame, second: WeightedGame):
+    """The rewrite's outcome from the definitions, as ``rewrite_outcome`` gives it."""
+    n = first.n
+    members = oracles.gap_masks(first, second)
+    core = (1 << n) - 1
+    for m in members:
+        core &= m
+    min_weight = boost = None
+    if members and core:
+        min_weight = min(oracles.weight_of(first.weights, m) for m in members)
+        boost = first.quota - min_weight
+    listed = tuple(Coalition(m, n) for m in members)
+    gap = decompose.GapSummary(len(members), Coalition(core, n), min_weight, boost, listed)
+    if not members:
+        return decompose.Decomposition((first,), gap, ())
+    if not core:
+        return gap
+    boosted = decompose._boosted_games(first, gap.common_core, boost)
+    union = any_of(first, second)
+    over = {
+        m
+        for m in range(1 << n)
+        if all(oracles.wins(g, m) for g in boosted) and not oracles.wins(union, m)
+    }
+    # ``over`` is an up-set cut by a down-set, so a member below another
+    # member has a one-player extension in it.
+    frontier = tuple(
+        Coalition(m, n)
+        for m in sorted(over)
+        if not any(m | 1 << j in over for j in range(n) if not m >> j & 1)
+    )
+    games = boosted + tuple(decompose.veto_game(s) for s in frontier)
+    return decompose.Decomposition(games, gap, frontier)
+
+
+class TestPlayerWalk:
+    """The walked gap survey and frontier against the table rewrite and the definitions."""
+
+    # No tail (every branch walked to its end or counted as a whole), a short
+    # tail and the module's own, which holds every player for n <= 10.
+    @pytest.mark.parametrize("tail_bits", [0, 3, decompose._TAIL_BITS])
+    def test_seeded_pairs(self, tail_bits, monkeypatch):
+        monkeypatch.setattr(decompose, "_TAIL_BITS", tail_bits)
+        for seed in range(200):
+            rng = random.Random(seed)
+            n = rng.randint(1, 12)
+            # ``union_pair`` gives most of the pairs with a frontier.
+            first, second = (walk_game(rng, n), walk_game(rng, n)) if seed % 2 else union_pair(rng, n)
+            got = assert_same_rewrite(first, second)
+            assert got == oracle_rewrite(first, second), seed
+
+    @pytest.mark.parametrize("core", [False, True])
+    @pytest.mark.parametrize("below", [False, True])
+    def test_member_cap_at_the_count(self, core, below, monkeypatch):
+        # test_gap_above_the_member_cap's pairs: 8,190 gap coalitions with an
+        # empty core, or 4,094 with the core {12}.  The cap is the count, or
+        # one below it.
+        n = 13
+        first = WeightedGame((5,) * 6 + (1,) * 5 + (5, 1), 41)
+        second = WeightedGame((1,) * (n - 1) + (n - 1,), n) if core else unit_game(1, n)
+        count = 4094 if core else 8190
+        monkeypatch.setattr(decompose, "GAP_MEMBER_CAP", count - below)
+        got = assert_same_rewrite(first, second)
+        gap = got.gap if core else got
+        assert gap.count == count
+        assert (gap.members is None) == below
+
+    @pytest.mark.parametrize("year", data.BUILTIN_YEARS)
+    def test_every_single_exit_under_retained_quotas(self, year):
+        # The derived reading is pinned by test_every_single_member_exit.
+        table = data.builtin_table(year)
+        for row in table.rows:
+            rule = data.build_eu_rule(table, [row.country], quota_member_count=table.member_count)
+            assert_same_rewrite(rule.population_game, rule.veto_game)

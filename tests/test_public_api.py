@@ -31,6 +31,8 @@ def test_readme_library_example_runs(capsys):
 
 
 def test_exported_names_load_numpy_only_when_the_rewrite_is_used():
+    # The union rewrite walks the players; only the veto refinement, which
+    # tables its expressions, loads the sweep engine and numpy.
     code = """
 import sys
 import votedim
@@ -41,8 +43,12 @@ except AttributeError:
     pass
 else:
     raise SystemExit("no AttributeError")
-assert "numpy" not in sys.modules
 assert votedim.GapSummary is votedim.decompose.GapSummary
+rule = votedim.build_eu_rule(votedim.builtin_table("2014"))
+assert len(votedim.analyze_rule(rule).games) == 24
+assert "numpy" not in sys.modules
+game = votedim.unit_game(2, 3)
+assert votedim.refine_by_vetoes(game, game).games == (game,)
 assert "numpy" in sys.modules
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -45,7 +45,8 @@ def test_every_wrapped_attribute_exists():
     assert "sweep.win_table" in tracer.names
 
 
-def test_traced_run_sees_the_rewrite_and_the_win_tables(tmp_path):
+def traced_run(tmp_path, *args):
+    """Stdout and span names of one ``traced.py`` run of the CLI on the toy table."""
     table = tmp_path / "toy16.csv"
     table.write_text(TOY16, encoding="utf-8")
     spans_path = tmp_path / "spans.json"
@@ -54,29 +55,26 @@ def test_traced_run_sees_the_rewrite_and_the_win_tables(tmp_path):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [
-            sys.executable,
-            str(TRACED),
-            str(spans_path),
-            "--",
-            "analyze",
-            "--json",
-            "--data",
-            str(table),
-            "--threads",
-            "1",
-        ],
+        [sys.executable, str(TRACED), str(spans_path), "--", *args, "--data", str(table)],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["bound"] == 13
     spans = json.loads(spans_path.read_text(encoding="utf-8"))["spans"]
-    names = [span[0] for span in spans]
+    return proc.stdout, [span[0] for span in spans]
+
+
+def test_traced_run_sees_the_rewrite_and_the_win_tables(tmp_path):
+    out, names = traced_run(tmp_path, "analyze", "--json", "--threads", "1")
+    assert json.loads(out)["bound"] == 13
+    # The rewrite walks the players: its spans, and no sweep.
     assert names.count("decompose.union_as_intersection") == 1
-    assert "sweep.win_table" in names
-    # The frontier thinning and the gap survey's fold run through the helpers.
-    for layer in ("sweep.maximal", "sweep.players_in_all", "sweep.min_member_weight"):
-        assert layer in names
+    assert names.count("decompose.gap_summary") == 1
+    assert not [name for name in names if name.startswith("sweep.")]
+    # ``verify`` runs the rewrite again and folds its games in one sweep.
+    out, names = traced_run(tmp_path, "verify", "--threads", "1")
+    assert out.startswith("verification passed: the 13 games")
+    assert names.count("decompose.union_as_intersection") == 1
+    assert names.count("sweep.equivalent") == 1
