@@ -269,6 +269,23 @@ class TestUnionAsIntersection:
         assert dec.common_core_players() == tuple(range(7))
         assert built_tables == []
 
+    @pytest.mark.parametrize(
+        "year, exclude, r",
+        [("2014", [], 6), ("2016", [], 6), ("2017", [], 6), ("2018", [], 6),
+         ("2018", ["United Kingdom"], 15)],
+    )
+    def test_bundled_rules_build_two_sub_cube_tables(self, year, exclude, r, built_tables):
+        # The frontier lies on the core's sub-cube: each frontier coalition
+        # holds the core and some of the r non-core players.  The table
+        # rewrite built two 2^r-bit tables there, one for all boosted copies
+        # and one for the union; the walk builds none.
+        rule = data.build_eu_rule(data.builtin_table(year), exclude=exclude)
+        dec = decompose.analyze_rule(rule)
+        core = dec.gap.common_core.mask
+        assert rule.n - len(dec.common_core_players()) == r
+        assert dec.frontier and all(s.mask & core == core for s in dec.frontier)
+        assert built_tables == []
+
     def test_bundled_rules_load_no_numpy(self):
         # The rewrite walks the players and builds no table, so neither the
         # sweep engine nor numpy loads, for any bundled rule in either role.
