@@ -16,6 +16,7 @@ Only ``refine_by_vetoes`` loads ``sweep`` (and numpy).
 """
 
 from bisect import bisect_left
+from itertools import accumulate
 from typing import Optional
 
 from .games import MAX_PLAYERS, Coalition, GameExpr, Record, WeightedGame, all_of, check_universe
@@ -26,6 +27,8 @@ from .data import EuRule
 GAP_MEMBER_CAP = 10**6
 # The gap survey's tail: players whose subsets it keeps as sorted sums, 2^10 per game.
 _TAIL_BITS = 10
+# Per byte value, the veto weights 1 - bit of its eight players.
+_VETO_BYTES = [tuple(1 - (b >> j & 1) for j in range(8)) for b in range(256)]
 
 METHOD_CORE_BOOST = "core-boost"
 METHOD_VETO_FENCE = "veto-fence"
@@ -79,7 +82,8 @@ class GapSummary(Record):
         strictly below the quota.  None when ``min_weight`` is.
     members:
         The gap coalitions themselves, ascending by mask, or None when
-        ``count`` exceeded the materialization cap.
+        ``count`` exceeded the materialization cap or the core is empty
+        (no rewrite then reads them).
     """
 
     __slots__ = ("count", "common_core", "min_weight", "boost", "members")
@@ -126,10 +130,11 @@ def veto_game(blocked: Coalition) -> WeightedGame:
     iff it avoids all of them.  ``blocked`` must not be the full player
     set: that would leave no player with weight.
     """
-    if blocked.mask == Coalition.grand(blocked.n).mask:
+    m, t = blocked.mask, _VETO_BYTES
+    if m == Coalition.grand(blocked.n).mask:
         raise ValueError("cannot veto the grand coalition: no player would carry weight")
-    weights = tuple(1 - (blocked.mask >> j & 1) for j in range(blocked.n))
-    return WeightedGame(weights, 1)
+    weights = t[m & 255] + t[m >> 8 & 255] + t[m >> 16 & 255] + t[m >> 24]
+    return WeightedGame(weights[: blocked.n], 1)
 
 
 def _walk_order(first: WeightedGame, second: WeightedGame, players) -> tuple[list, ...]:
@@ -148,7 +153,7 @@ def gap_summary(first: WeightedGame, second: WeightedGame) -> GapSummary:
     the tail (one bisection): its empty completion gives its mask to the
     core and its weight to the minimum.  With the core empty, a tail branch
     that cannot win ``first`` is counted too.  Counted branches are listed
-    at the end if the count is within ``GAP_MEMBER_CAP``.
+    at the end, given a core and a count within ``GAP_MEMBER_CAP``.
     """
     n, q1, q2 = check_universe(first.n, second.n), first.quota, second.quota
     order, w, v, w_rest, v_rest = _walk_order(first, second, range(n))
@@ -176,16 +181,16 @@ def gap_summary(first: WeightedGame, second: WeightedGame) -> GapSummary:
             stack += [(i + 1, mask | 1 << order[i], x + w[i], y + v[i]), (i + 1, mask, x, y)]
             continue
         if count <= GAP_MEMBER_CAP:
-            branches.append((i, mask, x, y))
-    masks, listed = [], count <= GAP_MEMBER_CAP
-    for i, mask, x, y in branches if listed else ():
+            branches.append((i, mask, x))
+    masks, listed = [], count <= GAP_MEMBER_CAP and core != 0
+    for i, mask, x in branches if listed else ():
         # Above the tail a branch is whole: all of order[i:tail] times all of the tail.
+        # With a core, every branch wins ``second``, so its ``first``-losers are listed.
         heads = [mask]
         for j in order[i:tail]:
             heads += [h | 1 << j for h in heads]
-        ws, vs = subsets[max(i, tail)]
-        sub = ws[: bisect_left(ws, (q1 - x,))] if y >= q2 else vs[bisect_left(vs, (q2 - y,)) :]
-        masks += [h | m for h in heads for _, m in sub]
+        ws = subsets[max(i, tail)][0]
+        masks += [h | m for h in heads for _, m in ws[: bisect_left(ws, (q1 - x,))]]
     members = tuple(Coalition(m, n) for m in sorted(masks)) if listed else None
     min_weight = lightest if core else None
     boost = None if min_weight is None else q1 - min_weight
@@ -223,21 +228,26 @@ def _checked_frontier(
 
     Every leaf weighs a mask through its own four 256-entry byte-sum tables.
     An extension by j still wins the boosted games, which are monotone, so
-    it is tested against ``first`` and ``second`` alone, as w(S) + w_j.
+    it is tested against ``first`` and ``second`` alone: it fails iff w_j < a
+    and v_j < b, and the players below a are a prefix by weight (one mask).
     """
-    n, w, v, tables = first.n, first.weights, second.weights, []
+    n, tables = first.n, []
     for g in (first, second, *boosted):
         sums = [[0] for _ in range(0, MAX_PLAYERS, 8)]
         for j, x in enumerate(g.weights):
             sums[j >> 3] += [s + x for s in sums[j >> 3]]
         tables.append((*sums, g.quota))
+    (ws, wm), (vs, vm) = (
+        ([g.weights[j] for j in o], [0, *accumulate(1 << j for j in o)])
+        for g in (first, second) for o in [sorted(range(n), key=g.weights.__getitem__)]
+    )
     for m in masks:
         b0, b1, b2, b3 = m & 255, m >> 8 & 255, m >> 16 & 255, m >> 24
         # The weight each leaf still lacks: ``first``, ``second``, then the boosted copies.
         a, b, *up = [q - t0[b0] - t1[b1] - t2[b2] - t3[b3] for t0, t1, t2, t3, q in tables]
         if a <= 0 or b <= 0 or max(up) > 0:
             raise AssertionError("a listed mask failed the predicate re-check")
-        if any(w[j] < a and v[j] < b and not m >> j & 1 for j in range(n)):
+        if wm[bisect_left(ws, a)] & vm[bisect_left(vs, b)] & ~m:
             raise AssertionError("a listed mask has a satisfying one-player extension")
     return [Coalition(m, n) for m in masks]
 

@@ -172,7 +172,7 @@ class WeightedGame(Record, GameExpr):
         n = len(weights)
         if not 1 <= n <= MAX_PLAYERS:
             raise ValueError(f"player count must be in 1..{MAX_PLAYERS}, got {n}")
-        if any(w < 0 for w in weights):
+        if min(weights) < 0:
             raise ValueError("weights must be non-negative")
         if quota < 1:
             raise ValueError(f"quota must be >= 1, got {quota}")

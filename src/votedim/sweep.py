@@ -14,8 +14,9 @@ players' sums are sorted once into 2^11 + 1 patterns "sorted rank >= r"
 ``runs``), and a binary search gives each row's rank; the row thresholds
 come from two small partial-sum tables, one for the row bits inside the
 block and one for the block index.  The weighted children of a node with
-equal low weights share one gather at the largest (AND) or least (OR) of
-their ranks.  The quota-1 leaves under an AND share one down-closure,
+equal low weights share one gather: each child computes its own threshold,
+and the extreme threshold, the largest (AND) or least (OR), is searched
+once.  The quota-1 leaves under an AND share one down-closure,
 redone only for a block that selects other blocked masks.  Closures and
 the maximality thinning of ``_maximal_bits`` are the bitset subset-sum
 (zeta) transform: halves of a ``reshape(-1, 2, 2^(j-6))`` view for player
@@ -91,10 +92,6 @@ def subset_sums(weights: Iterable[int]) -> np.ndarray:
     return sums
 
 
-def _blocked_mask(game: WeightedGame) -> int:
-    return sum(1 << j for j, w in enumerate(game.weights) if w == 0)
-
-
 def _block_shape(n: int) -> tuple[int, int]:
     """Blocks of an n-player table and the words in each."""
     bits = min(n, _BLOCK_BITS)
@@ -119,7 +116,8 @@ def _gather_fill(games: list[WeightedGame], op: str, halves: LowHalves) -> Block
     (or the block, or n, if smaller).  Row h of block k wins game i where
     low_sum >= quota_i - w_i(block index k) - w_i(row bits of h inside the
     block), a suffix of the sorted low sums: pattern r holds the low masks
-    of sorted rank >= r.  The AND takes the largest rank, the OR the least.
+    of sorted rank >= r.  The AND takes the largest rank, the OR the least:
+    ranks grow with thresholds, so one search finds the extreme threshold's.
     """
     key = _low_weights(games[0])
     bits, lo = min(games[0].n, _BLOCK_BITS), len(key)
@@ -138,10 +136,9 @@ def _gather_fill(games: list[WeightedGame], op: str, halves: LowHalves) -> Block
     pick = np.maximum if op == AND else np.minimum
 
     def fill(k: int, out: np.ndarray) -> np.ndarray:
+        rows = reduce(pick, [q - b[k] - r for r, b, q in thresholds])
         # side="left": the first rank whose sum reaches the threshold, ties included.
-        ranks = pick.reduce(
-            [np.searchsorted(sorted_low, q - b[k] - r, side="left") for r, b, q in thresholds]
-        )
+        ranks = np.searchsorted(sorted_low, rows, side="left")
         # mode="clip" writes straight into ``out``; "raise" would buffer a copy.
         np.take(patterns, ranks, axis=0, out=out.reshape(ranks.size, -1), mode="clip")
         return out
@@ -192,7 +189,7 @@ def _fold(expr: GameExpr, halves: LowHalves) -> BlockFill:
     groups: dict[tuple[int, ...], list[WeightedGame]] = {}
     for c in expr.children:
         if expr.op == AND and isinstance(c, WeightedGame) and c.quota == 1:
-            blocked.append(_blocked_mask(c))
+            blocked.append(sum(1 << j for j, w in enumerate(c.weights) if w == 0))
         elif isinstance(c, WeightedGame):
             groups.setdefault(_low_weights(c), []).append(c)
         else:

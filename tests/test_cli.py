@@ -276,11 +276,44 @@ class TestAnalyze:
         assert "excluded: C, D, E\n" in result.stdout
 
 
+# FIVE with names that JSON escapes: non-ASCII letters, a quote and a backslash.
+ODD_NAMES = (
+    "rank,country,population\n1,Ärø,50\n2,\"Bé \"\"quoted\"\" \\ back\",20\n"
+    "3,Çà 字,15\n4,D,10\n5,Ünï,5\n"
+)
+
+
 class TestJsonStream:
+    def test_writer_equals_the_standard_library(self, toys, tmp_path):
+        odd = tmp_path / "tablé ü.csv"
+        odd.write_text(ODD_NAMES, encoding="utf-8")
+        reports = [
+            # Escaped names in ``excluded`` and ``dataset``, and the alternate
+            # reading's ``error`` string.
+            analyze_json("--data", str(odd), "--exclude", 'D,Ünï,Bé "quoted" \\ back'),
+            # An empty ``excluded`` and ``frontier``, nested dicts, gap members.
+            analyze_json("--data", toys["toy16"]),
+            # ``swap_roles`` true, and an alternate reading holding nulls.
+            analyze_json("--data", toys["ten"], "--exclude", "C1,C2", "--swap-roles"),
+            # Lists of lists and of dicts, 782 KB.
+            analyze_json("--data", "builtin:2018", "--exclude", "United Kingdom"),
+        ]
+        assert reports[0]["excluded"] == sorted(['Bé "quoted" \\ back', "D", "Ünï"])
+        assert "error" in reports[0]["alternate_quota_reading"]
+        assert reports[1]["excluded"] == reports[1]["frontier"] == []
+        assert reports[1]["verification"] is None and reports[1]["swap_roles"] is False
+        assert reports[2]["swap_roles"] is True
+        assert reports[2]["alternate_quota_reading"]["bound"] is None
+        for report in reports:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                cli._echo_json(report)
+            assert out.getvalue() == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
     @pytest.mark.parametrize("batch", [1, 3])
     def test_batches_join_to_one_dump(self, toys, batch, monkeypatch):
-        # Batches of 1 and 3 encoder chunks put a boundary inside every
-        # nesting level of the report: lists of lists, dicts, None.
+        # Batches of 1 and 3 pieces put a boundary between top-level entries
+        # and between the elements of the top-level lists of lists and dicts.
         report = analyze_json("--data", toys["toy16"], "--exclude", "Light12")
         monkeypatch.setattr(cli, "_JSON_BATCH", batch)
         out = io.StringIO()
@@ -290,8 +323,8 @@ class TestJsonStream:
 
     def test_rendering_memory(self):
         # The no-UK report: 782 KB of JSON, 1,364 games of 27 weights each.
-        # The renderer holds one batch of 2^12 encoder chunks, 0.32 MiB in
-        # tracemalloc; batches of 2^16 chunks held 4.35 MiB.
+        # The renderer holds one batch of 2^7 pieces, 0.15 MiB in
+        # tracemalloc; batches of 2^12 pieces held 1.64 MiB.
         report = analyze_json("--data", "builtin:2018", "--exclude", "United Kingdom")
         with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
             tracemalloc.start()
@@ -304,8 +337,8 @@ class TestJsonStream:
 
     def test_rendering_writes_few_batches(self):
         # Under PYTHONUNBUFFERED=1 every write is a system call.  The no-UK
-        # report is 87,300 encoder chunks, one write each under json.dump;
-        # the renderer joins them into 23 writes.
+        # report is 87,300 encoder chunks, one write each under json.dump,
+        # and 2,730 pieces here, joined into 23 writes.
         report = analyze_json("--data", "builtin:2018", "--exclude", "United Kingdom")
         writes = []
 

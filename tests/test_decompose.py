@@ -76,6 +76,13 @@ class TestVetoGame:
         with pytest.raises(ValueError, match="grand coalition"):
             veto_game(Coalition.grand(3))
 
+    @given(st.integers(1, 32), st.integers(0, 2**32 - 1))
+    def test_weight_one_outside_the_block(self, n, bits):
+        blocked_mask = bits % ((1 << n) - 1)
+        game = veto_game(Coalition(blocked_mask, n))
+        assert game.weights == tuple(0 if blocked_mask >> j & 1 else 1 for j in range(n))
+        assert game.quota == 1
+
     @given(st.integers(1, 8), st.integers(0, 255))
     def test_losers_are_exactly_subsets(self, n, seed):
         blocked_mask = seed % (1 << n)
@@ -94,17 +101,17 @@ class TestGapSummary:
         gap = gap_summary(first, second)
         masks = oracles.gap_masks(first, second)
         assert gap.count == len(masks)
+        core = (1 << n) - 1
+        for m in masks:
+            core &= m
+        assert gap.common_core.mask == core
+        if core == 0:
+            # The rewrite is inapplicable, so no boost is priced and no member listed.
+            assert gap.min_weight is None and gap.boost is None and gap.members is None
+            return
         assert gap.members is not None
         assert [s.mask for s in gap.members] == masks
         if masks:
-            core = (1 << n) - 1
-            for m in masks:
-                core &= m
-            assert gap.common_core.mask == core
-            if core == 0:
-                # The rewrite is inapplicable, so no boost is priced.
-                assert gap.min_weight is None and gap.boost is None
-                return
             assert gap.min_weight == min(
                 oracles.weight_of(first.weights, m) for m in masks
             )
@@ -124,17 +131,25 @@ class TestGapSummary:
         assert gap.members == ()
 
     def test_member_cap_suppresses_listing_only(self, monkeypatch):
-        # Gap: every coalition that is neither empty nor grand (254 of them).
+        # Gap: every coalition that holds player 7 and is not grand (127 of
+        # them), with the core {7}.
         first = unit_game(8, 8)
-        second = unit_game(1, 8)
+        second = WeightedGame((1,) * 7 + (8,), 8)
         full = gap_summary(first, second)
         monkeypatch.setattr(decompose, "GAP_MEMBER_CAP", 10)
         capped = gap_summary(first, second)
-        assert capped.count == full.count == 254
+        assert capped.count == full.count == 127
         assert capped.members is None
-        assert full.members is not None and len(full.members) == 254
-        assert capped.min_weight == full.min_weight
-        assert capped.boost == full.boost
+        assert full.members is not None and len(full.members) == 127
+        assert capped.min_weight == full.min_weight == 1
+        assert capped.boost == full.boost == 7
+
+    def test_empty_core_lists_no_members(self):
+        # Every coalition that is neither empty nor grand (254 of them): far
+        # below the cap, but they share no player, so no rewrite reads them.
+        gap = gap_summary(unit_game(8, 8), unit_game(1, 8))
+        assert gap.count == 254
+        assert gap.common_core.mask == 0 and gap.members is None
 
     def test_fold_stops_unpacking_once_done(self):
         # 2014 with swapped roles: 45,535,773 gap coalitions and no core.  The
@@ -236,6 +251,23 @@ class TestUnionAsIntersection:
         for mask in (0b111, 0b000):
             with pytest.raises(AssertionError, match="re-check"):
                 check([mask])
+
+    @given(st.integers(1, 9), rngs)
+    def test_frontier_recheck_finds_every_extension(self, n, rng):
+        # Every non-empty mask losing both games, against a boosted game that
+        # any player wins: the re-check fails it iff a one-player extension
+        # still loses both.
+        first, second = oracles.random_game(rng, n), oracles.random_game(rng, n)
+        union = any_of(first, second)
+        for m in range(1, 1 << n):
+            if oracles.wins(union, m):
+                continue
+            extensions = [m | 1 << j for j in range(n) if not m >> j & 1]
+            if any(not oracles.wins(union, e) for e in extensions):
+                with pytest.raises(AssertionError, match="extension"):
+                    decompose._checked_frontier((unit_game(1, n),), first, second, [m])
+            else:
+                assert decompose._checked_frontier((unit_game(1, n),), first, second, [m])
 
     def test_boost_offset_breaks_equivalence(self):
         first = WeightedGame((2, 2, 2, 0), 4)
@@ -369,6 +401,18 @@ assert not {"numpy", "votedim.sweep"} & set(sys.modules)
                 exits.append((len(result.games), len(result.frontier)))
             assert exits == expected + [tail[year]] * 22, year
         assert data.builtin_table("2018").rows[2].country == "United Kingdom"
+
+    def test_large_exits_fold_to_their_rules(self):
+        # The exits of rank 2-4, which give the large bounds above (300-1,388
+        # games), under both quota readings: 24 rules, each folded over its
+        # 2^27 coalitions against its emitted games.
+        for year in data.BUILTIN_YEARS:
+            table = data.builtin_table(year)
+            for row in table.rows[1:4]:
+                for members in (None, table.member_count):
+                    rule = data.build_eu_rule(table, [row.country], quota_member_count=members)
+                    games = decompose.analyze_rule(rule).games
+                    assert sweep.equivalent(rule.expr, all_of(*games)), (year, row.rank, members)
 
     @settings(deadline=None)
     @given(st.integers(2, 8), rngs)

@@ -455,9 +455,9 @@ def shared_low_pair(rng: random.Random, n: int, lo: int):
 def recording(calls: list, fn):
     """``fn``, appending its first argument to ``calls`` on every call."""
 
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         calls.append(args[0])
-        return fn(*args)
+        return fn(*args, **kwargs)
 
     return wrapper
 
@@ -505,6 +505,39 @@ class TestGroupedGathers:
         assert sorted(map(len, groups)) == [1, 1, 1, 1, 12]
         assert len(halves) == 2
         assert len(closures) == 1
+
+    def test_no_uk_fold_searches_once_per_group_and_block(self, monkeypatch):
+        # Five groups (three on the rule's side, two on the emitted side) over
+        # 2^27 / 2^20 = 128 blocks: 640 binary searches, where one search per
+        # weighted leaf made 16 a block, 2,048 in all.
+        rule = data.build_eu_rule(data.builtin_table("2018"), exclude=["United Kingdom"])
+        emitted = all_of(*decompose.analyze_rule(rule).games)
+        searches = []
+        monkeypatch.setattr(np, "searchsorted", recording(searches, np.searchsorted))
+        assert sweep.equivalent(rule.expr, emitted)
+        assert len(searches) == 640
+
+    # Low weights 1..11, so every sum 0..66 is a low sum and every threshold
+    # in that range ties exactly with one.  Players 11 and 12 move the three
+    # games' thresholds apart, in different rows: 30, 33, 31 without either,
+    # 25, 33, 28 with 11 alone, 30, 26, 28 with 12 alone, 25, 26, 25 with both.
+    TIED = [((5, 0), 30), ((0, 7), 33), ((3, 3), 31)]
+    # A threshold below every low sum (-10) and one above them all (70).
+    BEYOND = [((70, 0), 60), ((0, 10), 70), ((1, 1), 40)]
+
+    @pytest.mark.parametrize("games", [TIED, BEYOND], ids=["tied", "beyond"])
+    @pytest.mark.parametrize("node", [all_of, any_of], ids=["and", "or"])
+    def test_extreme_threshold_against_bigint_engine(self, games, node):
+        low = tuple(range(1, 12))
+        leaves = [WeightedGame(low + high, quota) for high, quota in games]
+        expr = node(*leaves)
+        assert oracles.table_to_int(sweep.expr_table(expr)) == bigint_engine.expr_table(expr)
+        # Each leaf alone, and the group against the other connective.
+        other = (any_of if node is all_of else all_of)(*leaves)
+        for a, b in [(expr, other)] + [(expr, leaf) for leaf in leaves]:
+            result = sweep.equivalent(a, b)
+            expected = bigint_engine.first_difference(a, b)
+            assert (None if result else result.counterexample.mask) == expected
 
 
 def veto_mask_expr(rng: random.Random, n: int, bits: int, fixed: bool):
@@ -697,8 +730,13 @@ def rewrite_outcome(rewrite, first: WeightedGame, second: WeightedGame):
 
 
 def assert_same_rewrite(first: WeightedGame, second: WeightedGame, bits=None):
-    """The walked rewrite and the table rewrite (folds of 2^``bits`` coalitions) agree."""
+    """The walked rewrite and the table rewrite (folds of 2^``bits`` coalitions) agree.
+
+    With an empty core the walk lists no gap member, where the table rewrite does.
+    """
     expected = rewrite_outcome(table_rewrite.union_as_intersection, first, second)
+    if isinstance(expected, decompose.GapSummary):
+        expected = decompose.GapSummary(*expected._fields()[:-1], None)
     with pytest.MonkeyPatch.context() as patch:
         if bits is not None:
             patch.setattr(sweep, "_BLOCK_BITS", bits)
@@ -799,7 +837,7 @@ def oracle_rewrite(first: WeightedGame, second: WeightedGame):
     if members and core:
         min_weight = min(oracles.weight_of(first.weights, m) for m in members)
         boost = first.quota - min_weight
-    listed = tuple(Coalition(m, n) for m in members)
+    listed = tuple(Coalition(m, n) for m in members) if core else None
     gap = decompose.GapSummary(len(members), Coalition(core, n), min_weight, boost, listed)
     if not members:
         return decompose.Decomposition((first,), gap, ())
@@ -844,7 +882,7 @@ class TestPlayerWalk:
     def test_member_cap_at_the_count(self, core, below, monkeypatch):
         # test_gap_above_the_member_cap's pairs: 8,190 gap coalitions with an
         # empty core, or 4,094 with the core {12}.  The cap is the count, or
-        # one below it.
+        # one below it.  An empty core lists no members at any cap.
         n = 13
         first = WeightedGame((5,) * 6 + (1,) * 5 + (5, 1), 41)
         second = WeightedGame((1,) * (n - 1) + (n - 1,), n) if core else unit_game(1, n)
@@ -853,7 +891,7 @@ class TestPlayerWalk:
         got = assert_same_rewrite(first, second)
         gap = got.gap if core else got
         assert gap.count == count
-        assert (gap.members is None) == below
+        assert (gap.members is None) == (below or not core)
 
     @pytest.mark.parametrize("year", data.BUILTIN_YEARS)
     def test_every_single_exit_under_retained_quotas(self, year):
