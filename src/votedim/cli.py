@@ -25,10 +25,10 @@ if TYPE_CHECKING:
 
 EXIT_FAILURE = 1
 EXIT_INAPPLICABLE = 3
-# Pieces joined per write of ``analyze --json``: a batch of 2^7 of the no-UK
-# report's 2,730 holds 0.15 MiB, in 23 writes.  One write per encoder chunk,
+# Pieces joined per write of ``analyze --json``: a batch of 2^9 of the no-UK
+# report's 6,872 holds 0.34 MiB, in 15 writes.  One write per encoder chunk,
 # as ``json.dump`` writes (87,300), took 0.34 → 0.43 s under PYTHONUNBUFFERED=1.
-_JSON_BATCH = 1 << 7
+_JSON_BATCH = 1 << 9
 
 
 def _read_text(path: str) -> str:
@@ -124,40 +124,38 @@ def _analyze_or_exit(rule: data.EuRule, swap_roles: bool) -> decompose.Decomposi
 
 
 def _json_pieces(report: dict) -> Iterator[str]:
-    """``json.dumps(report, indent=2, sort_keys=True)`` in pieces.
+    """``json.dumps(report, indent=2, sort_keys=True)`` in pieces, from one walk.
 
-    A piece is a top-level entry, or an element of a top-level list of lists
-    or dicts.  ``json.dumps`` indents in pure Python: 40 ms on the no-UK report.
+    A piece is a leaf (a string, number, None, boolean, empty container or
+    list of ints) or a bracket of any other list or dict; a key, with the
+    separator before it, leads its value's first piece.  ``json.dumps``
+    indents in pure Python: 40 ms on the no-UK report.
     """
     import json
     from json.encoder import encode_basestring_ascii as quoted
 
-    def render(value, indent: str) -> str:
-        if isinstance(value, str):
-            return quoted(value)
-        if type(value) is int:
-            return int.__repr__(value)
-        if not value or not isinstance(value, (list, dict)):
-            return json.dumps(value)  # None, booleans, floats, empty containers
+    def pieces(value, indent: str, head: str) -> Iterator[str]:
         inner = indent + "  "
-        if isinstance(value, dict):
-            items = [f"{quoted(k)}: {render(v, inner)}" for k, v in sorted(value.items())]
+        if isinstance(value, str):
+            yield head + quoted(value)
+        elif type(value) is int:
+            yield head + int.__repr__(value)
+        elif not value or not isinstance(value, (list, dict)):
+            yield head + json.dumps(value)  # None, booleans, floats, empty containers
+        elif isinstance(value, dict):
+            yield head + "{"
+            for i, (key, item) in enumerate(sorted(value.items())):
+                yield from pieces(item, inner, ","[:i] + inner + quoted(key) + ": ")
+            yield indent + "}"
         elif set(map(type, value)) == {int}:
-            items = map(int.__repr__, value)
+            yield head + "[" + inner + f",{inner}".join(map(int.__repr__, value)) + indent + "]"
         else:
-            items = [render(v, inner) for v in value]
-        ends = "{}" if isinstance(value, dict) else "[]"
-        return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{ends[1]}"
-
-    for i, (key, value) in enumerate(sorted(report.items())):
-        head = ("{" if i == 0 else ",") + f"\n  {quoted(key)}: "
-        if value and isinstance(value, list) and isinstance(value[0], (list, dict)):
             yield head + "["
-            yield from ("," * (j > 0) + "\n    " + render(v, "    ") for j, v in enumerate(value))
-            yield "\n  ]"
-        else:
-            yield head + render(value, "  ")
-    yield "\n}" if report else "{}"
+            for i, item in enumerate(value):
+                yield from pieces(item, inner, ","[:i] + inner)
+            yield indent + "]"
+
+    return pieces(report, "\n", "")
 
 
 def _echo_json(report: dict) -> None:

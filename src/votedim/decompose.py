@@ -118,10 +118,6 @@ class Decomposition(Record):
             return ()
         return tuple(self.gap.common_core.members())
 
-    def intersection(self) -> GameExpr:
-        """The emitted games as a single AND expression."""
-        return all_of(*self.games)
-
 
 def veto_game(blocked: Coalition) -> WeightedGame:
     """The quota-1 game whose losing coalitions are exactly subsets of ``blocked``.
@@ -131,7 +127,7 @@ def veto_game(blocked: Coalition) -> WeightedGame:
     set: that would leave no player with weight.
     """
     m, t = blocked.mask, _VETO_BYTES
-    if m == Coalition.grand(blocked.n).mask:
+    if m == (1 << blocked.n) - 1:
         raise ValueError("cannot veto the grand coalition: no player would carry weight")
     weights = t[m & 255] + t[m >> 8 & 255] + t[m >> 16 & 255] + t[m >> 24]
     return WeightedGame(weights[: blocked.n], 1)

@@ -96,10 +96,6 @@ class Coalition(Record):
     def __hash__(self) -> int:
         return hash((self.mask, self.n))
 
-    @classmethod
-    def grand(cls, n: int) -> "Coalition":
-        return cls((1 << n) - 1, n)
-
     def members(self) -> tuple[int, ...]:
         return tuple(j for j in range(self.n) if self.mask >> j & 1)
 
@@ -200,10 +196,6 @@ class WeightedGame(Record, GameExpr):
     @property
     def n(self) -> int:
         return len(self.weights)
-
-    @property
-    def total_weight(self) -> int:
-        return sum(self.weights)
 
     def weight_sum(self, s: Coalition) -> int:
         """Exact integer weight of coalition ``s``."""

@@ -23,7 +23,7 @@ those with ``&`` and ``|``, and the lowest set bit of ``P & Q`` is the
 first certifying split.  Chunks run in ascending order, so memory stays
 bounded however large the difference is.
 
-``certifiable`` decides whether a split exists without searching, when
+``_pair_decider`` decides whether a split exists without searching, when
 every leaf weighs the difference uniformly or by one common vector W (every
 rule the CLI builds): a split then wins or loses by its size and its W-sum
 alone.  Both commands ask it first and search only the pairs it does not
@@ -46,10 +46,10 @@ _CHUNK_BITS = 20
 # Low players per row: at most 2^11 + 1 row patterns of 256 bytes per distinct
 # vector of low-player weights.
 _LOW_BITS = 11
-# Branch-and-bound nodes one pair may take in ``certifiable`` before it leaves
+# Branch-and-bound nodes one pair may take in ``_pair_decider`` before it leaves
 # the pair to the split search.
 _NODE_CAP = 1 << 9
-# Terms (ANDs of leaves; an AND of k ORs has 2^k) past which ``certifiable`` answers None.
+# Terms (ANDs of leaves; an AND of k ORs has 2^k) past which ``_pair_decider`` answers None.
 _TERM_CAP = 1 << 6
 
 STATUS_CERTIFIED = "certified"
@@ -247,12 +247,28 @@ def _sum_within(weights: list[int], top: list[int], stack: list[tuple]) -> Optio
 
 
 def _pair_decider(expr: GameExpr) -> Callable[[Coalition, Coalition], Optional[bool]]:
-    """``certifiable`` for one expression, with the work that depends on it alone done once.
+    """``decide(a, b)``: whether ``find_certificate(expr, a, b)`` certifies, by arithmetic.
 
-    The expression becomes a union of terms, each an AND of leaves (indices
-    into ``leaves``; two for every CLI rule, none past ``_TERM_CAP``, counted
-    first), so a pair needs no fold.  A leaf weighs a ∩ b as
-    (w(a) + w(b) - w(Δ)) / 2, with w(a) and w(b) cached per coalition.
+    Both coalitions must lose (not checked).  ``decide`` answers when every
+    leaf's weights on the symmetric difference Δ are either all equal or one
+    common vector W, and returns None otherwise, past ``_TERM_CAP`` terms of
+    the expression, or when the branch and bound passes ``_NODE_CAP``.
+
+    Then whether ``p = (a ∩ b) ∪ x`` wins depends on s = |x| and W(x) alone:
+    a uniform leaf bounds s from below, a W leaf bounds W(x) from below, and
+    the terms of the expression make the winning x a union of boxes
+    "s >= s0 and W(x) >= lo".  ``q = (a ∩ b) ∪ (Δ \\ x)`` wins iff
+    (d - s, T - W(x)) lies in one, with d = |Δ| and T = W(Δ), so the pair
+    certifies iff some s-subset of Δ has its W-sum in a box of p met with a
+    mirrored box of q.  The s-subset sums range from the s smallest weights
+    to the s largest; a W-interval that holds an extreme is reached, one
+    that misses the range is not, and one strictly between them goes to
+    ``_sum_within``.
+
+    The expression becomes a union of terms once, each an AND of leaves
+    (indices into ``leaves``; two for every CLI rule, none past
+    ``_TERM_CAP``, counted first), so a pair needs no fold.  A leaf weighs
+    a ∩ b as (w(a) + w(b) - w(Δ)) / 2, with w(a) and w(b) cached per coalition.
     """
     n, leaves = expr.n, list(dict.fromkeys(expr.leaves()))
     index = {game: i for i, game in enumerate(leaves)}
@@ -320,35 +336,13 @@ def _pair_decider(expr: GameExpr) -> Callable[[Coalition, Coalition], Optional[b
     return decide
 
 
-def certifiable(expr: GameExpr, a: Coalition, b: Coalition) -> Optional[bool]:
-    """Whether ``find_certificate(expr, a, b)`` certifies, decided by arithmetic.
-
-    Both coalitions must lose (not checked).  It answers when every leaf's
-    weights on the symmetric difference Δ are either all equal or one
-    common vector W, and returns None otherwise, past ``_TERM_CAP`` terms
-    of the expression, or when the branch and bound passes ``_NODE_CAP``.
-
-    Then whether ``p = (a ∩ b) ∪ x`` wins depends on s = |x| and W(x) alone:
-    a uniform leaf bounds s from below, a W leaf bounds W(x) from below, and
-    the terms of the expression make the winning x a union of boxes
-    "s >= s0 and W(x) >= lo".  ``q = (a ∩ b) ∪ (Δ \\ x)`` wins iff
-    (d - s, T - W(x)) lies in one, with d = |Δ| and T = W(Δ), so the pair
-    certifies iff some s-subset of Δ has its W-sum in a box of p met with a
-    mirrored box of q.  The s-subset sums range from the s smallest weights
-    to the s largest; a W-interval that holds an extreme is reached, one
-    that misses the range is not, and one strictly between them goes to
-    ``_sum_within``.
-    """
-    return _pair_decider(expr)(a, b)
-
-
 def verify_certificate_set(
     expr: GameExpr, coalitions: Sequence[Coalition]
 ) -> CertificateSetReport:
     """Check a coalition set: all losing and pairwise certified.
 
     Pairs are decided one at a time in index order: the split search runs
-    on every losing pair that ``certifiable`` does not rule out.  Pairs
+    on every losing pair that ``_pair_decider`` does not rule out.  Pairs
     that involve a non-losing coalition are reported as not attempted.
     """
     coalitions = tuple(coalitions)
@@ -433,7 +427,7 @@ def search_certificate_set(
     """A largest pairwise-incompatible set within a seeded pool of maximal losers.
 
     The pool holds at most ``pool_budget`` maximal losers (``_loser_pool``).
-    Each of its k(k-1)/2 pairs gets one adjacency bit, from ``certifiable``
+    Each of its k(k-1)/2 pairs gets one adjacency bit, from ``_pair_decider``
     or, where that gives no answer, from ``find_certificate``.  The report
     is ``verify_certificate_set`` of a maximum clique of those pairs, in
     pool order, so the split search runs on the clique's pairs.  Exact over

@@ -304,7 +304,7 @@ def table_members(table: Table) -> list[int]:
 def players_in_all(words: np.ndarray, index: np.ndarray, n: int) -> int:
     """Bit-mask of players present in every member of a run; all players for an empty run.
 
-    Kept for ``tests/table_rewrite.py`` and ``perfbench/traced.py`` (ROADMAP item 10)."""
+    No command calls it: ``test_public_api.UNREACHED`` says why it stays (ROADMAP item 9)."""
     if index.size == 0:
         return (1 << n) - 1
     # Players 0..5 are bits inside a word, players 6.. are bits of its index.
@@ -327,7 +327,7 @@ def weights_of(game: WeightedGame, masks: np.ndarray) -> np.ndarray:
 def min_member_weight(game: WeightedGame, words: np.ndarray, index: np.ndarray) -> Optional[int]:
     """Minimum weight (under ``game``) over the members of a run; None for an empty run.
 
-    Kept for ``tests/table_rewrite.py`` and ``perfbench/traced.py`` (ROADMAP item 10)."""
+    No command calls it: ``test_public_api.UNREACHED`` says why it stays (ROADMAP item 9)."""
     chunks = member_chunks(words, index)
     return min((int(weights_of(game, m).min()) for m in chunks), default=None)
 

@@ -10,8 +10,9 @@ table instead of a predicate and the table, that ``Decomposition`` no
 longer takes a method tag: it derives the tag from the gap, and that
 ``sweep.players_in_all`` and ``sweep.min_member_weight`` take the table's
 run of non-zero words and their indices (``oracles.run_of``) instead of
-the table, and that the maximal members are listed through
-``sweep.member_array``, as ``sweep.maximal_members`` is gone.
+the table, that the maximal members are listed through
+``sweep.member_array``, as ``sweep.maximal_members`` is gone, and that the
+boost is read from summed weights, as ``WeightedGame.total_weight`` is gone.
 """
 
 from typing import Optional
@@ -72,7 +73,7 @@ def union_as_intersection(first: WeightedGame, second: WeightedGame) -> Decompos
         raise EmptyCoreError(gap)
     assert gap.boost is not None
     boosted = decompose._boosted_games(first, gap.common_core, gap.boost)
-    boost = boosted[0].total_weight - first.total_weight
+    boost = sum(boosted[0].weights) - sum(first.weights)
     assert boost >= 0
 
     # Over-admitted: lose first and second, reach q - u, contain the core.

@@ -242,7 +242,7 @@ def test_criterion_6_union_rewrite_oracle_suite():
         if dec.method != decompose.METHOD_CORE_BOOST:
             continue
         done += 1
-        if not sweep.equivalent(dec.intersection(), any_of(a, b)):
+        if not sweep.equivalent(all_of(*dec.games), any_of(a, b)):
             fails += 1
     _report(
         6,
@@ -264,7 +264,7 @@ def test_criterion_7_veto_refinement_oracle_suite():
             {m for m in range(1, 1 << n) if m not in target_set}, n
         )
         if (
-            not sweep.equivalent(dec.intersection(), target)
+            not sweep.equivalent(all_of(*dec.games), target)
             or {s.mask for s in dec.frontier} != brute
         ):
             fails += 1

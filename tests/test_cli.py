@@ -312,8 +312,8 @@ class TestJsonStream:
 
     @pytest.mark.parametrize("batch", [1, 3])
     def test_batches_join_to_one_dump(self, toys, batch, monkeypatch):
-        # Batches of 1 and 3 pieces put a boundary between top-level entries
-        # and between the elements of the top-level lists of lists and dicts.
+        # Batches of 1 and 3 pieces put a boundary between keys, elements
+        # and the brackets of nested lists and dicts.
         report = analyze_json("--data", toys["toy16"], "--exclude", "Light12")
         monkeypatch.setattr(cli, "_JSON_BATCH", batch)
         out = io.StringIO()
@@ -321,10 +321,29 @@ class TestJsonStream:
             cli._echo_json(report)
         assert out.getvalue() == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
+    @pytest.mark.parametrize("batch", [1, cli._JSON_BATCH])
+    def test_writer_on_values_no_report_holds(self, batch, monkeypatch):
+        # A boolean in a list of ints is not an int to JSON, a float and None
+        # go through json.dumps, empty containers sit two levels down, and
+        # keys need escaping.
+        value = {
+            "ints": [1, True, 0, False],
+            "floats": [1.5, -2e300, 0.1],
+            "nested": {"lists": [[], {}, [[]]], "dicts": {"a": {}, "b": []}},
+            "ünï \"key\" \\ \n\t\u2028": {"é": None, "": "ü"},
+            "mixed": [None, 1, "x", 2.0, [None]],
+            "scalar": 3.25,
+        }
+        monkeypatch.setattr(cli, "_JSON_BATCH", batch)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._echo_json(value)
+        assert out.getvalue() == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
     def test_rendering_memory(self):
         # The no-UK report: 782 KB of JSON, 1,364 games of 27 weights each.
-        # The renderer holds one batch of 2^7 pieces, 0.15 MiB in
-        # tracemalloc; batches of 2^12 pieces held 1.64 MiB.
+        # The renderer holds one batch of 2^9 pieces, 0.34 MiB in
+        # tracemalloc; batches of 2^12 pieces hold 1.24 MiB.
         report = analyze_json("--data", "builtin:2018", "--exclude", "United Kingdom")
         with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
             tracemalloc.start()
@@ -338,7 +357,7 @@ class TestJsonStream:
     def test_rendering_writes_few_batches(self):
         # Under PYTHONUNBUFFERED=1 every write is a system call.  The no-UK
         # report is 87,300 encoder chunks, one write each under json.dump,
-        # and 2,730 pieces here, joined into 23 writes.
+        # and 6,872 pieces here, joined into 15 writes (55 in batches of 2^7).
         report = analyze_json("--data", "builtin:2018", "--exclude", "United Kingdom")
         writes = []
 

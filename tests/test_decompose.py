@@ -74,7 +74,7 @@ class TestVetoGame:
 
     def test_grand_coalition_rejected(self):
         with pytest.raises(ValueError, match="grand coalition"):
-            veto_game(Coalition.grand(3))
+            veto_game(Coalition(0b111, 3))
 
     @given(st.integers(1, 32), st.integers(0, 2**32 - 1))
     def test_weight_one_outside_the_block(self, n, bits):
@@ -118,14 +118,14 @@ class TestGapSummary:
             assert gap.boost == first.quota - gap.min_weight
             assert gap.boost >= 1
         else:
-            assert gap.common_core == Coalition.grand(n)
+            assert gap.common_core == Coalition((1 << n) - 1, n)
             assert gap.min_weight is None and gap.boost is None
 
     def test_empty_gap_convention(self):
         # Winners of the second game are a subset of the first game's.
         gap = gap_summary(unit_game(1, 3), unit_game(2, 3))
         assert gap.count == 0
-        assert gap.common_core == Coalition.grand(3)
+        assert gap.common_core == Coalition(0b111, 3)
         assert gap.min_weight is None
         assert gap.boost is None
         assert gap.members == ()
@@ -194,7 +194,7 @@ class TestUnionAsIntersection:
         assert dec.common_core_players() == (3,)
 
         union = oracles.winning_masks(any_of(first, second), 4)
-        assert oracles.winning_masks(dec.intersection(), 4) == union
+        assert oracles.winning_masks(all_of(*dec.games), 4) == union
 
     def test_empty_gap_returns_first_game_alone(self):
         first = unit_game(1, 3)
@@ -279,7 +279,7 @@ class TestUnionAsIntersection:
             dec.gap,
             dec.frontier,
         )
-        assert not sweep.equivalent(lowered.intersection(), any_of(first, second))
+        assert not sweep.equivalent(all_of(*lowered.games), any_of(first, second))
 
     def test_zero_minimum_weight_keeps_the_frontier(self):
         # Every gap coalition weighs 0 in the first game, so the lowered
@@ -290,7 +290,7 @@ class TestUnionAsIntersection:
         assert dec.gap.min_weight == 0
         assert dec.games[0] == WeightedGame((1, 0, 0, 1), 1)
         assert [s.members() for s in dec.frontier] == [(0,)]
-        assert sweep.equivalent(dec.intersection(), any_of(first, second))
+        assert sweep.equivalent(all_of(*dec.games), any_of(first, second))
 
     def test_table_count_does_not_grow_with_the_core(self, built_tables):
         # Only supersets of {0..6} win the second game: a 7-player core.
@@ -427,7 +427,7 @@ assert not {"numpy", "votedim.sweep"} & set(sys.modules)
             return
 
         union = oracles.winning_masks(any_of(first, second), n)
-        assert oracles.winning_masks(dec.intersection(), n) == union
+        assert oracles.winning_masks(all_of(*dec.games), n) == union
         for g in dec.games:
             admitted = oracles.winning_masks(g, n)
             assert union <= admitted
@@ -471,7 +471,7 @@ class TestRefineByVetoes:
             WeightedGame((1, 0, 1), 1),
             WeightedGame((1, 1, 0), 1),
         )
-        assert oracles.winning_masks(dec.intersection(), 3) == (
+        assert oracles.winning_masks(all_of(*dec.games), 3) == (
             oracles.winning_masks(target, 3)
         )
 
@@ -496,7 +496,7 @@ class TestRefineByVetoes:
         target = unit_game(3, 4)
         dec = refine_by_vetoes(target, all_of(g1, all_of(g2, g3)))
         assert dec.games[:3] == (g1, g2, g3)
-        assert oracles.winning_masks(dec.intersection(), 4) == (
+        assert oracles.winning_masks(all_of(*dec.games), 4) == (
             oracles.winning_masks(target, 4)
         )
 
@@ -517,7 +517,7 @@ class TestRefineByVetoes:
         candidate = unit_game(1, n)
         dec = refine_by_vetoes(target, candidate)
         target_set = oracles.winning_masks(target, n)
-        assert oracles.winning_masks(dec.intersection(), n) == target_set
+        assert oracles.winning_masks(all_of(*dec.games), n) == target_set
         losing_nonempty = {
             m for m in range(1, 1 << n) if m not in target_set
         }

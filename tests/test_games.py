@@ -103,7 +103,7 @@ class TestCoalition:
 
     def test_empty_and_grand(self):
         assert Coalition(0, 4).members() == ()
-        assert Coalition.grand(4).mask == 0b1111
+        assert Coalition(0b1111, 4).members() == (0, 1, 2, 3)
 
     def test_mask_bounds(self):
         with pytest.raises(ValueError):
@@ -252,7 +252,7 @@ class TestExpressions:
     def test_expr_monotone_and_bounded(self, n, rng):
         expr = oracles.random_expr(rng, n)
         assert not expr.evaluate(Coalition(0, n))
-        assert expr.evaluate(Coalition.grand(n))
+        assert expr.evaluate(Coalition((1 << n) - 1, n))
         sub = rng.randint(0, (1 << n) - 1)
         sup = sub | rng.randint(0, (1 << n) - 1)
         assert expr.evaluate(Coalition(sub, n)) <= expr.evaluate(Coalition(sup, n))

@@ -3,7 +3,7 @@
 import random
 import time
 import tracemalloc
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, product
 from pathlib import Path
 from unittest import mock
 
@@ -26,7 +26,6 @@ from votedim.lowerbound import (
     STATUS_CERTIFIED,
     STATUS_NO_CERTIFICATE,
     STATUS_NOT_ATTEMPTED,
-    certifiable,
     find_certificate,
     search_certificate_set,
     verify_certificate_set,
@@ -258,6 +257,17 @@ class TestFindCertificate:
         assert oracles.single_weighted_game_exists(weighted, 0b0011, 0b1100, 4)
 
 
+def small_weighted_games(n: int, top: int) -> list:
+    """One weighted game per distinct winning set, over weights 0..top and every quota."""
+    games = {}
+    for weights in product(range(top + 1), repeat=n):
+        sums = [oracles.weight_of(weights, m) for m in range(1 << n)]
+        for quota in range(1, sum(weights) + 1):
+            wins = sum(1 << m for m in range(1 << n) if sums[m] >= quota)
+            games.setdefault(wins, WeightedGame(weights, quota))
+    return list(games.values())
+
+
 class TestCertifiable:
     @pytest.mark.parametrize("name", ["2014", "2016", "2017", "2018", "noUK", "synthetic32"])
     def test_matches_the_split_search_on_every_pool_pair(self, name):
@@ -288,8 +298,30 @@ class TestCertifiable:
             for a, b in combinations(masks, 2):
                 want = oracles.pair_certifiable(expr, a, b, n)
                 pair = Coalition(a, n), Coalition(b, n)
-                assert certifiable(expr, *pair) == want
+                assert lowerbound._pair_decider(expr)(*pair) == want
                 assert (find_certificate(expr, *pair) is not None) == want
+
+    def test_every_small_rule_is_answered_and_matches_the_oracle(self):
+        # Every rule count(c) AND (g OR unit(v)) on 2 to 4 players: every
+        # distinct weighted game g with weights 0..4 (0..6 gives the same
+        # games), every count quota c and veto quota v, and every pair of the
+        # rule's maximal losers.  None of these pairs certifies (nor any of
+        # the 1,914,445 at n = 5), so this checks the decider's False answers;
+        # the pool pairs above check its True ones.
+        pairs = 0
+        for n, distinct in ((2, 4), (3, 18), (4, 148)):
+            games = small_weighted_games(n, 4)
+            assert len(games) == distinct
+            for g, c, v in product(games, range(1, n + 1), range(1, n + 1)):
+                rule = all_of(unit_game(c, n), any_of(g, unit_game(v, n)))
+                losers = {m for m in range(1 << n) if not oracles.wins(rule, m)}
+                decide = lowerbound._pair_decider(rule)
+                for a, b in combinations(sorted(oracles.maximal_masks(losers, n)), 2):
+                    answer = decide(Coalition(a, n), Coalition(b, n))
+                    assert answer is False
+                    assert not oracles.pair_certifiable(rule, a, b, n), (rule, a, b)
+                    pairs += 1
+        assert pairs == 17_499
 
     @pytest.mark.parametrize("weights", [(1, 1, 1, 1, 0), (2, 1, 1, 1, 1, 1), (1, 1, 3, 1, 1, 1, 1)])
     def test_a_weighted_game_certifies_no_pair(self, weights):
@@ -306,10 +338,10 @@ class TestCertifiable:
         a, b = Coalition(0b00110, 5), Coalition(0b11000, 5)
         mixed = all_of(WeightedGame((0, 1, 2, 3, 4), 6), WeightedGame((0, 4, 3, 2, 1), 6))
         assert not mixed.evaluate(a) and not mixed.evaluate(b)
-        assert certifiable(mixed, a, b) is None
+        assert lowerbound._pair_decider(mixed)(a, b) is None
         # Weights that differ only outside the difference are one vector on it.
         same = all_of(WeightedGame((0, 1, 2, 3, 4), 6), WeightedGame((9, 1, 2, 3, 4), 15))
-        assert certifiable(same, a, b) == (find_certificate(same, a, b) is not None)
+        assert lowerbound._pair_decider(same)(a, b) == (find_certificate(same, a, b) is not None)
 
     @pytest.mark.parametrize("light, expected", [((1, 2, 3, 4), True), ((2, 2, 2, 4), False)])
     def test_an_inner_interval_goes_to_the_branch_and_bound(self, monkeypatch, light, expected):
@@ -328,7 +360,7 @@ class TestCertifiable:
             return within(weights, top, stack)
 
         monkeypatch.setattr(lowerbound, "_sum_within", spy)
-        assert certifiable(expr, a, b) is expected
+        assert lowerbound._pair_decider(expr)(a, b) is expected
         assert stacks == [[(0, 3, 15, 15)]]
         assert oracles.pair_certifiable(expr, a.mask, b.mask, 6) is expected
         assert (find_certificate(expr, a, b) is not None) is expected
@@ -368,7 +400,7 @@ class TestCertifiable:
         expr = all_of(unit_game(12, n), WeightedGame(weights, sum(weights) // 2))
         a = Coalition(((1 << 11) - 1) << 13, n)  # the 11 heaviest: too few
         b = Coalition((1 << 13) - 1, n)  # the 13 lightest: too light
-        assert certifiable(expr, a, b) is None
+        assert lowerbound._pair_decider(expr)(a, b) is None
         assert find_certificate(expr, a, b) is None
 
     def test_the_search_asks_the_split_search_when_unanswered(self, monkeypatch):
@@ -378,7 +410,8 @@ class TestCertifiable:
         want = search_certificate_set(expr, pool_budget=16, seed=0)
         monkeypatch.setattr(lowerbound, "_NODE_CAP", 0)
         pool = [Coalition(m, expr.n) for m in lowerbound._loser_pool(expr, 16, 0)]
-        unanswered = [pair for pair in combinations(pool, 2) if certifiable(expr, *pair) is None]
+        decide = lowerbound._pair_decider(expr)
+        unanswered = [pair for pair in combinations(pool, 2) if decide(*pair) is None]
         search, searched = lowerbound.find_certificate, []
 
         def spy(*args):
@@ -404,13 +437,13 @@ class TestCertifiable:
         assert searched == list(combinations(report.coalitions, 2))
 
     def test_identical_and_neighbouring_coalitions_are_not_certifiable(self):
-        game = unit_game(3, 4)
-        assert certifiable(game, Coalition(0b0011, 4), Coalition(0b0011, 4)) is False
-        assert certifiable(game, Coalition(0b0011, 4), Coalition(0b0001, 4)) is False
+        decide = lowerbound._pair_decider(unit_game(3, 4))
+        assert decide(Coalition(0b0011, 4), Coalition(0b0011, 4)) is False
+        assert decide(Coalition(0b0011, 4), Coalition(0b0001, 4)) is False
 
     def test_universe_mismatch(self):
         with pytest.raises(UniverseMismatchError):
-            certifiable(unit_game(1, 3), Coalition(0, 4), Coalition(1, 4))
+            lowerbound._pair_decider(unit_game(1, 3))(Coalition(0, 4), Coalition(1, 4))
 
 
 class TestVerifyCertificateSet:
@@ -520,9 +553,9 @@ class TestVerifyCertificateSet:
         start = time.perf_counter()
         report = verify_certificate_set(game, coalitions)
         elapsed = time.perf_counter() - start
-        assert certifiable(game, *coalitions[:2]) is None
+        assert lowerbound._pair_decider(game)(*coalitions[:2]) is None
         with pytest.raises(UniverseMismatchError):
-            certifiable(game, Coalition(0b01, 5), Coalition(0b10, 5))
+            lowerbound._pair_decider(game)(Coalition(0b01, 5), Coalition(0b10, 5))
         monkeypatch.setattr(lowerbound, "_pair_decider", lambda expr: lambda a, b: None)
         assert verify_certificate_set(game, coalitions) == report
         assert [p.status for p in report.pairs].count(STATUS_CERTIFIED) == 2

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import votedim
+from cli_runner import invoke
 
 
 def test_every_exported_name_resolves():
@@ -79,3 +80,77 @@ def test_modules_import_no_dataclasses_fractions_or_eager_json():
                 found.add((path.name, module.split(".")[0], id(node) in in_function))
     assert {f for f in found if f[1] in ("dataclasses", "fractions")} == set()
     assert {f for f in found if f[1] == "json"} == {("cli.py", "json", True)}
+
+
+# Functions in ``src/votedim`` that no command and no exported name reaches,
+# each with the reason it stays.  Anything else unreached is dead code.
+UNREACHED = {
+    # ``perfbench/traced.py`` wraps or reads these seven, and
+    # ``tests/test_traced.py`` asserts that they exist (ROADMAP item 9).
+    "sweep.win_table": "wrapped by perfbench/traced.py",
+    "sweep.up_closure": "wrapped by perfbench/traced.py",
+    "sweep.table_members": "wrapped by perfbench/traced.py",
+    "sweep.players_in_all": "wrapped by perfbench/traced.py; used by tests/table_rewrite.py",
+    "sweep.min_member_weight": "wrapped by perfbench/traced.py; used by tests/table_rewrite.py",
+    "sweep.Table.bit_count": "read by perfbench/traced.py on _maximal_bits' result",
+    "decompose.Decomposition.common_core_players": "read by perfbench/traced.py",
+    "games.GameExpr.fold": "abstract: WeightedGame and Node override it",
+    "games.Record._fields": "called only by Record.__eq__ and __hash__, which no command uses",
+}
+
+
+def _defined_functions() -> dict:
+    """Every non-dunder ``def`` in the package: (file, first line) -> qualified name.
+
+    The first line is the first decorator's, as in ``co_firstlineno``.
+    """
+    found = {}
+
+    def visit(node, path: Path, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = prefix
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{prefix}{child.name}."
+            if isinstance(child, ast.FunctionDef):
+                if not re.fullmatch(r"__\w+__", child.name):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    found[(str(path), first)] = f"{path.stem}.{prefix}{child.name}"
+            visit(child, path, inner)
+
+    for path in sorted(Path(votedim.__file__).resolve().parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, "")
+    return found
+
+
+def test_src_holds_only_reached_code():
+    # Every command on the bundled data, and the one exported name that no
+    # command calls, under a profiler that records each Python call.
+    certs = Path(votedim.__file__).resolve().parent / "certs"
+    commands = {
+        ("analyze", "--json", "--data", "builtin:2018", "--exclude", "United Kingdom",
+         "--threads", "1"): 0,
+        ("analyze", "--data", "builtin:2014"): 0,
+        ("analyze", "--swap-roles", "--data", "builtin:2014"): 3,
+        ("verify", "--data", "builtin:2014"): 0,
+        ("lower-bound", "verify", "--data", "builtin:2014",
+         "--coalitions", str(certs / "eu2014_7.txt")): 0,
+        ("lower-bound", "search", "--data", "builtin:2014", "--budget", "32", "--seed", "1"): 0,
+    }
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    exit_codes = {}
+    sys.setprofile(profile)
+    try:
+        for args in commands:
+            exit_codes[args] = invoke(args).exit_code
+        votedim.refine_by_vetoes(votedim.unit_game(2, 3), votedim.unit_game(2, 3))
+    finally:
+        sys.setprofile(None)
+    assert exit_codes == commands
+    reached = {(str(Path(c.co_filename).resolve()), c.co_firstlineno) for c in codes}
+    defined = _defined_functions()
+    assert {name for key, name in defined.items() if key not in reached} == set(UNREACHED)
