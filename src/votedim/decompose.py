@@ -11,15 +11,19 @@ over-admits are then fenced off one veto game apiece.
 The union rewrite walks the players, with no table.  With boost u >= 0,
 the boosted intersection wins exactly ``[w(S) >= q] or ([w(S) >= q - u]
 and core ⊆ S)``, so every over-admitted coalition holds the core.
-``verify`` folds every emitted game itself, over all 2^n coalitions.
-Only ``refine_by_vetoes`` loads ``sweep`` (and numpy).
+Both veto fences re-check their frontier with one ``_checked_frontier``,
+through byte-sum tables.  ``verify`` folds every emitted game itself, over
+all 2^n coalitions.  Only ``refine_by_vetoes`` loads ``sweep`` (and numpy).
 """
 
 from bisect import bisect_left
+from functools import reduce
 from itertools import accumulate
+from operator import and_, or_
 from typing import Optional
 
-from .games import MAX_PLAYERS, Coalition, GameExpr, Record, WeightedGame, all_of, check_universe
+from .games import MAX_PLAYERS, Coalition, GameExpr, Record, WeightedGame, all_of, any_of
+from .games import check_universe, subset_sums
 from .data import EuRule
 
 # Gap-set members are materialized only up to this count; the summary
@@ -217,34 +221,39 @@ def _frontier(first: WeightedGame, second: WeightedGame, core: Coalition, boost:
     return sorted(found)
 
 
-def _checked_frontier(
-    boosted: tuple[WeightedGame, ...], first: WeightedGame, second: WeightedGame, masks: list[int]
-) -> list[Coalition]:
-    """Re-check ``masks``: each wins every ``boosted`` game, loses ``first | second``, is maximal.
+def _checked_frontier(up: GameExpr, down: GameExpr, masks: list[int]) -> list[Coalition]:
+    """Re-check ``masks``: each wins ``up``, loses ``down``, and is maximal with both.
 
-    Every leaf weighs a mask through its own four 256-entry byte-sum tables.
-    An extension by j still wins the boosted games, which are monotone, so
-    it is tested against ``first`` and ``second`` alone: it fails iff w_j < a
-    and v_j < b, and the players below a are a prefix by weight (one mask).
+    ``up`` is a weighted game or an AND of them, ``down`` any expression.
+    Every leaf weighs all masks once, through its four 256-entry byte-sum
+    tables.  An extension still wins ``up``, which is monotone, so only
+    ``down`` is folded: into the players j for which m | 1 << j still loses
+    it, so m loses ``down`` iff they include m, and is maximal iff they hold
+    no other player.  A leaf that m lacks d > 0 of keeps losing iff j is in m
+    or w_j < d, a prefix of its players by weight; an AND keeps losing iff
+    some child does, an OR iff every child does.
     """
-    n, tables = first.n, []
-    for g in (first, second, *boosted):
-        sums = [[0] for _ in range(0, MAX_PLAYERS, 8)]
-        for j, x in enumerate(g.weights):
-            sums[j >> 3] += [s + x for s in sums[j >> 3]]
-        tables.append((*sums, g.quota))
-    (ws, wm), (vs, vm) = (
-        ([g.weights[j] for j in o], [0, *accumulate(1 << j for j in o)])
-        for g in (first, second) for o in [sorted(range(n), key=g.weights.__getitem__)]
-    )
-    for m in masks:
-        b0, b1, b2, b3 = m & 255, m >> 8 & 255, m >> 16 & 255, m >> 24
-        # The weight each leaf still lacks: ``first``, ``second``, then the boosted copies.
-        a, b, *up = [q - t0[b0] - t1[b1] - t2[b2] - t3[b3] for t0, t1, t2, t3, q in tables]
-        if a <= 0 or b <= 0 or max(up) > 0:
-            raise AssertionError("a listed mask failed the predicate re-check")
-        if wm[bisect_left(ws, a)] & vm[bisect_left(vs, b)] & ~m:
-            raise AssertionError("a listed mask has a satisfying one-player extension")
+    n = check_universe(up.n, down.n)
+    split = [(m & 255, m >> 8 & 255, m >> 16 & 255, m >> 24) for m in masks]
+
+    def lacking(g: WeightedGame) -> list[int]:
+        t0, t1, t2, t3 = (subset_sums(g.weights[k : k + 8]) for k in range(0, MAX_PLAYERS, 8))
+        return [g.quota - t0[b0] - t1[b1] - t2[b2] - t3[b3] for b0, b1, b2, b3 in split]
+
+    def keeps_losing(g: WeightedGame) -> list[int]:
+        order = sorted(range(n), key=g.weights.__getitem__)
+        ws, prefix = [g.weights[j] for j in order], [0, *accumulate(1 << j for j in order)]
+        return [prefix[bisect_left(ws, d)] | m if d > 0 else 0 for m, d in zip(masks, lacking(g))]
+
+    def join(op):
+        return lambda parts: [reduce(op, row) for row in zip(*parts)]
+
+    kept = down.fold(keeps_losing, join(or_), join(and_))
+    lacks_up = any(max(lacking(g), default=0) > 0 for g in up.leaves())
+    if lacks_up or any(k & m != m for m, k in zip(masks, kept)):
+        raise AssertionError("a listed mask failed the predicate re-check")
+    if any(k & ~m for m, k in zip(masks, kept)):
+        raise AssertionError("a listed mask has a satisfying one-player extension")
     return [Coalition(m, n) for m in masks]
 
 
@@ -280,7 +289,7 @@ def union_as_intersection(first: WeightedGame, second: WeightedGame) -> Decompos
     assert gap.boost is not None
     boosted = _boosted_games(first, gap.common_core, gap.boost)
     masks = _frontier(first, second, gap.common_core, gap.boost)
-    frontier = _checked_frontier(boosted, first, second, masks)
+    frontier = _checked_frontier(all_of(*boosted), any_of(first, second), masks)
     games = boosted + tuple(veto_game(s) for s in frontier)
     return Decomposition(games, gap, tuple(frontier))
 
@@ -322,7 +331,7 @@ def refine_by_vetoes(target: GameExpr, candidate: GameExpr) -> Decomposition:
     if not check:
         assert check.counterexample is not None
         raise ContainmentError(check.counterexample)
-    frontier = sweep.maximal_satisfying(candidate, target)
+    frontier = _checked_frontier(candidate, target, sweep.maximal_satisfying(candidate, target))
     games = tuple(candidate.leaves()) + tuple(veto_game(s) for s in frontier)
     return Decomposition(games, None, tuple(frontier))
 

@@ -216,6 +216,14 @@ class WeightedGame(Record, GameExpr):
         return f"[{self.quota}; {ws}]"
 
 
+def subset_sums(weights: Iterable[int]) -> list[int]:
+    """Partial-sum table: entry m = total weight of the players with bits in m."""
+    sums = [0]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return sums
+
+
 def unit_game(quota: int, n: int) -> WeightedGame:
     """The counting game [quota; 1, ..., 1]: wins iff at least ``quota`` players."""
     return WeightedGame((1,) * n, quota)

@@ -36,9 +36,9 @@ from functools import cache, partial, reduce
 from itertools import accumulate, chain, combinations, product
 from math import prod
 from operator import and_, itemgetter, or_
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .games import Coalition, GameExpr, Record, WeightedGame, check_universe
+from .games import Coalition, GameExpr, Record, WeightedGame, check_universe, subset_sums
 
 # Selector bits searched per chunk: each leaf and side is one 2^_CHUNK_BITS-bit
 # int (128 KB) per chunk, however large the symmetric difference.
@@ -125,20 +125,12 @@ class CertificateSetReport(Record):
         return len(self.coalitions) if self.fully_certified else None
 
 
-def _subset_sums(weights: Iterable[int]) -> list[int]:
-    """Partial-sum table: entry m = total weight of the players with bits in m."""
-    sums = [0]
-    for w in weights:
-        sums += [s + w for s in sums]
-    return sums
-
-
 def _low_half(weights: tuple[int, ...], width: int) -> tuple[list[int], list[bytes]]:
     """The sorted low sums, and per rank r the row pattern of the masks of rank >= r.
 
     A row pattern is 2^width bits (whole bytes): bit l is low mask l.
     """
-    sums = _subset_sums(weights)
+    sums = subset_sums(weights)
     order = sorted(range(len(sums)), key=sums.__getitem__)
     size = (1 << width) >> 3
     patterns, acc = [bytes(size)], 0
@@ -194,8 +186,8 @@ def find_certificate(
             halves[low] = _low_half(low, width)
         return (
             halves[low],
-            _subset_sums(game.weights[d] for d in free[lo:inner]),
-            _subset_sums(game.weights[d] for d in free[inner:]),
+            subset_sums(game.weights[d] for d in free[lo:inner]),
+            subset_sums(game.weights[d] for d in free[inner:]),
             (game.quota - w_base, w_base + w_delta - game.quota + 1),
         )
 

@@ -22,18 +22,18 @@ the maximality thinning of ``_maximal_bits`` are the bitset subset-sum
 (zeta) transform: halves of a ``reshape(-1, 2, 2^(j-6))`` view for player
 j >= 6, in-word shifts under a constant mask for j < 6.  The veto
 refinement lists its frontier with ``maximal_satisfying``, which tables
-both sides and re-checks the frontier with one probe, ``evaluate_many``.
-The union rewrite in ``decompose`` walks the players instead.
+both sides; ``decompose`` re-checks it without numpy, as it does the
+frontier that the union rewrite walks.
 """
 
 from __future__ import annotations
 
 from functools import partial, reduce
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .games import AND, Coalition, GameExpr, Node, Record, WeightedGame, check_universe
+from .games import AND, Coalition, GameExpr, Node, Record, WeightedGame, check_universe, subset_sums
 
 # Win table rows: 2^11 coalitions, whole words once n >= 6.  Rows of 2^10
 # made the fold 30-50 % slower.
@@ -84,14 +84,6 @@ def _pairs(table: Table, j: int) -> np.ndarray:
     return table.reshape(-1, 2, 1 << (j - 6))
 
 
-def subset_sums(weights: Iterable[int]) -> np.ndarray:
-    """Partial-sum table: entry m = total weight of the players with bits in m."""
-    sums = np.zeros(1, dtype=np.int64)
-    for w in weights:
-        sums = np.concatenate([sums, sums + np.int64(w)])
-    return sums
-
-
 def _block_shape(n: int) -> tuple[int, int]:
     """Blocks of an n-player table and the words in each."""
     bits = min(n, _BLOCK_BITS)
@@ -122,7 +114,7 @@ def _gather_fill(games: list[WeightedGame], op: str, halves: LowHalves) -> Block
     key = _low_weights(games[0])
     bits, lo = min(games[0].n, _BLOCK_BITS), len(key)
     if key not in halves:
-        low_sums = subset_sums(key)
+        low_sums = np.array(subset_sums(key))
         order = np.argsort(low_sums, kind="stable")
         patterns = np.zeros((order.size + 1, max(1, order.size >> 6)), dtype="<u8")
         patterns[np.arange(order.size), order >> 6] = np.uint64(1) << (order & 63).astype("<u8")
@@ -130,7 +122,7 @@ def _gather_fill(games: list[WeightedGame], op: str, halves: LowHalves) -> Block
         halves[key] = low_sums[order], patterns
     sorted_low, patterns = halves[key]
     thresholds = [
-        (subset_sums(g.weights[lo:bits]), subset_sums(g.weights[bits:]), np.int64(g.quota))
+        (*(np.array(subset_sums(ws)) for ws in (g.weights[lo:bits], g.weights[bits:])), g.quota)
         for g in games
     ]
     pick = np.maximum if op == AND else np.minimum
@@ -320,8 +312,8 @@ def players_in_all(words: np.ndarray, index: np.ndarray, n: int) -> int:
 def weights_of(game: WeightedGame, masks: np.ndarray) -> np.ndarray:
     """Weight of each coalition mask, read off the two half-universe partial sums."""
     lo = game.n // 2
-    low = subset_sums(game.weights[:lo])[masks & ((1 << lo) - 1)]
-    return low + subset_sums(game.weights[lo:])[masks >> lo]
+    low = np.array(subset_sums(game.weights[:lo]))[masks & ((1 << lo) - 1)]
+    return low + np.array(subset_sums(game.weights[lo:]))[masks >> lo]
 
 
 def min_member_weight(game: WeightedGame, words: np.ndarray, index: np.ndarray) -> Optional[int]:
@@ -367,28 +359,9 @@ def _maximal_bits(sat: Table, n: int) -> Table:
     return sat
 
 
-def checked_maximal(up: GameExpr, down: GameExpr, masks: np.ndarray) -> list[Coalition]:
-    """The ascending ``masks``, checked maximal among coalitions winning ``up``, losing ``down``.
-
-    One probe checks that every mask satisfies and that none of its
-    one-player extensions does.  One step suffices because both games are
-    monotone: an extension still wins ``up``, so it fails only by winning
-    ``down``, which every further superset inherits.
-    """
-    n = check_universe(up.n, down.n)
-    ext = masks[:, None] | (np.int64(1) << np.arange(n, dtype=np.int64))
-    probe = np.concatenate([masks, ext[ext != masks[:, None]]])
-    ok = evaluate_many(up, probe) & ~evaluate_many(down, probe)
-    if not ok[: masks.size].all():
-        raise AssertionError("a listed mask failed the predicate re-check")
-    if ok[masks.size :].any():
-        raise AssertionError("a listed mask has a satisfying one-player extension")
-    return [Coalition(m, n) for m in masks.tolist()]
-
-
-def maximal_satisfying(up: GameExpr, down: GameExpr) -> list[Coalition]:
-    """Inclusion-maximal coalitions winning ``up`` and losing ``down``, ascending by mask."""
+def maximal_satisfying(up: GameExpr, down: GameExpr) -> list[int]:
+    """Masks of the inclusion-maximal coalitions winning ``up`` and losing ``down``, ascending."""
     n = check_universe(up.n, down.n)
     sat = expr_table(up)
     sat &= complement(expr_table(down), n)
-    return checked_maximal(up, down, member_array(_maximal_bits(sat, n)))
+    return member_array(_maximal_bits(sat, n)).tolist()

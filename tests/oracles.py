@@ -115,6 +115,29 @@ def pair_certifiable(expr, a: int, b: int, n: int) -> bool:
     )
 
 
+def small_weighted_games(n: int, top: int) -> list[WeightedGame]:
+    """One weighted game per distinct winning set, over weights 0..top and every quota."""
+    games = {}
+    for weights in itertools.product(range(top + 1), repeat=n):
+        sums = [weight_of(weights, m) for m in range(1 << n)]
+        for quota in range(1, sum(weights) + 1):
+            wins = sum(1 << m for m in range(1 << n) if sums[m] >= quota)
+            games.setdefault(wins, WeightedGame(weights, quota))
+    return list(games.values())
+
+
+def monotone_tables(n: int) -> list[int]:
+    """Every monotone boolean function of n players, as one integer: bit m = coalition m.
+
+    A function is monotone iff its halves without and with player n - 1 are,
+    and the first half is contained in the second.
+    """
+    if n == 0:
+        return [0, 1]
+    halves = monotone_tables(n - 1)
+    return [lo | hi << (1 << (n - 1)) for lo in halves for hi in halves if not lo & ~hi]
+
+
 def random_game(rng: random.Random, n: int, max_weight: int = 8) -> WeightedGame:
     while True:
         weights = tuple(rng.randint(0, max_weight) for _ in range(n))

@@ -4,9 +4,11 @@ This is ``decompose.union_as_intersection`` as it stood before the gap
 survey was streamed and the frontier moved to the core's sub-cube: the gap
 is surveyed from two whole 2^n-bit win tables, and the over-admitted set is
 cut from the complement of the first game with one more whole table at the
-lowered quota q - u.  The only edits are that ``sweep.checked_maximal`` now
-takes the (up, down) pair and the maximal members of the over-admitted
-table instead of a predicate and the table, that ``Decomposition`` no
+lowered quota q - u.  The only edits are that the frontier is re-checked
+by ``decompose._checked_frontier``, which takes the (up, down) pair and
+the maximal members of the over-admitted table as a list of masks
+(``sweep.checked_maximal``, which took a predicate and the table and
+later the pair and an array, is gone), that ``Decomposition`` no
 longer takes a method tag: it derives the tag from the gap, and that
 ``sweep.players_in_all`` and ``sweep.min_member_weight`` take the table's
 run of non-zero words and their indices (``oracles.run_of``) instead of
@@ -82,8 +84,7 @@ def union_as_intersection(first: WeightedGame, second: WeightedGame) -> Decompos
     if first.quota > boost:
         sat &= sweep.win_table(WeightedGame(first.weights, first.quota - boost))
     keep_supersets(sat, gap.common_core.mask)
-    up = boosted[0] if len(boosted) == 1 else all_of(*boosted)
-    maximal = sweep.member_array(sweep._maximal_bits(sat, n))
-    frontier = sweep.checked_maximal(up, any_of(first, second), maximal)
+    maximal = sweep.member_array(sweep._maximal_bits(sat, n)).tolist()
+    frontier = decompose._checked_frontier(all_of(*boosted), any_of(first, second), maximal)
     games = boosted + tuple(veto_game(s) for s in frontier)
     return Decomposition(games, gap, tuple(frontier))

@@ -4,7 +4,9 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from functools import partial
+from functools import partial, reduce
+from itertools import product
+from operator import and_
 from pathlib import Path
 
 import pytest
@@ -241,7 +243,7 @@ class TestUnionAsIntersection:
         # One "boosted" game won by any player, and a union won only by all
         # three: the maximal coalitions in between are the three pairs.
         check = partial(
-            decompose._checked_frontier, (unit_game(1, 3),), unit_game(3, 3), unit_game(3, 3)
+            decompose._checked_frontier, unit_game(1, 3), any_of(unit_game(3, 3), unit_game(3, 3))
         )
         assert [s.mask for s in check([0b011, 0b101, 0b110])] == [0b011, 0b101, 0b110]
         # {0} is listed, but {0, 1} satisfies too.
@@ -256,18 +258,19 @@ class TestUnionAsIntersection:
     def test_frontier_recheck_finds_every_extension(self, n, rng):
         # Every non-empty mask losing both games, against a boosted game that
         # any player wins: the re-check fails it iff a one-player extension
-        # still loses both.
+        # still loses both.  Then the same for a random AND or OR of 2-3
+        # games, which takes the re-check through both joins.
         first, second = oracles.random_game(rng, n), oracles.random_game(rng, n)
-        union = any_of(first, second)
-        for m in range(1, 1 << n):
-            if oracles.wins(union, m):
-                continue
-            extensions = [m | 1 << j for j in range(n) if not m >> j & 1]
-            if any(not oracles.wins(union, e) for e in extensions):
-                with pytest.raises(AssertionError, match="extension"):
-                    decompose._checked_frontier((unit_game(1, n),), first, second, [m])
-            else:
-                assert decompose._checked_frontier((unit_game(1, n),), first, second, [m])
+        for down in (any_of(first, second), oracles.random_expr(rng, n)):
+            for m in range(1, 1 << n):
+                if oracles.wins(down, m):
+                    continue
+                extensions = [m | 1 << j for j in range(n) if not m >> j & 1]
+                if any(not oracles.wins(down, e) for e in extensions):
+                    with pytest.raises(AssertionError, match="extension"):
+                        decompose._checked_frontier(unit_game(1, n), down, [m])
+                else:
+                    assert decompose._checked_frontier(unit_game(1, n), down, [m])
 
     def test_boost_offset_breaks_equivalence(self):
         first = WeightedGame((2, 2, 2, 0), 4)
@@ -414,6 +417,38 @@ assert not {"numpy", "votedim.sweep"} & set(sys.modules)
                     games = decompose.analyze_rule(rule).games
                     assert sweep.equivalent(rule.expr, all_of(*games)), (year, row.rank, members)
 
+    def test_every_pair_of_small_weighted_games(self):
+        # Theorem 1 on every ordered pair of the distinct weighted games on 1
+        # to 4 players with weights 0..4: 22,245 pairs.  Weights 0..6 give no
+        # new game, since they give as many and include these.
+        rewritten = empty = 0
+        for n, distinct in ((1, 1), (2, 4), (3, 18), (4, 148)):
+            games = oracles.small_weighted_games(n, 4)
+            assert len(games) == len(oracles.small_weighted_games(n, 6)) == distinct
+            for first, second in product(games, repeat=2):
+                gap = oracles.gap_masks(first, second)
+                core = reduce(and_, gap, (1 << n) - 1)
+                try:
+                    dec = union_as_intersection(first, second)
+                except EmptyCoreError as e:
+                    assert gap and not core
+                    summary, empty = e.gap, empty + 1
+                else:
+                    assert not gap or core
+                    union = any_of(first, second)
+                    emitted = all_of(*dec.games)
+                    assert oracles.winning_masks(emitted, n) == oracles.winning_masks(union, n)
+                    # The fold on n <= 3 only: at n = 4 it would add 3 s.
+                    assert n == 4 or sweep.equivalent(emitted, union)
+                    summary, rewritten = dec.gap, rewritten + 1
+                lightest = min((oracles.weight_of(first.weights, m) for m in gap), default=None)
+                assert summary.count == len(gap)
+                assert summary.common_core == Coalition(core, n)
+                assert summary.min_weight == (lightest if core else None)
+                assert summary.boost == (first.quota - lightest if core and gap else None)
+                assert summary.members == (tuple(Coalition(m, n) for m in gap) if core else None)
+        assert (rewritten, empty) == (16_207, 6_038)
+
     @settings(deadline=None)
     @given(st.integers(2, 8), rngs)
     def test_random_pairs(self, n, rng):
@@ -524,6 +559,35 @@ class TestRefineByVetoes:
         assert {s.mask for s in dec.frontier} == oracles.maximal_masks(
             losing_nonempty, n
         )
+
+
+    def test_every_simple_game_on_at_most_four_players(self):
+        # Every non-constant monotone function of 1 to 4 players (1, 4, 18 and
+        # 166 of them), written as an OR of unanimity games and as an AND of
+        # the veto games of its maximal losers, so that both joins are re-checked.
+        refined = 0
+        for n, count in ((1, 1), (2, 4), (3, 18), (4, 166)):
+            full = (1 << (1 << n)) - 1
+            tables = [t for t in oracles.monotone_tables(n) if t not in (0, full)]
+            assert len(tables) == count
+            for table in tables:
+                winners = {m for m in range(1 << n) if table >> m & 1}
+                losers = set(range(1 << n)) - winners
+                unanimity = any_of(*(
+                    WeightedGame([m >> j & 1 for j in range(n)], m.bit_count())
+                    for m in sorted(oracles.minimal_masks(winners))
+                ))
+                vetoes = all_of(*(
+                    veto_game(Coalition(m, n)) for m in sorted(oracles.maximal_masks(losers, n))
+                ))
+                frontier = sorted(oracles.maximal_masks(losers - {0}, n))
+                for target in (unanimity, vetoes):
+                    assert oracles.winning_masks(target, n) == winners
+                    dec = refine_by_vetoes(target, unit_game(1, n))
+                    assert [s.mask for s in dec.frontier] == frontier
+                    assert oracles.winning_masks(all_of(*dec.games), n) == winners
+                    refined += 1
+        assert refined == 378
 
 
 class TestDecompositionValidation:

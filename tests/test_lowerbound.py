@@ -257,17 +257,6 @@ class TestFindCertificate:
         assert oracles.single_weighted_game_exists(weighted, 0b0011, 0b1100, 4)
 
 
-def small_weighted_games(n: int, top: int) -> list:
-    """One weighted game per distinct winning set, over weights 0..top and every quota."""
-    games = {}
-    for weights in product(range(top + 1), repeat=n):
-        sums = [oracles.weight_of(weights, m) for m in range(1 << n)]
-        for quota in range(1, sum(weights) + 1):
-            wins = sum(1 << m for m in range(1 << n) if sums[m] >= quota)
-            games.setdefault(wins, WeightedGame(weights, quota))
-    return list(games.values())
-
-
 class TestCertifiable:
     @pytest.mark.parametrize("name", ["2014", "2016", "2017", "2018", "noUK", "synthetic32"])
     def test_matches_the_split_search_on_every_pool_pair(self, name):
@@ -310,7 +299,7 @@ class TestCertifiable:
         # the pool pairs above check its True ones.
         pairs = 0
         for n, distinct in ((2, 4), (3, 18), (4, 148)):
-            games = small_weighted_games(n, 4)
+            games = oracles.small_weighted_games(n, 4)
             assert len(games) == distinct
             for g, c, v in product(games, range(1, n + 1), range(1, n + 1)):
                 rule = all_of(unit_game(c, n), any_of(g, unit_game(v, n)))
@@ -322,6 +311,30 @@ class TestCertifiable:
                     assert not oracles.pair_certifiable(rule, a, b, n), (rule, a, b)
                     pairs += 1
         assert pairs == 17_499
+
+    def test_every_six_player_rule_with_certified_pairs_matches_the_oracle(self):
+        # Every rule count(c) AND (g OR unit(v)) on 6 players where g has
+        # weights non-increasing in 0..1 (21 games): up to relabelling, every
+        # such rule with weights 0..1, since the count and veto games are
+        # symmetric.  14 of its maximal-loser pairs certify, so this checks
+        # the decider's True answers as well as its False ones.
+        n = 6
+        ones = [(1,) * k + (0,) * (n - k) for k in range(1, n + 1)]
+        games = [WeightedGame(w, q) for w in ones for q in range(1, sum(w) + 1)]
+        rules = pairs = certified = 0
+        for g, c, v in product(games, range(1, n + 1), range(1, n + 1)):
+            rule = all_of(unit_game(c, n), any_of(g, unit_game(v, n)))
+            losers = {m for m in range(1 << n) if not oracles.wins(rule, m)}
+            decide = lowerbound._pair_decider(rule)
+            for a, b in combinations(sorted(oracles.maximal_masks(losers, n)), 2):
+                pair = Coalition(a, n), Coalition(b, n)
+                want = oracles.pair_certifiable(rule, a, b, n)
+                assert decide(*pair) is want, (rule, a, b)
+                if want:
+                    assert find_certificate(rule, *pair) is not None
+                pairs, certified = pairs + 1, certified + want
+            rules += 1
+        assert (len(games), rules, pairs, certified) == (21, 756, 58_535, 14)
 
     @pytest.mark.parametrize("weights", [(1, 1, 1, 1, 0), (2, 1, 1, 1, 1, 1), (1, 1, 3, 1, 1, 1, 1)])
     def test_a_weighted_game_certifies_no_pair(self, weights):

@@ -85,15 +85,17 @@ def test_modules_import_no_dataclasses_fractions_or_eager_json():
 # Functions in ``src/votedim`` that no command and no exported name reaches,
 # each with the reason it stays.  Anything else unreached is dead code.
 UNREACHED = {
-    # ``perfbench/traced.py`` wraps or reads these seven, and
+    # ``perfbench/traced.py`` wraps or reads these eight, and
     # ``tests/test_traced.py`` asserts that they exist (ROADMAP item 9).
     "sweep.win_table": "wrapped by perfbench/traced.py",
+    "sweep.evaluate_many": "wrapped by perfbench/traced.py",
     "sweep.up_closure": "wrapped by perfbench/traced.py",
     "sweep.table_members": "wrapped by perfbench/traced.py",
     "sweep.players_in_all": "wrapped by perfbench/traced.py; used by tests/table_rewrite.py",
     "sweep.min_member_weight": "wrapped by perfbench/traced.py; used by tests/table_rewrite.py",
     "sweep.Table.bit_count": "read by perfbench/traced.py on _maximal_bits' result",
     "decompose.Decomposition.common_core_players": "read by perfbench/traced.py",
+    "sweep.weights_of": "called only by evaluate_many and min_member_weight",
     "games.GameExpr.fold": "abstract: WeightedGame and Node override it",
     "games.Record._fields": "called only by Record.__eq__ and __hash__, which no command uses",
 }
@@ -124,7 +126,8 @@ def _defined_functions() -> dict:
 
 def test_src_holds_only_reached_code():
     # Every command on the bundled data, and the one exported name that no
-    # command calls, under a profiler that records each Python call.
+    # command calls, under a profiler that records each Python call.  The
+    # refinement's target is an AND over an OR, so its re-check takes both joins.
     certs = Path(votedim.__file__).resolve().parent / "certs"
     commands = {
         ("analyze", "--json", "--data", "builtin:2018", "--exclude", "United Kingdom",
@@ -147,7 +150,9 @@ def test_src_holds_only_reached_code():
     try:
         for args in commands:
             exit_codes[args] = invoke(args).exit_code
-        votedim.refine_by_vetoes(votedim.unit_game(2, 3), votedim.unit_game(2, 3))
+        g, h = votedim.WeightedGame((1, 1, 0), 2), votedim.WeightedGame((0, 1, 1), 2)
+        target = votedim.all_of(votedim.unit_game(2, 3), votedim.any_of(g, h))
+        votedim.refine_by_vetoes(target, votedim.unit_game(2, 3))
     finally:
         sys.setprofile(None)
     assert exit_codes == commands
